@@ -1,0 +1,54 @@
+#!/bin/bash
+# Hash every CLI output of a fixed command set, to show that a refactor
+# leaves output bytes unchanged.
+#
+#   benchmarks/output_digest.sh [SRC_DIR]        (default: src)
+#
+# Prints one "label/file sha256-prefix" line per output file and per
+# stdout, plus one "label exit=CODE" line per command. Compare the
+# listings of two checkouts with diff, or their sha256sum for a short
+# summary. Runs in about a minute on two cores.
+SRC=${1:-src}
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+export PYTHONPATH=$SRC
+
+run() { # label, cli args...
+  local label=$1; shift
+  local dir=$WORK/$label
+  mkdir -p "$dir"
+  python3 -m regen_bernstein.cli "$@" --out "$dir" > "$dir/stdout.txt" 2> "$dir/stderr.txt"
+  local code=$?
+  echo "exit=$code" >> "$dir/stdout.txt"
+  echo "$label exit=$code"
+  for f in $(ls "$dir" | sort); do
+    [ "$f" = stderr.txt ] && continue
+    echo "$label/$f $(sha256sum < "$dir/$f" | cut -c1-16)"
+  done
+}
+
+for ch in two-state singular-mod1; do
+  if [ $ch = two-state ]; then points="0 1"; F=indicator_centered; else points="0.3 0.0"; F=cos2pi; fi
+  for init in pi nu $points; do
+    run sim-$ch-$init simulate --chain $ch --n 37 --init $init --seed 3 --f $F
+    run simx-$ch-$init simulate --chain $ch --n 37 --init $init --seed 3 --extend --f $F
+  done
+  run simbig-$ch simulate --chain $ch --n 2000 --seed 5 --extend
+  run varb-$ch variance --chain $ch --method batch --n 500 --seed 2 --f $F
+  run varr-$ch variance --chain $ch --method regenerative --n-regen 2000 --seed 2 --f $F
+  run ver-$ch verify --chain $ch --f $F --n 40 --replicas 1000 --seed 4 \
+    --n-excursions 400 --n-first-blocks 200 --init pi
+  run verth-$ch verify --chain $ch --f $F --n 40 --replicas 3000 --threads 2 --seed 4 \
+    --n-excursions 400 --n-first-blocks 200 --init nu --format csv
+done
+run varb-x0 variance --chain two-state --method batch --n 500 --seed 2 --x0 1
+run varb-mx0 variance --chain singular-mod1 --method batch --n 500 --seed 2 --x0 0.25 --f cos2pi
+run ver-pt verify --chain two-state --n 40 --replicas 1000 --seed 4 \
+  --n-excursions 400 --n-first-blocks 200 --init 1
+run ver-ex verify --chain two-state --n 12 --exact --seed 4 \
+  --n-excursions 400 --n-first-blocks 200
+run ver-mpt verify --chain singular-mod1 --f cos2pi --n 40 --replicas 1000 --seed 4 \
+  --n-excursions 400 --n-first-blocks 200 --init 0.5
+run orc oracle --chain two-state --n 12
+run orc1 oracle --chain two-state --n 12 --x0 1 --format csv
+run vexact variance --chain two-state --method exact

@@ -3,7 +3,9 @@
 REGEN_BERNSTEIN_BACKEND picks the implementation of the hot simulation
 loops: "numba" (compiled), "numpy" (vectorized fallback), or "auto"
 (numba when importable). Both backends consume pre-drawn random arrays
-under the same contract, so the choice affects speed only.
+under the same contract, so the choice affects speed only. Whether
+numba imports is decided once, when this module loads; the environment
+variable is read on every resolution.
 """
 
 from __future__ import annotations
@@ -12,13 +14,16 @@ import os
 
 BACKEND_ENV = "REGEN_BERNSTEIN_BACKEND"
 
+try:
+    import numba  # noqa: F401
+
+    HAVE_NUMBA = True
+except ImportError:
+    HAVE_NUMBA = False
+
 
 def numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+    return HAVE_NUMBA
 
 
 def backend_choice() -> str:
@@ -31,7 +36,7 @@ def backend_choice() -> str:
     if mode == "numpy":
         return "numpy"
     if mode == "numba":
-        if not numba_available():
+        if not HAVE_NUMBA:
             raise RuntimeError("numba backend requested but numba is not importable")
         return "numba"
-    return "numba" if numba_available() else "numpy"
+    return "numba" if HAVE_NUMBA else "numpy"

@@ -13,15 +13,11 @@ import math
 
 import numpy as np
 
-from ._backend import backend_choice
+from ._backend import HAVE_NUMBA, backend_choice
 
-try:
+if HAVE_NUMBA:
     from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
+else:
     def njit(*args, **kwargs):
         def wrap(fn):
             return fn

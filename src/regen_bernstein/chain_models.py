@@ -10,36 +10,31 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import _kernels
+from ._io import atomic_write_text
 from ._rng import TAG_TV, substream
+
+_U64_MAX = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """Finite row-stochastic matrix or a generic state sampler.
+    """Finite row-stochastic matrix over labelled states.
 
-    Exactly one of matrix and sampler must be given. A sampler has
-    signature (state, rng) -> state. m_step_density, when available for
-    a generic kernel, evaluates the m-step transition density against
-    the minorization measure and enables sampled minorization checks.
+    states defaults to the indices 0..k-1. The mod-1 chain carries no
+    kernel; its transitions live in SingularMod1Chain.
     """
 
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
     states: tuple | None = None
-    sampler: Callable | None = None
-    m_step_density: Callable | None = None
 
     def __post_init__(self):
-        if (self.matrix is None) == (self.sampler is None):
-            raise ValueError("exactly one of matrix and sampler must be given")
-        if self.matrix is None:
-            return
         mat = np.asarray(self.matrix, dtype=np.float64)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("transition matrix must be square")
@@ -55,13 +50,7 @@ class TransitionKernel:
         object.__setattr__(self, "states", tuple(states))
 
     @property
-    def is_finite(self) -> bool:
-        return self.matrix is not None
-
-    @property
     def n_states(self) -> int:
-        if not self.is_finite:
-            raise ValueError("generic kernel has no state count")
         return self.matrix.shape[0]
 
     def cumulative_rows(self) -> np.ndarray:
@@ -145,15 +134,16 @@ class SingularMod1Chain:
 
 @dataclass(frozen=True, eq=False)
 class ChainInstance:
-    """A kernel bundled with its minorization and known stationary law.
+    """A chain bundled with its minorization and known stationary law.
 
-    stationary is a probability vector for finite chains, the string
-    "lebesgue" for the mod-1 chain, or None when unknown. ergodicity
-    optionally carries caller-supplied (G, rho) geometric-decay data;
-    nothing in the package ever infers it.
+    Exactly one of kernel (a finite chain) and mod1 (the singular mod-1
+    chain) is given. stationary is a probability vector for finite
+    chains, the string "lebesgue" for the mod-1 chain, or None when
+    unknown. ergodicity optionally carries caller-supplied (G, rho)
+    geometric-decay data; nothing in the package ever infers it.
     """
 
-    kernel: TransitionKernel
+    kernel: TransitionKernel | None
     minorization: MinorizationSpec
     stationary: object = None
     ergodicity: tuple | None = None
@@ -162,7 +152,9 @@ class ChainInstance:
     mod1: SingularMod1Chain | None = None
 
     def __post_init__(self):
-        if self.kernel.is_finite:
+        if (self.kernel is None) == (self.mod1 is None):
+            raise ValueError("exactly one of kernel and mod1 must be given")
+        if self.kernel is not None:
             k = self.kernel.n_states
             mask = np.asarray(self.minorization.small_set, dtype=bool)
             if mask.shape != (k,):
@@ -182,7 +174,7 @@ class ChainInstance:
 
     @property
     def is_finite(self) -> bool:
-        return self.kernel.is_finite
+        return self.kernel is not None
 
     @property
     def m(self) -> int:
@@ -203,10 +195,15 @@ class ChainInstance:
         """Stationary mass of the small set."""
         if self.mod1 is not None:
             return 1.0
-        if self.is_finite:
-            mask = np.asarray(self.minorization.small_set, dtype=bool)
-            return float(self.pi_vector()[mask].sum())
-        raise ValueError("stationary mass of the small set is unknown for this chain")
+        mask = np.asarray(self.minorization.small_set, dtype=bool)
+        return float(self.pi_vector()[mask].sum())
+
+    def first_small_set_state(self):
+        """Default point start: the first small-set state (0.0 on mod-1)."""
+        if self.mod1 is not None:
+            return 0.0
+        return int(np.flatnonzero(
+            np.asarray(self.minorization.small_set, dtype=bool))[0])
 
     def mean_gap(self) -> float:
         """Exact stationary mean regeneration gap m / (delta * pi(C))."""
@@ -229,8 +226,9 @@ class Functional:
     """A real functional of the chain state, resolved per chain.
 
     values tabulates f over state indices for finite chains. code names
-    one of the mod-1 kernel functionals. fn is a float fallback for
-    generic evaluation. sup_bound is an exact bound on |f| when known.
+    one of the mod-1 kernel functionals and fn evaluates the same
+    functional on float states. sup_bound is an exact bound on |f| when
+    known. apply is the one evaluator of f along a path.
     """
 
     name: str
@@ -272,8 +270,6 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
                 raise ValueError(f"unknown functional {name!r} for the mod-1 chain")
             code, fn, sup = table[name]
             return Functional(name=name, code=code, fn=fn, sup_bound=sup)
-        if not chain.is_finite:
-            raise ValueError("named functionals need a finite or mod-1 chain")
         pi = chain.pi_vector()
         k = chain.kernel.n_states
         if name == "indicator_centered":
@@ -348,8 +344,6 @@ def stationary_distribution(kernel) -> np.ndarray:
     """Unique stationary law of an irreducible aperiodic finite kernel."""
     if isinstance(kernel, np.ndarray):
         kernel = TransitionKernel(matrix=kernel)
-    if not kernel.is_finite:
-        raise ValueError("finite kernel required")
     mat = kernel.matrix
     if not _support_graph_strongly_connected(mat):
         raise ValueError("reducible transition matrix, the stationary law is not unique")
@@ -370,9 +364,9 @@ class MinorizationReport:
     """Outcome of a minorization check.
 
     mode is "exact" (finite matrix arithmetic), "construction" (latent
-    scheme valid by design), "support" (exact refutation from reachable
-    bins), or "sampled" (density ratios on a grid). margin is the
-    smallest value of P^m - delta * nu seen, negative on failure.
+    scheme valid by design) or "support" (exact refutation from
+    reachable bins). margin is the smallest value of P^m - delta * nu
+    seen, negative on failure.
     """
 
     mode: str
@@ -406,14 +400,12 @@ def _mod1_one_step_bins(chain: SingularMod1Chain, x_bits: int, resolution: int):
 
 
 def validate_minorization(chain: ChainInstance, spec: MinorizationSpec | None = None,
-                          *, resolution: int = 3, grid: int = 256,
-                          seed: int = 0) -> MinorizationReport:
+                          *, resolution: int = 3) -> MinorizationReport:
     """Check P^m(x, .) >= delta * nu(.) for x in the small set.
 
     Finite chains are checked exactly. The mod-1 chain is accepted by
     construction at its native m = 2 and refuted exactly at m = 1 by
-    exhibiting a dyadic bin that one step cannot reach. Generic kernels
-    need an m-step density evaluator and get a sampled grid check.
+    exhibiting a dyadic bin that one step cannot reach.
     """
     spec = spec if spec is not None else chain.minorization
     warnings = []
@@ -446,41 +438,28 @@ def validate_minorization(chain: ChainInstance, spec: MinorizationSpec | None = 
             mode="exact", passed=bool(margin >= -1e-12), margin=margin,
             warnings=tuple(warnings),
             detail={"m": spec.m, "delta": spec.delta})
-    if chain.mod1 is not None:
-        if spec.m == 2:
-            return MinorizationReport(
-                mode="construction", passed=True, margin=0.0,
-                detail={
-                    "m": 2, "delta": spec.delta,
-                    "note": "a mixed pair of moves lands uniformly, so the "
-                            "two-step kernel is a delta-weighted mixture "
-                            "with the uniform law"})
-        if spec.m == 1:
-            x_bits = 0
-            bins, total = _mod1_one_step_bins(chain.mod1, x_bits, resolution)
-            missing = next(i for i in range(total) if i not in bins)
-            margin = -spec.delta / total
-            return MinorizationReport(
-                mode="support", passed=False, margin=margin,
-                detail={
-                    "m": 1, "delta": spec.delta, "resolution_bits": 2 * resolution,
-                    "reachable_bins": len(bins), "total_bins": total,
-                    "witness_bin": missing,
-                    "note": "one step from 0 misses this bin entirely while "
-                            "delta * lebesgue gives it positive mass"})
-        raise ValueError("mod-1 minorization checks support m = 1 and m = 2 only")
-    density = chain.kernel.m_step_density
-    if density is None:
-        raise ValueError("generic kernel without an m-step density evaluator")
-    rng = substream(seed, TAG_TV, 0)
-    xs = rng.random(grid)
-    ys = rng.random(grid)
-    ratio = np.array([[density(x, y, spec.m) for y in ys] for x in xs])
-    margin = float(ratio.min() - spec.delta)
-    return MinorizationReport(
-        mode="sampled", passed=bool(margin >= 0.0), margin=margin,
-        warnings=("sampled check, not a proof",),
-        detail={"grid": grid})
+    if spec.m == 2:
+        return MinorizationReport(
+            mode="construction", passed=True, margin=0.0,
+            detail={
+                "m": 2, "delta": spec.delta,
+                "note": "a mixed pair of moves lands uniformly, so the "
+                        "two-step kernel is a delta-weighted mixture "
+                        "with the uniform law"})
+    if spec.m == 1:
+        x_bits = 0
+        bins, total = _mod1_one_step_bins(chain.mod1, x_bits, resolution)
+        missing = next(i for i in range(total) if i not in bins)
+        margin = -spec.delta / total
+        return MinorizationReport(
+            mode="support", passed=False, margin=margin,
+            detail={
+                "m": 1, "delta": spec.delta, "resolution_bits": 2 * resolution,
+                "reachable_bins": len(bins), "total_bins": total,
+                "witness_bin": missing,
+                "note": "one step from 0 misses this bin entirely while "
+                        "delta * lebesgue gives it positive mass"})
+    raise ValueError("mod-1 minorization checks support m = 1 and m = 2 only")
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,8 +493,6 @@ def tv_decay_curve(chain: ChainInstance, x0, n_max: int, *, bins: int = 16,
             row = row @ chain.kernel.matrix
             out[i] = 0.5 * float(np.abs(row - pi).sum())
         return TVCurve(n=steps, tv=out, se=None, mode="exact")
-    if chain.mod1 is None:
-        raise ValueError("tv_decay_curve supports finite and mod-1 chains")
     if bins < 2:
         raise ValueError("bins >= 2 required")
     mod1 = chain.mod1
@@ -579,20 +556,9 @@ def make_two_state(a: float = 0.5, b: float = 0.5,
 def make_singular_mod1(precision: int = 64) -> ChainInstance:
     """Singular mod-1 chain with the latent two-step splitting."""
     mod1 = SingularMod1Chain(precision=precision)
-
-    def sampler(x, rng):
-        bits = mod1.float_to_bits(x)
-        eps = int(rng.integers(0, 2))
-        word = int(rng.integers(0, np.iinfo(np.uint64).max, dtype=np.uint64,
-                                endpoint=True))
-        inc = word & (mod1.odd_mask if eps == 1 else mod1.even_mask)
-        nxt = (bits + inc) & mod1.wrap_mask
-        return float(mod1.bits_to_float(np.uint64(nxt)))
-
-    kernel = TransitionKernel(sampler=sampler)
     spec = MinorizationSpec(small_set=lambda x: True, m=2, delta=0.5,
                             nu="lebesgue", latent=True)
-    return ChainInstance(kernel=kernel, minorization=spec,
+    return ChainInstance(kernel=None, minorization=spec,
                          stationary="lebesgue", name="singular-mod1",
                          params={"precision": int(precision)}, mod1=mod1)
 
@@ -610,10 +576,68 @@ def make_chain(name: str, **params) -> ChainInstance:
     return _BUILTINS[name](**params)
 
 
+@dataclass(frozen=True, eq=False)
+class Start:
+    """A resolved initial condition in native form.
+
+    Native states are indices on finite chains and fixed-point bits on
+    the mod-1 chain. A point start has point set and draws nothing. A
+    random start takes one uniform, inverted through the cumulative
+    start law weights (finite), or one 64-bit word masked to the chain's
+    precision (mod-1, where nu and pi are both Lebesgue measure).
+    """
+
+    label: str
+    point: int | None = None
+    weights: np.ndarray | None = None
+    wrap_mask: int | None = None
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return np.cumsum(self.weights)
+
+    def draw(self, rng: np.random.Generator) -> int:
+        if self.point is not None:
+            return self.point
+        if self.weights is not None:
+            idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
+            return min(idx, len(self._cum) - 1)
+        word = int(rng.integers(0, _U64_MAX, dtype=np.uint64, endpoint=True))
+        return word & self.wrap_mask
+
+
+def resolve_start(chain: ChainInstance, init) -> Start:
+    """Validate an initial condition: a state, ("point", x), "nu" or "pi".
+
+    "pi-approx" is accepted as "pi", and the mod-1 chain also accepts
+    "lebesgue". Finite point starts must be state indices in range;
+    mod-1 point starts must lie in [0, 1).
+    """
+    if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
+        init = init[1]
+    if isinstance(init, str):
+        token = init.lower()
+        if chain.mod1 is not None and token in ("nu", "pi", "pi-approx", "lebesgue"):
+            return Start(label=token, wrap_mask=chain.mod1.wrap_mask)
+        if chain.mod1 is None and token in ("nu", "pi", "pi-approx"):
+            weights = (np.asarray(chain.minorization.nu, dtype=np.float64)
+                       if token == "nu" else chain.pi_vector())
+            return Start(label=token, weights=weights)
+        raise ValueError(f"unknown init {init!r}")
+    if chain.mod1 is not None:
+        return Start(label=f"point:{init}",
+                     point=chain.mod1.float_to_bits(float(init)))
+    x = int(init)
+    if not (0 <= x < chain.kernel.n_states):
+        raise ValueError(f"initial state {x} out of range")
+    return Start(label=f"point:{init}", point=x)
+
+
 def sample_path(chain: ChainInstance, x0, n: int, rng: np.random.Generator,
                 backend: str | None = None) -> np.ndarray:
-    """States of a base-chain path of length n starting at x0.
+    """States of a base-chain path of length n started from x0.
 
+    x0 is anything resolve_start accepts; a random start draws first.
     Finite chains return index arrays, the mod-1 chain floats in [0, 1).
     The path consumes one uniform per transition (finite) or one coin
     and one 64-bit word per transition (mod-1).
@@ -621,25 +645,18 @@ def sample_path(chain: ChainInstance, x0, n: int, rng: np.random.Generator,
     n = int(n)
     if n < 1:
         raise ValueError("n >= 1 required")
-    if chain.is_finite:
+    start = resolve_start(chain, x0).draw(rng)
+    if chain.mod1 is None:
         uniforms = rng.random(n - 1)
         return _kernels.finite_chain_path(chain.kernel.cumulative_rows(),
-                                          int(x0), uniforms, backend=backend)
-    if chain.mod1 is not None:
-        mod1 = chain.mod1
-        eps = rng.integers(0, 2, size=n - 1, dtype=np.uint8)
-        words = rng.integers(0, np.iinfo(np.uint64).max, size=n - 1,
-                             dtype=np.uint64, endpoint=True)
-        bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask,
-                                        mod1.wrap_mask, mod1.float_to_bits(float(x0)),
-                                        eps, words, backend=backend)
-        return mod1.bits_to_float(bits)
-    out = [x0]
-    x = x0
-    for _ in range(n - 1):
-        x = chain.kernel.sampler(x, rng)
-        out.append(x)
-    return np.asarray(out)
+                                          start, uniforms, backend=backend)
+    mod1 = chain.mod1
+    eps = rng.integers(0, 2, size=n - 1, dtype=np.uint8)
+    words = rng.integers(0, _U64_MAX, size=n - 1, dtype=np.uint64, endpoint=True)
+    bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask,
+                                    mod1.wrap_mask, start, eps, words,
+                                    backend=backend)
+    return mod1.bits_to_float(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +715,5 @@ def load_chain(path: str) -> ChainInstance:
 
 
 def save_chain(chain: ChainInstance, path: str) -> None:
-    payload = json.dumps(chain_to_dict(chain), sort_keys=True, indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write_text(
+        path, json.dumps(chain_to_dict(chain), sort_keys=True, indent=2) + "\n")

@@ -20,15 +20,16 @@ import numpy as np
 from ._backend import BACKEND_ENV, backend_choice
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
 from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
-from .chain_models import load_chain, make_chain, resolve_functional
+from .chain_models import load_chain, make_chain, resolve_functional, sample_path
 from .errors import GuardError
 from .split_regen import (simulate_split, trajectory_summary,
                           trajectory_to_csv, write_json)
 from .variance import (sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,
                        sigma_mrv_regenerative)
-from .verify import (collect_excursions, exact_tail, report_to_dict,
-                     run_verification, tail_curve_to_dict, write_curves_csv)
+from .verify import (collect_excursions, curves_csv_text, exact_tail,
+                     report_to_dict, run_verification, tail_curve_to_dict,
+                     write_curves_csv)
 
 _FORMULAS_DEFAULT = ("thm_bi", "thm_bi2", "thm_sbi")
 
@@ -172,17 +173,14 @@ def cmd_simulate(args, cfg):
     rng = substream(seed, TAG_SPLIT, 0)
     traj = simulate_split(chain, init, int(n), rng,
                           extend_to_regeneration=extend, backend=backend)
-    f_eval = None
-    if f_spec is not None:
-        fspec = resolve_functional(chain, f_spec)
-        f_eval = fspec.values if fspec.values is not None else fspec.fn
+    fspec = None if f_spec is None else resolve_functional(chain, f_spec)
     payload = _base_metadata("simulate", seed, backend)
     payload.update({
         "chain": chain.label(),
         "n": int(n),
         "init": str(init),
         "extend": extend,
-        "summary": trajectory_summary(traj, f_eval),
+        "summary": trajectory_summary(traj, fspec),
     })
     out = _opt(args, cfg, "out")
     if out:
@@ -299,22 +297,14 @@ def cmd_variance(args, cfg):
         n = int(n)
         x0 = _opt(args, cfg, "x0")
         if x0 is None:
-            if chain.is_finite:
-                x0 = int(np.flatnonzero(np.asarray(
-                    chain.minorization.small_set, dtype=bool))[0])
-            else:
-                x0 = 0.0
+            x0 = chain.first_small_set_state()
         batch_length = _opt(args, cfg, "batch_length")
         if batch_length is None:
             batch_length = max(1, int(round(math.sqrt(n) / 2.0)))
-        from .chain_models import sample_path
         states = sample_path(chain, x0, n, substream(seed, TAG_PATH, 0),
                              backend=backend)
-        values = (fspec.values[np.asarray(states, dtype=np.int64)]
-                  if fspec.values is not None
-                  else np.asarray(fspec.fn(np.asarray(states, dtype=np.float64))))
         payload["estimate"] = _estimate_dict(
-            sigma_mrv_batch(values, int(batch_length)))
+            sigma_mrv_batch(fspec.apply(states), int(batch_length)))
         payload.update({"n": n, "batch_length": int(batch_length)})
     else:
         raise ValueError(f"unknown variance method {method!r}; choose from "
@@ -376,15 +366,7 @@ def cmd_verify(args, cfg):
         write_curves_csv(report, _out_path(out, "curves.csv"))
     csv_text = None
     if _opt(args, cfg, "format") == "csv":
-        names = sorted(report.curves)
-        lines = ["t,estimate,se," + ",".join(f"bound_{x}" for x in names)]
-        tail = report.tail
-        for j in range(len(tail)):
-            row = [repr(float(tail.t[j])), repr(float(tail.estimate[j])),
-                   "" if tail.se is None else repr(float(tail.se[j]))]
-            row.extend(repr(float(report.curves[x].values[j])) for x in names)
-            lines.append(",".join(row))
-        csv_text = "\n".join(lines) + "\n"
+        csv_text = curves_csv_text(report)
     return payload, csv_text
 
 
@@ -399,10 +381,7 @@ def cmd_oracle(args, cfg):
     grid = _build_grid(args, cfg, n)
     x0 = _opt(args, cfg, "x0")
     if x0 is None:
-        if not chain.is_finite:
-            raise ValueError("exact tails need a finite chain")
-        x0 = int(np.flatnonzero(np.asarray(
-            chain.minorization.small_set, dtype=bool))[0])
+        x0 = chain.first_small_set_state()
     tail = exact_tail(chain, f_spec, int(x0), n, grid)
     payload = {
         "command": "oracle",

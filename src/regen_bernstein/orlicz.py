@@ -13,16 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundValue, capped
+from .bounds import BoundValue, _check_alpha, capped
 
 _LN2 = math.log(2.0)
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    return alpha
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,16 @@ stationary 1-dependent sequence (independent when m = 1).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .chain_models import ChainInstance, resolve_functional
+from ._io import atomic_write_text
+from .chain_models import ChainInstance, Functional, resolve_functional, resolve_start
 from .errors import GuardError
 
 # Block counts drawn per request when extending to a regeneration: the
@@ -85,46 +86,22 @@ class SplitTrajectory:
         return len(self.sigma) == 0
 
 
-def _draw_initial(chain: ChainInstance, init, rng):
-    """Resolve the initial condition; returns (state, label)."""
-    if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
-        return init[1], f"point:{init[1]}"
-    if isinstance(init, str):
-        token = init.lower()
-        if token in ("nu", "pi", "pi-approx"):
-            if chain.mod1 is not None:
-                # nu and pi both equal lebesgue measure here
-                word = int(rng.integers(0, np.iinfo(np.uint64).max,
-                                        dtype=np.uint64, endpoint=True))
-                bits = word & chain.mod1.wrap_mask
-                return float(chain.mod1.bits_to_float(np.uint64(bits))), token
-            if chain.is_finite:
-                weights = (np.asarray(chain.minorization.nu, dtype=np.float64)
-                           if token == "nu" else chain.pi_vector())
-                cum = np.cumsum(weights)
-                u = rng.random()
-                idx = int(np.searchsorted(cum, u, side="right"))
-                return min(idx, len(cum) - 1), token
-            raise ValueError(
-                f"init {init!r} needs a finite or mod-1 chain; pass a state instead")
-        raise ValueError(f"unknown init {init!r}")
-    return init, f"point:{init}"
-
-
-def _simulate_blocks_finite(chain, x0, blocks, rng, backend):
-    """(states with endpoint, block levels) for a run of complete blocks."""
+def _finite_blocks(chain, x0, blocks, rng, backend):
+    """(states with endpoint, block levels, None) for a run of complete blocks."""
     m = chain.m
     spec = chain.minorization
     state_u = rng.random(blocks * m)
     level_u = rng.random(blocks)
-    return _kernels.finite_split_path(
+    states, levels = _kernels.finite_split_path(
         chain.kernel.cumulative_rows(),
         np.asarray(spec.small_set, dtype=bool),
         np.asarray(spec.r, dtype=np.float64),
         m, int(x0), state_u, level_u, backend=backend)
+    return states, levels, None
 
 
-def _simulate_blocks_mod1(chain, x0_bits, blocks, rng, backend):
+def _mod1_blocks(chain, x0_bits, blocks, rng, backend):
+    """(bits with endpoint, block levels, per-step coins) for two-step blocks."""
     mod1 = chain.mod1
     eps = rng.integers(0, 2, size=2 * blocks, dtype=np.uint8)
     words = rng.integers(0, np.iinfo(np.uint64).max, size=2 * blocks,
@@ -136,39 +113,19 @@ def _simulate_blocks_mod1(chain, x0_bits, blocks, rng, backend):
     return bits, levels, eps
 
 
-def _simulate_blocks_generic(chain, x0, blocks, rng):
-    spec = chain.minorization
-    if spec.r is None or not callable(spec.r):
-        raise ValueError(
-            "generic chain without an r evaluator or latent scheme cannot be split")
-    small = spec.small_set
-    in_c = small if callable(small) else (lambda x: bool(small[x]))
-    m = chain.m
-    states = [x0]
-    levels = np.empty(blocks, dtype=np.uint8)
-    x = x0
-    for k in range(blocks):
-        start = x
-        for _ in range(m):
-            x = chain.kernel.sampler(x, rng)
-            states.append(x)
-        u = rng.random()
-        levels[k] = 1 if (in_c(start) and u < spec.r(start, x)) else 0
-    return np.asarray(states), levels
-
-
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
                    *, extend_to_regeneration: bool = False,
                    max_blocks: int = 10_000_000,
                    backend: str | None = None) -> SplitTrajectory:
     """Simulate the split chain for at least n states.
 
-    init is a state value, ("point", x), "nu" or "pi". Without
-    extension the trajectory has ceil(n / m) complete blocks truncated
-    to exactly n states. With extend_to_regeneration=True, simulation
-    continues block by block until a regeneration time sigma >= n - m
-    exists and stops at the end of that block, which is exactly the
-    coverage the block decomposition needs.
+    init is anything resolve_start accepts: a state, ("point", x), "nu"
+    or "pi". Without extension the trajectory has ceil(n / m) complete
+    blocks truncated to exactly n states. With
+    extend_to_regeneration=True, simulation continues block by block
+    until a regeneration time sigma >= n - m exists and stops at the end
+    of that block, which is exactly the coverage the block decomposition
+    needs.
     """
     n = int(n)
     m = chain.m
@@ -176,72 +133,33 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
         raise ValueError(f"n < m: need n >= {m}, got {n}")
     if max_blocks < 1:
         raise ValueError("max_blocks must be positive")
-    x0, label = _draw_initial(chain, init, rng)
-
+    start = resolve_start(chain, init)
+    x = start.draw(rng)
     mod1 = chain.mod1
-    if chain.is_finite:
-        runner = lambda start, blocks: _simulate_blocks_finite(
-            chain, start, blocks, rng, backend)
-    elif mod1 is not None:
-        x0 = float(x0)
-        runner = None
+    if mod1 is None:
+        run_blocks = _finite_blocks
+        paths = [np.array([x], dtype=np.int64)]
     else:
-        runner = lambda start, blocks: _simulate_blocks_generic(
-            chain, start, blocks, rng)
+        run_blocks = _mod1_blocks
+        if start.point is None:
+            # a drawn start keeps float resolution only (its low
+            # precision - 53 bits cleared); mc_tail keeps every bit
+            shift, _ = mod1.float_params()
+            x = (x >> shift) << shift
+        paths = [np.array([x], dtype=np.uint64)]
 
     want_blocks = -(-n // m)
-    if mod1 is not None:
-        x_bits = mod1.float_to_bits(x0)
-        all_bits = [np.array([x_bits], dtype=np.uint64)]
-        all_levels = []
-        all_eps = []
-        done_blocks = 0
-        chunk = max(_EXTEND_CHUNK_START, want_blocks)
-        while True:
-            blocks = want_blocks - done_blocks if done_blocks < want_blocks else chunk
-            bits, levels, eps = _simulate_blocks_mod1(chain, x_bits, blocks,
-                                                      rng, backend)
-            all_bits.append(bits[1:])
-            all_levels.append(levels)
-            all_eps.append(eps)
-            x_bits = int(bits[-1])
-            done_blocks += blocks
-            if done_blocks > max_blocks:
-                raise GuardError(
-                    f"no regeneration covering the horizon within {max_blocks} blocks")
-            if done_blocks >= want_blocks:
-                if not extend_to_regeneration:
-                    break
-                lev = np.concatenate(all_levels)
-                hits = np.flatnonzero(lev == 1) * m
-                if hits.size and hits.max() >= n - m:
-                    break
-            chunk = min(chunk * 2, _EXTEND_CHUNK_CAP)
-        bits_full = np.concatenate(all_bits)
-        levels_blocks = np.concatenate(all_levels)
-        eps_full = np.concatenate(all_eps)
-        per_state = np.repeat(levels_blocks, m)
-        if extend_to_regeneration:
-            hits = np.flatnonzero(levels_blocks == 1) * m
-            stop = int(hits[hits >= n - m][0]) + m
-        else:
-            stop = n
-        return SplitTrajectory(
-            states=mod1.bits_to_float(bits_full[:stop]), levels=per_state[:stop],
-            m=m, init_label=label, chain_name=chain.name,
-            bits=bits_full[:stop], latent=eps_full[:stop])
-
-    all_states = [np.array([x0])]
     all_levels = []
+    all_latent = []
     done_blocks = 0
     chunk = max(_EXTEND_CHUNK_START, want_blocks)
-    x_cur = x0
     while True:
         blocks = want_blocks - done_blocks if done_blocks < want_blocks else chunk
-        states, levels = runner(x_cur, blocks)
-        all_states.append(states[1:])
+        path, levels, latent = run_blocks(chain, x, blocks, rng, backend)
+        paths.append(path[1:])
         all_levels.append(levels)
-        x_cur = states[-1]
+        all_latent.append(latent)
+        x = int(path[-1])
         done_blocks += blocks
         if done_blocks > max_blocks:
             raise GuardError(
@@ -254,7 +172,7 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
             if hits.size and hits.max() >= n - m:
                 break
         chunk = min(chunk * 2, _EXTEND_CHUNK_CAP)
-    states_full = np.concatenate(all_states)
+    path = np.concatenate(paths)
     levels_blocks = np.concatenate(all_levels)
     per_state = np.repeat(levels_blocks, m)
     if extend_to_regeneration:
@@ -262,8 +180,14 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
         stop = int(hits[hits >= n - m][0]) + m
     else:
         stop = n
-    return SplitTrajectory(states=states_full[:stop], levels=per_state[:stop],
-                           m=m, init_label=label, chain_name=chain.name)
+    path = path[:stop]
+    if mod1 is None:
+        return SplitTrajectory(states=path, levels=per_state[:stop], m=m,
+                               init_label=start.label, chain_name=chain.name)
+    return SplitTrajectory(
+        states=mod1.bits_to_float(path), levels=per_state[:stop], m=m,
+        init_label=start.label, chain_name=chain.name, bits=path,
+        latent=np.concatenate(all_latent)[:stop])
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +296,18 @@ def excursions(traj: SplitTrajectory, f) -> np.ndarray:
 
 
 def _functional_values(traj: SplitTrajectory, f) -> np.ndarray:
+    if isinstance(f, Functional):
+        return f.apply(traj.states)
     if isinstance(f, np.ndarray):
         return f[np.asarray(traj.states, dtype=np.int64)]
     if callable(f):
         return np.asarray(f(traj.states), dtype=np.float64)
-    raise ValueError("f must be a per-state value array or a callable")
+    raise ValueError("f must be a Functional, a per-state value array or a callable")
 
 
 def functional_values(chain: ChainInstance, traj: SplitTrajectory, fspec) -> np.ndarray:
     """Per-state f values for a named or tabulated functional."""
-    func = resolve_functional(chain, fspec)
-    if func.values is not None:
-        return func.values[np.asarray(traj.states, dtype=np.int64)]
-    return np.asarray(func.fn(np.asarray(traj.states, dtype=np.float64)))
+    return resolve_functional(chain, fspec).apply(traj.states)
 
 
 def count_regenerations(traj: SplitTrajectory, n: int) -> int:
@@ -484,14 +407,13 @@ def block_decompose(traj: SplitTrajectory, f, n: int) -> BlockDecomposition:
 def trajectory_to_csv(traj: SplitTrajectory, path: str) -> None:
     """index,state,level,is_regeneration rows, written atomically."""
     sigma = set(int(s) for s in traj.sigma)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "state", "level", "is_regeneration"])
-        for i, (x, y) in enumerate(zip(traj.states, traj.levels)):
-            val = repr(float(x)) if isinstance(x, (float, np.floating)) else int(x)
-            writer.writerow([i, val, int(y), int(i in sigma)])
-    os.replace(tmp, path)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["index", "state", "level", "is_regeneration"])
+    for i, (x, y) in enumerate(zip(traj.states, traj.levels)):
+        val = repr(float(x)) if isinstance(x, (float, np.floating)) else int(x)
+        writer.writerow([i, val, int(y), int(i in sigma)])
+    atomic_write_text(path, buffer.getvalue())
 
 
 def trajectory_summary(traj: SplitTrajectory, f=None) -> dict:
@@ -515,8 +437,4 @@ def trajectory_summary(traj: SplitTrajectory, f=None) -> dict:
 
 def write_json(payload: dict, path: str) -> None:
     """Deterministic JSON dump (sorted keys, no timestamps), atomic."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

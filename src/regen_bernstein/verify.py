@@ -11,8 +11,6 @@ conditional block-Markov identity.
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,11 +20,12 @@ import numpy as np
 from scipy import stats
 
 from . import _kernels
+from ._io import atomic_write_text
 from ._rng import (TAG_COLLECT, TAG_FIT_EXCURSION, TAG_FIT_FIRST_BLOCK,
                    TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL, TAG_TWO_BLOCK,
                    stream_description, substream)
 from .bounds import BernsteinParams, thm_bi, thm_bi2, thm_sbi
-from .chain_models import ChainInstance, resolve_functional
+from .chain_models import ChainInstance, resolve_functional, resolve_start
 from .errors import GuardError
 from .orlicz import psi_norm_empirical
 from .split_regen import excursions, gap_lengths, simulate_split, split_measure
@@ -137,39 +136,36 @@ def _validated_grid(t_grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _finite_init_plan(chain: ChainInstance, init):
-    """(point_state, cumulative_weights): exactly one of the two is set."""
-    if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
-        init = init[1]
-    if isinstance(init, str):
-        token = init.lower()
-        if token == "nu":
-            weights = np.asarray(chain.minorization.nu, dtype=np.float64)
-        elif token in ("pi", "pi-approx"):
-            weights = chain.pi_vector()
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        return None, np.cumsum(weights)
-    x = int(init)
-    if not (0 <= x < chain.kernel.n_states):
-        raise ValueError(f"initial state {x} out of range")
-    return x, None
-
-
-def _mod1_init_bits(chain: ChainInstance, init):
-    """Fixed initial bits, or None for a uniform draw per replica."""
-    if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
-        init = init[1]
-    if isinstance(init, str):
-        if init.lower() in ("nu", "pi", "pi-approx", "lebesgue"):
-            return None
-        raise ValueError(f"unknown init {init!r}")
-    return chain.mod1.float_to_bits(float(init))
-
-
 def _replica_chunk(replicas: int, n: int, bytes_per_step: int = 8) -> int:
     per = max(1, n) * bytes_per_step
     return int(min(replicas, 65536, max(256, 64_000_000 // per)))
+
+
+def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
+                     steps: int, bytes_per_step: int, threads: int) -> TailCurve:
+    """Monte Carlo TailCurve of |statistic| over replicas 0..replicas-1.
+
+    statistics(lo, hi) returns the statistic of replicas lo..hi-1, each
+    drawn from its own substream, so the counts do not depend on the
+    chunk size or on the thread count.
+    """
+    chunk = _replica_chunk(replicas, steps, bytes_per_step)
+    pairs = [(lo, min(lo + chunk, replicas))
+             for lo in range(0, replicas, chunk)]
+
+    def counts_of(pair):
+        return _tail_counts(statistics(*pair), t)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            parts = list(pool.map(counts_of, pairs))
+    else:
+        parts = [counts_of(p) for p in pairs]
+    counts = np.sum(parts, axis=0, dtype=np.int64)
+    estimate = counts / replicas
+    se = np.sqrt(estimate * (1.0 - estimate) / replicas)
+    return TailCurve(t=t, estimate=estimate, se=se, provenance="monte_carlo",
+                     n=n, replicas=replicas)
 
 
 def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
@@ -179,8 +175,8 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
 
     Each replica owns the substream (seed, TAG_TAIL, replica_index), so
     the result is bit-identical for a fixed (seed, replicas) no matter
-    how the work is chunked or threaded. init is a point state, "nu",
-    or "pi".
+    how the work is chunked or threaded. init is anything resolve_start
+    accepts: a point state, "nu", or "pi".
     """
     n = int(n)
     replicas = int(replicas)
@@ -190,75 +186,44 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
         raise ValueError("need at least 1000 replicas")
     t = _validated_grid(t_grid)
     fspec = resolve_functional(chain, f)
+    start = resolve_start(chain, init)
     steps = n - 1
 
-    if chain.is_finite:
-        point, cum_init = _finite_init_plan(chain, init)
+    if chain.mod1 is None:
         cum_rows = chain.kernel.cumulative_rows()
-        f_vals = fspec.values
 
-        def worker(bounds_pair):
-            lo, hi = bounds_pair
+        def sums(lo, hi):
             count = hi - lo
             uniforms = np.empty((count, steps), dtype=np.float64)
             x0 = np.empty(count, dtype=np.int64)
             for i in range(count):
                 rng = substream(seed, TAG_TAIL, lo + i)
-                if point is None:
-                    idx = int(np.searchsorted(cum_init, rng.random(),
-                                              side="right"))
-                    x0[i] = min(idx, len(cum_init) - 1)
-                else:
-                    x0[i] = point
+                x0[i] = start.draw(rng)
                 uniforms[i] = rng.random(steps)
-            sums = _kernels.finite_chain_sums(cum_rows, f_vals, x0, uniforms,
-                                              backend=backend)
-            return _tail_counts(sums, t)
+            return _kernels.finite_chain_sums(cum_rows, fspec.values, x0,
+                                              uniforms, backend=backend)
 
-        chunk = _replica_chunk(replicas, steps)
-    elif chain.mod1 is not None:
-        mod1 = chain.mod1
-        point_bits = _mod1_init_bits(chain, init)
-        shift, scale = mod1.float_params()
+        return _replicated_tail(sums, t, n, replicas, steps, 8, threads)
 
-        def worker(bounds_pair):
-            lo, hi = bounds_pair
-            count = hi - lo
-            eps = np.empty((count, steps), dtype=np.uint8)
-            words = np.empty((count, steps), dtype=np.uint64)
-            x0 = np.empty(count, dtype=np.uint64)
-            for i in range(count):
-                rng = substream(seed, TAG_TAIL, lo + i)
-                if point_bits is None:
-                    w = int(rng.integers(0, _U64_MAX, dtype=np.uint64,
-                                         endpoint=True))
-                    x0[i] = w & mod1.wrap_mask
-                else:
-                    x0[i] = point_bits
-                eps[i] = rng.integers(0, 2, size=steps, dtype=np.uint8)
-                words[i] = rng.integers(0, _U64_MAX, size=steps,
-                                        dtype=np.uint64, endpoint=True)
-            sums = _kernels.mod1_chain_sums(
-                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-                fspec.code, x0, eps, words, backend=backend)
-            return _tail_counts(sums, t)
+    mod1 = chain.mod1
+    shift, scale = mod1.float_params()
 
-        chunk = _replica_chunk(replicas, steps, bytes_per_step=9)
-    else:
-        raise ValueError("mc_tail needs a finite or mod-1 chain")
+    def sums(lo, hi):
+        count = hi - lo
+        eps = np.empty((count, steps), dtype=np.uint8)
+        words = np.empty((count, steps), dtype=np.uint64)
+        x0 = np.empty(count, dtype=np.uint64)
+        for i in range(count):
+            rng = substream(seed, TAG_TAIL, lo + i)
+            x0[i] = start.draw(rng)
+            eps[i] = rng.integers(0, 2, size=steps, dtype=np.uint8)
+            words[i] = rng.integers(0, _U64_MAX, size=steps,
+                                    dtype=np.uint64, endpoint=True)
+        return _kernels.mod1_chain_sums(
+            mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
+            fspec.code, x0, eps, words, backend=backend)
 
-    pairs = [(lo, min(lo + chunk, replicas))
-             for lo in range(0, replicas, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(worker, pairs))
-    else:
-        parts = [worker(p) for p in pairs]
-    counts = np.sum(parts, axis=0, dtype=np.int64)
-    estimate = counts / replicas
-    se = np.sqrt(estimate * (1.0 - estimate) / replicas)
-    return TailCurve(t=t, estimate=estimate, se=se, provenance="monte_carlo",
-                     n=n, replicas=replicas)
+    return _replicated_tail(sums, t, n, replicas, steps, 9, threads)
 
 
 def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -423,7 +388,7 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
     N is the number of level-1 block starts sigma_i < n - m, matching
     the block-decomposition count. Exact rational dynamic programming
     over (state, capped count) across the m-step block transitions.
-    init is a state index, "pi", or "nu".
+    init is anything resolve_start accepts: a state index, "pi", or "nu".
     """
     if not chain.is_finite:
         raise ValueError("exact regeneration counts need a finite chain")
@@ -437,19 +402,11 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
     blocks = -((n - m) // -m) if n > m else 0
     b0, b1 = _block_transition_fractions(chain)
     k = chain.kernel.n_states
-    if isinstance(init, str):
-        token = init.lower()
-        if token == "pi":
-            start = _fraction_vector(chain.pi_vector())
-        elif token == "nu":
-            start = _fraction_vector(chain.minorization.nu)
-        else:
-            raise ValueError(f"unknown init {init!r}")
+    plan = resolve_start(chain, init)
+    if plan.point is None:
+        start = _fraction_vector(plan.weights)
     else:
-        x = int(init)
-        if not (0 <= x < k):
-            raise ValueError(f"initial state {x} out of range")
-        start = [Fraction(1) if y == x else Fraction(0) for y in range(k)]
+        start = [Fraction(int(y == plan.point)) for y in range(k)]
     cap = threshold + 1
     dp = [[start[x] if c == 0 else Fraction(0) for c in range(cap + 1)]
           for x in range(k)]
@@ -663,13 +620,12 @@ def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
     if n_regen < 1:
         raise ValueError("n_regen must be positive")
     fspec = resolve_functional(chain, f)
-    f_eval = fspec.values if fspec.values is not None else fspec.fn
     horizon = _buffered_horizon(chain, n_regen)
     for attempt in range(6):
         rng = substream(seed, TAG_COLLECT, attempt)
         traj = simulate_split(chain, init, horizon, rng,
                               extend_to_regeneration=True, backend=backend)
-        chi = excursions(traj, f_eval)
+        chi = excursions(traj, fspec)
         if chi.size >= n_regen:
             return chi[:n_regen], gap_lengths(traj)[:n_regen]
         horizon *= 2
@@ -691,8 +647,7 @@ def check_block_structure(chain: ChainInstance, *, n_blocks: int = 20000,
     by_name = {}
     for name in functionals:
         fspec = resolve_functional(chain, name)
-        f_eval = fspec.values if fspec.values is not None else fspec.fn
-        by_name[fspec.name] = excursions(traj, f_eval)
+        by_name[fspec.name] = excursions(traj, fspec)
     return block_structure_tests(gaps, by_name, lags=lags, level=level,
                                  expected_mean_gap=chain.mean_gap())
 
@@ -989,30 +944,17 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
     t = _validated_grid(t_grid)
     h_fn, _ = _resolve_two_block_h(h)
     law_fn, _ = _resolve_xi_law(xi_law)
-    chunk = _replica_chunk(replicas, n + 1, bytes_per_step=16)
 
-    def worker(bounds_pair):
-        lo, hi = bounds_pair
-        stats_chunk = np.empty(hi - lo, dtype=np.float64)
+    def sup_stats(lo, hi):
+        out = np.empty(hi - lo, dtype=np.float64)
         for i in range(hi - lo):
             rng = substream(seed, TAG_TWO_BLOCK, 1 + lo + i)
             xi = np.asarray(law_fn(rng, n + 1), dtype=np.float64)
             x = np.asarray(h_fn(xi[:-1], xi[1:]), dtype=np.float64)
-            stats_chunk[i] = np.abs(np.cumsum(x)).max()
-        return _tail_counts(stats_chunk, t)
+            out[i] = np.abs(np.cumsum(x)).max()
+        return out
 
-    pairs = [(lo, min(lo + chunk, replicas))
-             for lo in range(0, replicas, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(worker, pairs))
-    else:
-        parts = [worker(p) for p in pairs]
-    counts = np.sum(parts, axis=0, dtype=np.int64)
-    estimate = counts / replicas
-    se = np.sqrt(estimate * (1.0 - estimate) / replicas)
-    return TailCurve(t=t, estimate=estimate, se=se, provenance="monte_carlo",
-                     n=n, replicas=replicas)
+    return _replicated_tail(sup_stats, t, n, replicas, n + 1, 16, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,13 +968,6 @@ class FittedParams:
 
     params: BernsteinParams
     diagnostics: dict
-
-
-def _f_on_states(fspec, states) -> np.ndarray:
-    if fspec.values is not None:
-        return fspec.values[np.asarray(states, dtype=np.int64)]
-    return np.asarray(fspec.fn(np.asarray(states, dtype=np.float64)),
-                      dtype=np.float64)
 
 
 def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
@@ -1057,17 +992,12 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     fspec = resolve_functional(chain, f)
     m = chain.m
     if x_star is None:
-        if chain.is_finite:
-            x_star = int(np.flatnonzero(
-                np.asarray(chain.minorization.small_set, dtype=bool))[0])
-        else:
-            x_star = 0.0
+        x_star = chain.first_small_set_state()
 
-    f_eval = fspec.values if fspec.values is not None else fspec.fn
     rng = substream(seed, TAG_FIT_EXCURSION, 0)
     traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_excursions),
                           rng, extend_to_regeneration=True, backend=backend)
-    chi = excursions(traj, f_eval)
+    chi = excursions(traj, fspec)
     gaps = gap_lengths(traj)
     if chi.size < 100:
         raise ValueError(f"long run produced only {chi.size} excursions")
@@ -1083,7 +1013,7 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
                 substream(seed, TAG_FIT_FIRST_BLOCK, tag_offset, r),
                 extend_to_regeneration=True, backend=backend)
             s0 = int(run.sigma[0])
-            vals = _f_on_states(fspec, run.states[:s0 + m])
+            vals = fspec.apply(run.states[:s0 + m])
             totals[r] = float(np.abs(vals.reshape(-1, m).sum(axis=1)).sum())
             sigma0[r] = s0
         return totals, sigma0
@@ -1215,10 +1145,7 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
     fspec = resolve_functional(chain, f)
     if exact:
         if x0 is None:
-            if not chain.is_finite:
-                raise ValueError("exact verification needs a finite chain")
-            x0 = int(np.flatnonzero(
-                np.asarray(chain.minorization.small_set, dtype=bool))[0])
+            x0 = chain.first_small_set_state()
         tail = exact_tail(chain, fspec, x0, n, t_grid)
     else:
         tail = mc_tail(chain, fspec, init, n, t_grid, replicas, seed,
@@ -1244,19 +1171,6 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def tail_curve_to_dict(tail: TailCurve) -> dict:
@@ -1322,7 +1236,7 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def write_curves_csv(report: VerificationReport, path: str) -> None:
+def curves_csv_text(report: VerificationReport) -> str:
     """t, estimate, se, bound_... rows for external plotting."""
     names = sorted(report.curves)
     header = "t,estimate,se," + ",".join(f"bound_{name}" for name in names)
@@ -1334,4 +1248,9 @@ def write_curves_csv(report: VerificationReport, path: str) -> None:
         row.extend(repr(float(report.curves[name].values[j]))
                    for name in names)
         lines.append(",".join(row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_curves_csv(report: VerificationReport, path: str) -> None:
+    """The curves_csv_text rows, written atomically."""
+    atomic_write_text(path, curves_csv_text(report))

@@ -67,8 +67,14 @@ def test_kernel_validation_errors():
         TransitionKernel(matrix=np.array([[0.5, 0.6], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="nonnegative"):
         TransitionKernel(matrix=np.array([[1.5, -0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="exactly one"):
-        TransitionKernel(matrix=None, sampler=None)
+    with pytest.raises(ValueError, match="square"):
+        TransitionKernel(matrix=None)
+    two, mod1 = make_two_state(), make_singular_mod1()
+    from regen_bernstein import ChainInstance
+    for kernel, chain in ((None, None), (two.kernel, mod1.mod1)):
+        with pytest.raises(ValueError, match="exactly one"):
+            ChainInstance(kernel=kernel, minorization=two.minorization,
+                          mod1=chain)
 
 
 def test_atom_minorization_passes():

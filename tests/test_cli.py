@@ -1,11 +1,14 @@
 """Exit codes, option precedence, and deterministic CLI outputs."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
+from regen_bernstein import make_two_state, save_chain
 from regen_bernstein.cli import main
 
 
@@ -55,6 +58,19 @@ def test_validation_error_exits_1(capsys):
                            "--n", "1")
     assert code == 1
     assert "n < m" in err
+    # point starts outside the state space
+    for argv, message in (
+            (("simulate", "--chain", "two-state", "--n", "8", "--init", "-1"),
+             "out of range"),
+            (("simulate", "--chain", "two-state", "--n", "8", "--init", "5"),
+             "out of range"),
+            (("simulate", "--chain", "singular-mod1", "--n", "8",
+              "--init", "1.5"), "[0, 1)"),
+            (("variance", "--chain", "two-state", "--method", "batch",
+              "--n", "16", "--x0", "-1"), "out of range")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert message in err, argv
 
 
 def test_guard_error_exits_2(capsys):
@@ -300,17 +316,44 @@ def test_cli_outputs_are_byte_identical_across_reruns(capsys, tmp_path):
     assert set(report["verdicts"]) == {"thm_bi", "thm_bi2", "thm_sbi"}
 
 
-def test_verify_csv_to_stdout(capsys):
+def test_verify_csv_to_stdout(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "--chain", "two-state",
                            "--f", "indicator_centered", "--n", "8",
                            "--exact", "--seed", "11",
                            "--t-grid", "1.0,2.0", "--format", "csv",
                            "--n-excursions", "300",
-                           "--n-first-blocks", "150")
+                           "--n-first-blocks", "150",
+                           "--out", str(tmp_path))
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("t,estimate,se,bound_")
     assert len(lines) == 3
+    assert out.encode() == (tmp_path / "curves.csv").read_bytes()
+
+
+def test_output_files_get_the_plain_open_mode(capsys, tmp_path):
+    reference = tmp_path / "reference"
+    with open(reference, "w"):
+        pass
+    want = stat.S_IMODE(os.stat(reference).st_mode)
+    runs = {
+        "sim": ("simulate", "--chain", "two-state", "--n", "16"),
+        "verify": ("verify", "--chain", "two-state", "--n", "8", "--exact",
+                   "--t-grid", "1.0,2.0", "--n-excursions", "300",
+                   "--n-first-blocks", "150"),
+        "variance": ("variance", "--chain", "two-state"),
+        "oracle": ("oracle", "--chain", "two-state", "--n", "6"),
+        "bounds": ("bounds", "classical_bernstein", "n=100", "sigma2=1",
+                   "M=1", "t=10"),
+    }
+    for name, argv in runs.items():
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / name))
+        assert code == 0, err
+    save_chain(make_two_state(), str(tmp_path / "chain.json"))
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and p != reference]
+    assert len(written) == 8
+    for path in written:
+        assert stat.S_IMODE(os.stat(path).st_mode) == want, path
 
 
 def test_oracle_csv_and_json(capsys, tmp_path):

@@ -11,7 +11,7 @@ from regen_bernstein import (GuardError, block_decompose, count_regenerations,
                              excursions, extract_blocks, functional_values,
                              gap_lengths, make_singular_mod1, make_two_state,
                              regeneration_times, resolve_functional,
-                             simulate_split, split_measure,
+                             sample_path, simulate_split, split_measure,
                              trajectory_summary, trajectory_to_csv,
                              write_json)
 from regen_bernstein.split_regen import SplitTrajectory
@@ -26,6 +26,16 @@ def test_n_below_m_rejected():
     chain = make_singular_mod1()
     with pytest.raises(ValueError, match="n < m"):
         simulate_split(chain, "pi", 1, _rng(0))
+    # point starts outside the state space are rejected the same way
+    two_state = make_two_state(0.5, 0.5)
+    for bad_chain, x0 in ((two_state, -1), (two_state, 5), (chain, 1.5),
+                          (chain, -0.25)):
+        with pytest.raises(ValueError, match="out of range|0, 1"):
+            simulate_split(bad_chain, x0, 8, _rng(0))
+        with pytest.raises(ValueError, match="out of range|0, 1"):
+            simulate_split(bad_chain, ("point", x0), 8, _rng(0))
+        with pytest.raises(ValueError, match="out of range|0, 1"):
+            sample_path(bad_chain, x0, 8, _rng(0))
 
 
 def test_atom_regenerates_at_every_visit():

@@ -182,6 +182,26 @@ def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
                        seed=7, threads=3)
     assert np.array_equal(one.estimate, chunked.estimate)
     assert np.array_equal(one.estimate, threaded.estimate)
+    # the mod-1 chain and the two-block factors share the same driver
+    mod1 = make_singular_mod1()
+    runs = (
+        lambda **kw: mc_tail(mod1, "cos2pi", "pi", 8, [0.5, 2.0], 1200,
+                             seed=7, **kw),
+        lambda **kw: mc_tail(mod1, "cos2pi", 0.25, 8, [0.5, 2.0], 1200,
+                             seed=7, **kw),
+        lambda **kw: two_block_sup_tail("product", "uniform", 8, [0.5, 1.5],
+                                        1200, seed=7, **kw),
+    )
+    for run in runs:
+        chunked = run()
+        threaded = run(threads=3)
+        monkeypatch.setattr(verify_mod, "_replica_chunk",
+                            lambda *a, **k: 1200)
+        whole = run()
+        monkeypatch.setattr(verify_mod, "_replica_chunk", lambda *a, **k: 300)
+        assert np.array_equal(whole.estimate, chunked.estimate)
+        assert np.array_equal(whole.estimate, threaded.estimate)
+        assert np.array_equal(whole.se, threaded.se)
 
 
 def test_mc_tail_mod1_curve():
