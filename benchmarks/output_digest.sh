@@ -52,3 +52,7 @@ run ver-mpt verify --chain singular-mod1 --f cos2pi --n 40 --replicas 1000 --see
 run orc oracle --chain two-state --n 12
 run orc1 oracle --chain two-state --n 12 --x0 1 --format csv
 run vexact variance --chain two-state --method exact
+# B < 64: the mod-1 path kernel masks its prefix sums once, modulo 2^B
+run simbig-b40 simulate --chain singular-mod1 --precision 40 --n 2000 --seed 5 --extend
+# non-dyadic rows: the rational exact-tail route normalizes each row
+run orc-float oracle --chain two-state --a 0.3 --b 0.6 --n 12

@@ -1,10 +1,12 @@
-"""Hot simulation loops with a compiled and a pure-numpy implementation.
+"""Hot simulation loops, one implementation each.
 
 No kernel draws randomness of its own. Callers pass arrays of uniforms
-(or raw 64-bit words) and both implementations consume them in exactly
-the same per-replica order, so switching backends changes speed only.
-The numba twins loop over replicas, the numpy twins loop over steps and
-vectorize across replicas.
+(or raw 64-bit words) and every kernel consumes them in a fixed
+per-replica order. The scalar loops are compiled when numba imports
+(see ``_backend``) and run as plain Python otherwise. The replica sums
+have a second, numpy implementation that loops over steps and
+vectorizes across replicas; it is used when numba is absent and must
+match its scalar loop bitwise.
 """
 
 from __future__ import annotations
@@ -35,21 +37,12 @@ F_INDICATOR_CENTERED = 2
 _TWO_PI = 2.0 * math.pi
 
 
-def _resolve(backend):
-    name = backend if backend is not None else backend_choice()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
 # ---------------------------------------------------------------------------
 # finite-state kernels
 #
 # State update: with u uniform on [0, 1), the next state is the count of
-# cumulative-row entries <= u, clamped to the last column. Both backends
-# use the same comparison, so paths agree bitwise.
+# cumulative-row entries <= u, clamped to the last column. Every kernel
+# uses the same comparison, so paths agree bitwise.
 # ---------------------------------------------------------------------------
 
 
@@ -67,23 +60,11 @@ def _finite_path_nb(cum_rows, x0, uniforms, out):
         out[i + 1] = x
 
 
-def finite_chain_path(cum_rows, x0, uniforms, backend=None):
+def finite_chain_path(cum_rows, x0, uniforms):
     """One finite-chain path; returns len(uniforms) + 1 state indices."""
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
-    if _resolve(backend) == "numba":
-        _finite_path_nb(cum_rows, np.int64(x0), uniforms, out)
-        return out
-    ns = cum_rows.shape[1]
-    x = int(x0)
-    out[0] = x
-    for i in range(uniforms.shape[0]):
-        u = uniforms[i]
-        j = 0
-        while j < ns - 1 and u >= cum_rows[x, j]:
-            j += 1
-        x = j
-        out[i + 1] = x
+    _finite_path_nb(cum_rows, int(x0), uniforms, out)
     return out
 
 
@@ -117,22 +98,21 @@ def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
     out[:] = acc
 
 
-def finite_chain_sums(cum_rows, f_vals, x0, uniforms, backend=None):
+_finite_sums = _finite_sums_nb if HAVE_NUMBA else _finite_sums_np
+
+
+def finite_chain_sums(cum_rows, f_vals, x0, uniforms):
     """Per-replica sums of f over the visited states.
 
     uniforms has shape (replicas, transitions) and x0 holds one initial
     state per replica; each replica visits transitions + 1 states and
-    the sum covers all of them, accumulated in visit order on both
-    backends.
+    the sum covers all of them, accumulated in visit order.
     """
     uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
     x0 = np.ascontiguousarray(
         np.broadcast_to(np.asarray(x0, dtype=np.int64), (uniforms.shape[0],)))
     out = np.empty(uniforms.shape[0], dtype=np.float64)
-    if _resolve(backend) == "numba":
-        _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out)
-    else:
-        _finite_sums_np(cum_rows, f_vals, x0, uniforms, out)
+    _finite_sums(cum_rows, f_vals, x0, uniforms, out)
     return out
 
 
@@ -156,7 +136,7 @@ def _finite_split_nb(cum_rows, in_c, r_mat, m, x0, state_u, level_u, states, lev
             levels[k] = 0
 
 
-def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u, backend=None):
+def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     """One split-chain path over complete m-blocks.
 
     state_u has length blocks * m and level_u length blocks. Returns
@@ -172,25 +152,9 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u, backend=No
         raise ValueError("state_u must hold m uniforms per block")
     states = np.empty(blocks * m + 1, dtype=np.int64)
     levels = np.empty(blocks, dtype=np.uint8)
-    if _resolve(backend) == "numba":
-        _finite_split_nb(
-            cum_rows, in_c, r_mat, np.int64(m), np.int64(x0), state_u, level_u,
-            states, levels,
-        )
-        return states, levels
-    ns = cum_rows.shape[1]
-    x = int(x0)
-    states[0] = x
-    for k in range(blocks):
-        start = x
-        for i in range(m):
-            u = state_u[k * m + i]
-            j = 0
-            while j < ns - 1 and u >= cum_rows[x, j]:
-                j += 1
-            x = j
-            states[k * m + i + 1] = x
-        levels[k] = 1 if (in_c[start] and level_u[k] < r_mat[start, x]) else 0
+    # Python ints: un-jitted, index arithmetic on numpy scalars is slower
+    _finite_split_nb(cum_rows, in_c, r_mat, int(m), int(x0), state_u, level_u,
+                     states, levels)
     return states, levels
 
 
@@ -204,39 +168,19 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u, backend=No
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _mod1_path_nb(odd_mask, even_mask, wrap_mask, x0_bits, eps, words, out):
-    x = x0_bits
-    out[0] = x
-    for i in range(eps.shape[0]):
-        if eps[i] == 1:
-            inc = words[i] & odd_mask
-        else:
-            inc = words[i] & even_mask
-        x = (x + inc) & wrap_mask
-        out[i + 1] = x
+def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
+    """One mod-1 path in fixed-point bits; returns len(eps) + 1 states.
 
-
-def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words, backend=None):
-    """One mod-1 path in fixed-point bits; returns len(eps) + 1 states."""
-    eps = np.ascontiguousarray(eps, dtype=np.uint8)
-    words = np.ascontiguousarray(words, dtype=np.uint64)
+    The running sum wraps modulo 2^64 and 2^B divides 2^64, so masking
+    the prefix sums once equals wrapping after every step.
+    """
+    eps = np.asarray(eps, dtype=np.uint8)
+    words = np.asarray(words, dtype=np.uint64)
     out = np.empty(eps.shape[0] + 1, dtype=np.uint64)
-    if _resolve(backend) == "numba":
-        _mod1_path_nb(
-            np.uint64(odd_mask), np.uint64(even_mask), np.uint64(wrap_mask),
-            np.uint64(x0_bits), eps, words, out,
-        )
-        return out
-    x = int(x0_bits)
-    odd = int(odd_mask)
-    even = int(even_mask)
-    wrap = int(wrap_mask)
-    out[0] = x
-    for i in range(eps.shape[0]):
-        inc = int(words[i]) & (odd if eps[i] == 1 else even)
-        x = (x + inc) & wrap
-        out[i + 1] = x
+    out[0] = x0_bits
+    out[1:] = words & np.where(eps == 1, np.uint64(odd_mask), np.uint64(even_mask))
+    np.cumsum(out, out=out)
+    out[1:] &= np.uint64(wrap_mask)
     return out
 
 
@@ -293,8 +237,11 @@ def _mod1_sums_np(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
     out[:] = acc
 
 
+_mod1_sums = _mod1_sums_nb if HAVE_NUMBA else _mod1_sums_np
+
+
 def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
-                    x0_bits, eps, words, backend=None):
+                    x0_bits, eps, words):
     """Per-replica sums of a coded functional over a mod-1 path.
 
     eps and words have shape (replicas, steps) and x0_bits one initial
@@ -307,15 +254,9 @@ def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
     x0_bits = np.ascontiguousarray(
         np.broadcast_to(np.asarray(x0_bits, dtype=np.uint64), (eps.shape[0],)))
     out = np.empty(eps.shape[0], dtype=np.float64)
-    args = (
-        np.uint64(odd_mask), np.uint64(even_mask), np.uint64(wrap_mask),
-        np.uint64(shift), np.float64(scale), np.int64(f_code),
-        x0_bits, eps, words, out,
-    )
-    if _resolve(backend) == "numba":
-        _mod1_sums_nb(*args)
-    else:
-        _mod1_sums_np(*args)
+    _mod1_sums(np.uint64(odd_mask), np.uint64(even_mask), np.uint64(wrap_mask),
+               np.uint64(shift), np.float64(scale), np.int64(f_code),
+               x0_bits, eps, words, out)
     return out
 
 
@@ -332,23 +273,23 @@ def mod1_float_params(precision):
     return shift, scale
 
 
-def warm_up(backend=None):
-    """Trigger compilation of every kernel on tiny inputs."""
-    name = _resolve(backend)
+def warm_up():
+    """Trigger compilation of every kernel on tiny inputs; returns the
+    backend name."""
     cum = np.array([[0.5, 1.0], [0.5, 1.0]])
     f_vals = np.array([0.5, -0.5])
     in_c = np.array([True, False])
     r_mat = np.full((2, 2), 1.0)
     u1 = np.array([0.3, 0.7])
     u2 = np.array([[0.3, 0.7], [0.6, 0.1]])
-    finite_chain_path(cum, 0, u1, backend=name)
-    finite_chain_sums(cum, f_vals, 0, u2, backend=name)
-    finite_split_path(cum, in_c, r_mat, 1, 0, u1, u1, backend=name)
+    finite_chain_path(cum, 0, u1)
+    finite_chain_sums(cum, f_vals, 0, u2)
+    finite_split_path(cum, in_c, r_mat, 1, 0, u1, u1)
     eps1 = np.array([0, 1], dtype=np.uint8)
     w1 = np.array([123456789, 987654321], dtype=np.uint64)
     odd, even, wrap = 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, 0xFFFFFFFFFFFFFFFF
     shift, scale = mod1_float_params(64)
-    mod1_chain_path(odd, even, wrap, 0, eps1, w1, backend=name)
+    mod1_chain_path(odd, even, wrap, 0, eps1, w1)
     mod1_chain_sums(odd, even, wrap, shift, scale, F_COS2PI, 0,
-                    eps1[None, :], w1[None, :], backend=name)
-    return name
+                    eps1[None, :], w1[None, :])
+    return backend_choice()

@@ -484,10 +484,11 @@ def tv_decay_curve(chain: ChainInstance, x0, n_max: int, *, bins: int = 16,
     if n_max < 1:
         raise ValueError("n_max >= 1 required")
     steps = np.arange(1, n_max + 1)
+    x0 = resolve_point(chain, x0)
     if chain.is_finite:
         pi = chain.pi_vector()
         row = np.zeros_like(pi)
-        row[int(x0)] = 1.0
+        row[x0] = 1.0
         out = np.empty(n_max)
         for i in range(n_max):
             row = row @ chain.kernel.matrix
@@ -500,7 +501,7 @@ def tv_decay_curve(chain: ChainInstance, x0, n_max: int, *, bins: int = 16,
     eps = rng.integers(0, 2, size=(replicas, n_max), dtype=np.uint8)
     words = rng.integers(0, np.iinfo(np.uint64).max, size=(replicas, n_max),
                          dtype=np.uint64, endpoint=True)
-    x = np.full(replicas, mod1.float_to_bits(float(x0)), dtype=np.uint64)
+    x = np.full(replicas, x0, dtype=np.uint64)
     odd = np.uint64(mod1.odd_mask)
     even = np.uint64(mod1.even_mask)
     wrap = np.uint64(mod1.wrap_mask)
@@ -633,8 +634,16 @@ def resolve_start(chain: ChainInstance, init) -> Start:
     return Start(label=f"point:{init}", point=x)
 
 
-def sample_path(chain: ChainInstance, x0, n: int, rng: np.random.Generator,
-                backend: str | None = None) -> np.ndarray:
+def resolve_point(chain: ChainInstance, x0) -> int:
+    """Native form of a point start, validated as resolve_start does."""
+    point = resolve_start(chain, x0).point
+    if point is None:
+        raise ValueError(f"need a point start, got {x0!r}")
+    return point
+
+
+def sample_path(chain: ChainInstance, x0, n: int,
+                rng: np.random.Generator) -> np.ndarray:
     """States of a base-chain path of length n started from x0.
 
     x0 is anything resolve_start accepts; a random start draws first.
@@ -649,13 +658,12 @@ def sample_path(chain: ChainInstance, x0, n: int, rng: np.random.Generator,
     if chain.mod1 is None:
         uniforms = rng.random(n - 1)
         return _kernels.finite_chain_path(chain.kernel.cumulative_rows(),
-                                          start, uniforms, backend=backend)
+                                          start, uniforms)
     mod1 = chain.mod1
     eps = rng.integers(0, 2, size=n - 1, dtype=np.uint8)
     words = rng.integers(0, _U64_MAX, size=n - 1, dtype=np.uint64, endpoint=True)
     bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask,
-                                    mod1.wrap_mask, start, eps, words,
-                                    backend=backend)
+                                    mod1.wrap_mask, start, eps, words)
     return mod1.bits_to_float(bits)
 
 

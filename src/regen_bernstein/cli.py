@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from ._backend import BACKEND_ENV, backend_choice
+from ._backend import backend_choice
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
 from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
 from .chain_models import load_chain, make_chain, resolve_functional, sample_path
@@ -83,15 +83,6 @@ def _resolve_seed(args, cfg) -> int:
     return 0
 
 
-def _resolve_backend(args, cfg):
-    requested = _opt(args, cfg, "backend")
-    if requested is not None and requested not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {requested!r}")
-    if requested in ("numba", "numpy"):
-        return requested
-    return None  # defer to the environment resolution in the kernels
-
-
 def _build_chain(args, cfg):
     chain_cfg = cfg.get("chain", {})
     if isinstance(chain_cfg, str):
@@ -145,13 +136,12 @@ def _out_path(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _base_metadata(command: str, seed: int, backend) -> dict:
+def _base_metadata(command: str, seed: int) -> dict:
     return {
         "command": command,
         "seed": int(seed),
         "rng": stream_description(seed),
-        "backend": backend if backend is not None else backend_choice(),
-        "backend_env": BACKEND_ENV,
+        "backend": backend_choice(),
     }
 
 
@@ -166,15 +156,14 @@ def cmd_simulate(args, cfg):
     if n is None:
         raise ValueError("simulate needs a horizon: pass --n")
     seed = _resolve_seed(args, cfg)
-    backend = _resolve_backend(args, cfg)
     init = _opt(args, cfg, "init", "pi")
     extend = bool(getattr(args, "extend", False) or cfg.get("extend", False))
     f_spec = _opt(args, cfg, "f")
     rng = substream(seed, TAG_SPLIT, 0)
     traj = simulate_split(chain, init, int(n), rng,
-                          extend_to_regeneration=extend, backend=backend)
+                          extend_to_regeneration=extend)
     fspec = None if f_spec is None else resolve_functional(chain, f_spec)
-    payload = _base_metadata("simulate", seed, backend)
+    payload = _base_metadata("simulate", seed)
     payload.update({
         "chain": chain.label(),
         "n": int(n),
@@ -273,8 +262,7 @@ def cmd_variance(args, cfg):
     f_spec = _functional_spec(args, cfg)
     method = _opt(args, cfg, "method", "exact")
     seed = _resolve_seed(args, cfg)
-    backend = _resolve_backend(args, cfg)
-    payload = _base_metadata("variance", seed, backend)
+    payload = _base_metadata("variance", seed)
     payload.update({"chain": chain.label(), "method": method})
     fspec = resolve_functional(chain, f_spec)
     payload["functional"] = fspec.name
@@ -284,8 +272,7 @@ def cmd_variance(args, cfg):
         payload["value"] = sigma_mrv_cov_series(chain, fspec)
     elif method == "regenerative":
         n_regen = int(_opt(args, cfg, "n_regen", 20000))
-        chi, gaps = collect_excursions(chain, fspec, n_regen, seed,
-                                       backend=backend)
+        chi, gaps = collect_excursions(chain, fspec, n_regen, seed)
         payload["estimate"] = _estimate_dict(sigma_mrv_regenerative(chi, gaps))
         payload["excursion_variance"] = _estimate_dict(
             sigma_inf_from_excursions(chi))
@@ -301,8 +288,7 @@ def cmd_variance(args, cfg):
         batch_length = _opt(args, cfg, "batch_length")
         if batch_length is None:
             batch_length = max(1, int(round(math.sqrt(n) / 2.0)))
-        states = sample_path(chain, x0, n, substream(seed, TAG_PATH, 0),
-                             backend=backend)
+        states = sample_path(chain, x0, n, substream(seed, TAG_PATH, 0))
         payload["estimate"] = _estimate_dict(
             sigma_mrv_batch(fspec.apply(states), int(batch_length)))
         payload.update({"n": n, "batch_length": int(batch_length)})
@@ -331,7 +317,6 @@ def cmd_verify(args, cfg):
         raise ValueError("verify needs a horizon: pass --n")
     n = int(n)
     seed = _resolve_seed(args, cfg)
-    backend = _resolve_backend(args, cfg)
     grid = _build_grid(args, cfg, n)
     formulas = _opt(args, cfg, "formulas", None)
     if formulas is None:
@@ -357,8 +342,8 @@ def cmd_verify(args, cfg):
         p=float(_opt(args, cfg, "p", 2.0 / 3.0)),
         alpha=float(_opt(args, cfg, "alpha", 1.0)),
         threads=int(_opt(args, cfg, "threads", 1)),
-        backend=backend, fit_options=fit_options, structure=structure)
-    payload = dict(_base_metadata("verify", seed, backend))
+        fit_options=fit_options, structure=structure)
+    payload = _base_metadata("verify", seed)
     payload.update(report_to_dict(report))
     out = _opt(args, cfg, "out")
     if out:
@@ -418,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int)
     common.add_argument("--out", help="output directory for report files")
     common.add_argument("--format", choices=("json", "csv"))
-    common.add_argument("--backend", choices=("auto", "numba", "numpy"))
 
     chain_opts = argparse.ArgumentParser(add_help=False)
     chain_opts.add_argument("--chain", help="built-in chain name")

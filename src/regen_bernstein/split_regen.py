@@ -86,7 +86,7 @@ class SplitTrajectory:
         return len(self.sigma) == 0
 
 
-def _finite_blocks(chain, x0, blocks, rng, backend):
+def _finite_blocks(chain, x0, blocks, rng):
     """(states with endpoint, block levels, None) for a run of complete blocks."""
     m = chain.m
     spec = chain.minorization
@@ -96,18 +96,18 @@ def _finite_blocks(chain, x0, blocks, rng, backend):
         chain.kernel.cumulative_rows(),
         np.asarray(spec.small_set, dtype=bool),
         np.asarray(spec.r, dtype=np.float64),
-        m, int(x0), state_u, level_u, backend=backend)
+        m, int(x0), state_u, level_u)
     return states, levels, None
 
 
-def _mod1_blocks(chain, x0_bits, blocks, rng, backend):
+def _mod1_blocks(chain, x0_bits, blocks, rng):
     """(bits with endpoint, block levels, per-step coins) for two-step blocks."""
     mod1 = chain.mod1
     eps = rng.integers(0, 2, size=2 * blocks, dtype=np.uint8)
     words = rng.integers(0, np.iinfo(np.uint64).max, size=2 * blocks,
                          dtype=np.uint64, endpoint=True)
     bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                                    x0_bits, eps, words, backend=backend)
+                                    x0_bits, eps, words)
     pair = eps.reshape(-1, 2)
     levels = (pair[:, 0] != pair[:, 1]).astype(np.uint8)
     return bits, levels, eps
@@ -115,8 +115,7 @@ def _mod1_blocks(chain, x0_bits, blocks, rng, backend):
 
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
                    *, extend_to_regeneration: bool = False,
-                   max_blocks: int = 10_000_000,
-                   backend: str | None = None) -> SplitTrajectory:
+                   max_blocks: int = 10_000_000) -> SplitTrajectory:
     """Simulate the split chain for at least n states.
 
     init is anything resolve_start accepts: a state, ("point", x), "nu"
@@ -155,7 +154,7 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     chunk = max(_EXTEND_CHUNK_START, want_blocks)
     while True:
         blocks = want_blocks - done_blocks if done_blocks < want_blocks else chunk
-        path, levels, latent = run_blocks(chain, x, blocks, rng, backend)
+        path, levels, latent = run_blocks(chain, x, blocks, rng)
         paths.append(path[1:])
         all_levels.append(levels)
         all_latent.append(latent)

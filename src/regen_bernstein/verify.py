@@ -25,7 +25,8 @@ from ._rng import (TAG_COLLECT, TAG_FIT_EXCURSION, TAG_FIT_FIRST_BLOCK,
                    TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL, TAG_TWO_BLOCK,
                    stream_description, substream)
 from .bounds import BernsteinParams, thm_bi, thm_bi2, thm_sbi
-from .chain_models import ChainInstance, resolve_functional, resolve_start
+from .chain_models import (ChainInstance, resolve_functional, resolve_point,
+                           resolve_start)
 from .errors import GuardError
 from .orlicz import psi_norm_empirical
 from .split_regen import excursions, gap_lengths, simulate_split, split_measure
@@ -169,8 +170,7 @@ def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
 
 
 def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
-            seed: int, *, threads: int = 1, backend: str | None = None
-            ) -> TailCurve:
+            seed: int, *, threads: int = 1) -> TailCurve:
     """Empirical tail of |sum of f over n states| across replicas.
 
     Each replica owns the substream (seed, TAG_TAIL, replica_index), so
@@ -201,7 +201,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
                 x0[i] = start.draw(rng)
                 uniforms[i] = rng.random(steps)
             return _kernels.finite_chain_sums(cum_rows, fspec.values, x0,
-                                              uniforms, backend=backend)
+                                              uniforms)
 
         return _replicated_tail(sums, t, n, replicas, steps, 8, threads)
 
@@ -221,7 +221,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
                                     dtype=np.uint64, endpoint=True)
         return _kernels.mod1_chain_sums(
             mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-            fspec.code, x0, eps, words, backend=backend)
+            fspec.code, x0, eps, words)
 
     return _replicated_tail(sums, t, n, replicas, steps, 9, threads)
 
@@ -265,9 +265,7 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
         raise ValueError("n must be at least 1")
     k = chain.kernel.n_states
     _enumeration_guard(k, n)
-    x0 = int(x0)
-    if not (0 <= x0 < k):
-        raise ValueError(f"initial state {x0} out of range")
+    x0 = resolve_point(chain, x0)
     t = _validated_grid(t_grid)
     fspec = resolve_functional(chain, f)
     fracs = [Fraction(*float(v).as_integer_ratio()) for v in fspec.values]
@@ -317,17 +315,16 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
 
 
 def _exact_tail_fractions(matrix, fracs, x0, n, t):
-    k = matrix.shape[0]
-    p_frac = [[Fraction(*float(matrix[x, y]).as_integer_ratio())
-               for y in range(k)] for x in range(k)]
+    # float rows such as 0.7 + 0.3 do not sum to exactly 1 as rationals,
+    # so each row is divided by its exact sum (a no-op on dyadic rows)
+    p_frac = [_fraction_vector(row) for row in matrix]
     dp = {(x0, fracs[x0]): Fraction(1)}
     for _ in range(n - 1):
         new = defaultdict(Fraction)
         for (x, total), p in dp.items():
-            row = p_frac[x]
-            for y in range(k):
-                if row[y]:
-                    new[(y, total + fracs[y])] += p * row[y]
+            for y, p_xy in enumerate(p_frac[x]):
+                if p_xy:
+                    new[(y, total + fracs[y])] += p * p_xy
         if len(new) > _FRACTION_GUARD:
             raise GuardError(
                 f"exact sum enumeration grew past {_FRACTION_GUARD} "
@@ -609,7 +606,7 @@ def _buffered_horizon(chain: ChainInstance, n_regen: int) -> int:
 
 
 def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
-                       init="nu", backend: str | None = None):
+                       init="nu"):
     """(chi, gaps) arrays of exactly n_regen excursions from one long run.
 
     The horizon is buffered five standard deviations above the expected
@@ -624,7 +621,7 @@ def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
     for attempt in range(6):
         rng = substream(seed, TAG_COLLECT, attempt)
         traj = simulate_split(chain, init, horizon, rng,
-                              extend_to_regeneration=True, backend=backend)
+                              extend_to_regeneration=True)
         chi = excursions(traj, fspec)
         if chi.size >= n_regen:
             return chi[:n_regen], gap_lengths(traj)[:n_regen]
@@ -634,15 +631,15 @@ def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
 
 def check_block_structure(chain: ChainInstance, *, n_blocks: int = 20000,
                           lags: int = 10, level: float = 0.01,
-                          functionals=None, seed: int = 0,
-                          backend: str | None = None) -> BlockStructureReport:
+                          functionals=None, seed: int = 0
+                          ) -> BlockStructureReport:
     """Structure tests on a fresh long split run of the given chain."""
     if functionals is None:
         functionals = (("cos2pi", "identity_centered") if chain.mod1 is not None
                        else ("indicator_centered", "identity_centered"))
     rng = substream(seed, TAG_STRUCTURE, 0)
     traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_blocks),
-                          rng, extend_to_regeneration=True, backend=backend)
+                          rng, extend_to_regeneration=True)
     gaps = gap_lengths(traj)
     by_name = {}
     for name in functionals:
@@ -710,7 +707,7 @@ def _pitman_rhs(chain: ChainInstance, g_fn, g_name: str) -> float:
 
 
 def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
-                 seed: int = 0, *, backend: str | None = None) -> PitmanCheck:
+                 seed: int = 0) -> PitmanCheck:
     """Tests E_nu sum of G over block starts 0..sigma_0 vs its closed form.
 
     The closed form is E(G under the split stationary law) divided by
@@ -727,8 +724,7 @@ def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
     totals = np.empty(replicas, dtype=np.float64)
     for r in range(replicas):
         rng = substream(seed, TAG_PITMAN, r)
-        traj = simulate_split(chain, "nu", m, rng,
-                              extend_to_regeneration=True, backend=backend)
+        traj = simulate_split(chain, "nu", m, rng, extend_to_regeneration=True)
         starts = np.arange(0, int(traj.sigma[0]) + 1, m)
         vals = np.asarray(g_fn(traj.states[starts], traj.levels[starts]),
                           dtype=np.float64)
@@ -973,8 +969,7 @@ class FittedParams:
 def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
                          x_star=None, n_excursions: int = 4000,
                          n_first_blocks: int = 2000, seed: int = 0,
-                         safety: float = 1.2, sigma2=None,
-                         backend: str | None = None) -> FittedParams:
+                         safety: float = 1.2, sigma2=None) -> FittedParams:
     """Empirical psi-norm fit of the bound parameters a, b, c, d and D.
 
     c and d come from one long run's excursions and gaps; a and b from
@@ -996,7 +991,7 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
 
     rng = substream(seed, TAG_FIT_EXCURSION, 0)
     traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_excursions),
-                          rng, extend_to_regeneration=True, backend=backend)
+                          rng, extend_to_regeneration=True)
     chi = excursions(traj, fspec)
     gaps = gap_lengths(traj)
     if chi.size < 100:
@@ -1011,7 +1006,7 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
             run = simulate_split(
                 chain, init, m,
                 substream(seed, TAG_FIT_FIRST_BLOCK, tag_offset, r),
-                extend_to_regeneration=True, backend=backend)
+                extend_to_regeneration=True)
             s0 = int(run.sigma[0])
             vals = fspec.apply(run.states[:s0 + m])
             totals[r] = float(np.abs(vals.reshape(-1, m).sum(axis=1)).sum())
@@ -1131,8 +1126,7 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
                      init="pi", replicas: int = 100000,
                      formulas=_FORMULA_CHOICES, z: float = 3.0,
                      exact: bool = False, x0=None, p: float = 2.0 / 3.0,
-                     alpha: float = 1.0, threads: int = 1,
-                     backend: str | None = None, fitted=None,
+                     alpha: float = 1.0, threads: int = 1, fitted=None,
                      fit_options=None, structure: bool = False
                      ) -> VerificationReport:
     """Tail estimation plus bound domination in one report.
@@ -1149,17 +1143,16 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
         tail = exact_tail(chain, fspec, x0, n, t_grid)
     else:
         tail = mc_tail(chain, fspec, init, n, t_grid, replicas, seed,
-                       threads=threads, backend=backend)
+                       threads=threads)
     if fitted is None:
         fitted = fit_bernstein_params(chain, fspec, alpha=alpha, seed=seed,
-                                      backend=backend, **(fit_options or {}))
+                                      **(fit_options or {}))
     curves = bound_curves(fitted.params, n, tail.t, formulas=formulas, p=p)
     verdicts = {name: check_domination(tail, curve.values, z=z)
                 for name, curve in curves.items()}
     structure_report = None
     if structure:
-        structure_report = check_block_structure(chain, seed=seed,
-                                                 backend=backend)
+        structure_report = check_block_structure(chain, seed=seed)
     return VerificationReport(
         chain_label=chain.label(), functional=fspec.name, n=int(n),
         seed=int(seed), z=float(z), tail=tail, curves=curves,

@@ -133,6 +133,9 @@ def test_tv_eigenvalue_formula():
     lam = abs(1.0 - a - b)
     expected = lam ** curve.n * a / (a + b)
     assert np.abs(curve.tv - expected).max() < 1e-12
+    for x0 in (-1, 5):
+        with pytest.raises(ValueError, match="initial state .* out of range"):
+            tv_decay_curve(make_two_state(0.3, 0.6), x0, 2)
 
 
 def test_tv_sum_one_collapses_immediately():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from regen_bernstein import make_two_state, save_chain
+from regen_bernstein import backend_choice, make_two_state, save_chain
 from regen_bernstein.cli import main
 
 
@@ -371,19 +371,13 @@ def test_oracle_csv_and_json(capsys, tmp_path):
     assert saved["tail"]["estimate"] == pytest.approx(values)
 
 
-def test_unknown_backend_rejected(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"backend": "fortran"}))
-    code, _, err = run_cli(capsys, "variance", "--chain", "two-state",
-                           "--config", str(cfg))
-    assert code == 1
-    assert "unknown backend" in err
-
-
-def test_backend_flag_recorded(capsys):
-    payload = run_json(capsys, "simulate", "--chain", "two-state",
-                       "--n", "16", "--backend", "numpy")
-    assert payload["backend"] == "numpy"
+def test_backend_recorded(capsys):
+    # the backend is fixed at import; every report names it
+    for argv in (("simulate", "--chain", "two-state", "--n", "16"),
+                 ("variance", "--chain", "two-state")):
+        payload = run_json(capsys, *argv)
+        assert payload["backend"] == backend_choice()
+        assert "backend_env" not in payload
 
 
 def test_console_script_entry_point():

@@ -1,20 +1,16 @@
-"""Backend equivalence: the numba kernels must match the numpy fallbacks bitwise."""
+"""Kernel references: every numpy kernel must match a scalar loop bitwise."""
 
 import numpy as np
 import pytest
 
 from regen_bernstein import make_singular_mod1, make_two_state
-from regen_bernstein._backend import backend_choice, numba_available
 from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
-                                      F_INDICATOR_CENTERED, finite_chain_path,
-                                      finite_chain_sums, finite_split_path,
-                                      mod1_bits_to_float, mod1_chain_path,
-                                      mod1_chain_sums, mod1_float_params,
-                                      warm_up)
+                                      F_INDICATOR_CENTERED, _finite_sums_nb,
+                                      _finite_sums_np, _mod1_sums_nb,
+                                      _mod1_sums_np, finite_chain_path,
+                                      finite_chain_sums, mod1_bits_to_float,
+                                      mod1_chain_path, mod1_float_params)
 from regen_bernstein._rng import substream
-
-needs_numba = pytest.mark.skipif(not numba_available(),
-                                 reason="numba not installed")
 
 U64_MAX = np.iinfo(np.uint64).max
 
@@ -29,20 +25,10 @@ def mod1():
     return make_singular_mod1().mod1
 
 
-def test_backend_choice_env(monkeypatch):
-    monkeypatch.setenv("REGEN_BERNSTEIN_BACKEND", "numpy")
-    assert backend_choice() == "numpy"
-    monkeypatch.setenv("REGEN_BERNSTEIN_BACKEND", "bogus")
-    with pytest.raises(ValueError):
-        backend_choice()
-    monkeypatch.delenv("REGEN_BERNSTEIN_BACKEND")
-    assert backend_choice() in ("numba", "numpy")
-
-
 def test_numpy_path_reproduces_searchsorted(chain):
     cum = chain.kernel.cumulative_rows()
     u = substream(0, 1, 0).random(64)
-    path = finite_chain_path(cum, 0, u, backend="numpy")
+    path = finite_chain_path(cum, 0, u)
     x = 0
     for i, ui in enumerate(u):
         x = int(np.searchsorted(cum[x], ui, side="right"))
@@ -51,69 +37,54 @@ def test_numpy_path_reproduces_searchsorted(chain):
     assert path[0] == 0
 
 
-@needs_numba
-def test_finite_path_backends_agree(chain):
-    warm_up("numba")
-    cum = chain.kernel.cumulative_rows()
-    u = substream(1, 1, 0).random(512)
-    a = finite_chain_path(cum, 1, u, backend="numba")
-    b = finite_chain_path(cum, 1, u, backend="numpy")
-    assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_finite_sums_backends_agree(chain):
+def test_finite_sums_numpy_matches_scalar_loop(chain):
     cum = chain.kernel.cumulative_rows()
     rng = substream(2, 1, 0)
     u = rng.random((40, 300))
     f = np.array([0.7, -0.4])
     x0 = rng.integers(0, 2, size=40).astype(np.int64)
-    a = finite_chain_sums(cum, f, x0, u, backend="numba")
-    b = finite_chain_sums(cum, f, x0, u, backend="numpy")
+    a = np.empty(40)
+    b = np.empty(40)
+    _finite_sums_nb(cum, f, x0, u, a)
+    _finite_sums_np(cum, f, x0, u, b)
     assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_split_path_backends_agree(chain):
-    cum = chain.kernel.cumulative_rows()
-    in_c = np.asarray(chain.minorization.small_set, dtype=np.bool_)
-    r = np.asarray(chain.minorization.r, dtype=np.float64)
-    rng = substream(3, 1, 0)
-    su = rng.random(400)
-    lu = rng.random(400)
-    outs_a = finite_split_path(cum, in_c, r, 1, 0, su, lu, backend="numba")
-    outs_b = finite_split_path(cum, in_c, r, 1, 0, su, lu, backend="numpy")
-    for a, b in zip(outs_a, outs_b):
-        assert np.array_equal(a, b)
-
-
-@needs_numba
 @pytest.mark.parametrize("code", [F_COS2PI, F_IDENTITY_CENTERED,
                                   F_INDICATOR_CENTERED])
-def test_mod1_sums_backends_agree(mod1, code):
+def test_mod1_sums_numpy_matches_scalar_loop(mod1, code):
     shift, scale = mod1_float_params(64)
     rng = substream(4, 1, code)
     eps = rng.integers(0, 2, size=(30, 128), dtype=np.uint8)
     words = rng.integers(0, U64_MAX, size=(30, 128), dtype=np.uint64,
                          endpoint=True)
     x0 = words[:, 0].copy()
-    a = mod1_chain_sums(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                        shift, scale, code, x0, eps, words, backend="numba")
-    b = mod1_chain_sums(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                        shift, scale, code, x0, eps, words, backend="numpy")
+    args = (np.uint64(mod1.odd_mask), np.uint64(mod1.even_mask),
+            np.uint64(mod1.wrap_mask), np.uint64(shift), np.float64(scale),
+            np.int64(code), x0, eps, words)
+    a = np.empty(30)
+    b = np.empty(30)
+    with np.errstate(over="ignore"):  # the scalar loop wraps uint64 sums
+        _mod1_sums_nb(*args, a)
+    _mod1_sums_np(*args, b)
     assert np.array_equal(a, b)
 
 
-@needs_numba
-def test_mod1_path_backends_agree(mod1):
-    rng = substream(5, 1, 0)
+@pytest.mark.parametrize("precision", [64, 40, 16])
+def test_mod1_path_matches_scalar_loop(precision):
+    mod1 = make_singular_mod1(precision).mod1
+    rng = substream(5, 1, precision)
     eps = rng.integers(0, 2, size=256, dtype=np.uint8)
     words = rng.integers(0, U64_MAX, size=256, dtype=np.uint64, endpoint=True)
-    a = mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                        np.uint64(12345), eps, words, backend="numba")
-    b = mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                        np.uint64(12345), eps, words, backend="numpy")
-    assert np.array_equal(a, b)
+    x = int(words[0]) & mod1.wrap_mask
+    path = mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
+                           x, eps, words)
+    assert path.dtype == np.uint64
+    assert int(path[0]) == x
+    for i in range(256):
+        mask = mod1.odd_mask if eps[i] == 1 else mod1.even_mask
+        x = (x + (int(words[i]) & mask)) & mod1.wrap_mask
+        assert int(path[i + 1]) == x
 
 
 def test_mod1_float_params_precisions():
@@ -140,5 +111,5 @@ def test_finite_sums_counts_first_state(chain):
     f = np.array([2.0, -3.0])
     x0 = np.array([0, 1], dtype=np.int64)
     u = substream(6, 1, 0).random((2, 0))
-    sums = finite_chain_sums(cum, f, x0, u, backend="numpy")
+    sums = finite_chain_sums(cum, f, x0, u)
     assert np.array_equal(sums, f[x0])

@@ -5,6 +5,7 @@ the Geometric(1/2) gap law of the fully atomic symmetric chain, and
 its psi_1 gap norm 1 / log(4/3).
 """
 
+import itertools
 import json
 import math
 
@@ -34,6 +35,7 @@ from regen_bernstein import (
     mc_tail,
     psi_norm_empirical,
     report_to_dict,
+    resolve_functional,
     run_verification,
     simulate_split,
     two_block_factor,
@@ -135,6 +137,25 @@ def test_exact_tail_fraction_route_matches_lattice_route():
     assert np.array_equal(lattice.estimate, fractions.estimate)
 
 
+def test_exact_tail_fraction_route_with_float_rows():
+    # 0.7 + 0.3 is not exactly 1 as rationals, and pi = (2/3, 1/3)
+    # centers the indicator off the lattice, so the rational DP runs;
+    # it must agree with brute-force enumeration of all 2^7 paths
+    chain = make_two_state(0.3, 0.6)
+    f = resolve_functional(chain, "indicator_centered").values
+    assert float(f[0]).as_integer_ratio()[1] > 2 ** 40
+    n, grid = 8, [0.0, 0.5, 1.0, 2.0, 3.0]
+    want = np.zeros(len(grid))
+    for tail in itertools.product((0, 1), repeat=n - 1):
+        path = (0,) + tail
+        prob = math.prod(chain.kernel.matrix[x, y]
+                         for x, y in zip(path, path[1:]))
+        total = abs(sum(f[x] for x in path))
+        want += prob * (total > np.asarray(grid))
+    got = exact_tail(chain, "indicator_centered", 0, n, grid).estimate
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_exact_tail_vanishes_past_range():
     chain = make_two_state(0.5, 0.5)
     curve = exact_tail(chain, "indicator_centered", 0, 5, [2.5, 10.0])
@@ -145,8 +166,9 @@ def test_exact_tail_guards():
     chain = make_two_state(0.5, 0.5)
     with pytest.raises(GuardError, match="enumeration guard"):
         exact_tail(chain, "indicator_centered", 0, 300, [1.0])
-    with pytest.raises(ValueError, match="out of range"):
-        exact_tail(chain, "indicator_centered", 5, 4, [1.0])
+    for x0 in (-1, 5):
+        with pytest.raises(ValueError, match="initial state .* out of range"):
+            exact_tail(chain, "indicator_centered", x0, 4, [1.0])
     with pytest.raises(ValueError, match="at least 1"):
         exact_tail(chain, "indicator_centered", 0, 0, [1.0])
     with pytest.raises(ValueError, match="non-negative"):
