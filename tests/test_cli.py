@@ -371,7 +371,16 @@ def test_oracle_csv_and_json(capsys, tmp_path):
     assert saved["tail"]["estimate"] == pytest.approx(values)
 
 
-def test_backend_recorded(capsys):
+def test_unknown_backend_rejected(capsys):
+    # no flag chooses the backend: --backend is an unknown argument
+    for name in ("numpy", "fortran"):
+        code, _, err = run_cli(capsys, "simulate", "--chain", "two-state",
+                               "--n", "16", "--backend", name)
+        assert code == 1
+        assert "unrecognized arguments: --backend" in err
+
+
+def test_backend_flag_recorded(capsys):
     # the backend is fixed at import; every report names it
     for argv in (("simulate", "--chain", "two-state", "--n", "16"),
                  ("variance", "--chain", "two-state")):

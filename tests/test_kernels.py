@@ -1,15 +1,19 @@
 """Kernel references: every numpy kernel must match a scalar loop bitwise."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
-from regen_bernstein import make_singular_mod1, make_two_state
+from regen_bernstein import (backend_choice, make_singular_mod1,
+                             make_two_state, numba_available)
 from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
                                       F_INDICATOR_CENTERED, _finite_sums_nb,
                                       _finite_sums_np, _mod1_sums_nb,
                                       _mod1_sums_np, finite_chain_path,
                                       finite_chain_sums, mod1_bits_to_float,
-                                      mod1_chain_path, mod1_float_params)
+                                      mod1_chain_path, mod1_float_params,
+                                      warm_up)
 from regen_bernstein._rng import substream
 
 U64_MAX = np.iinfo(np.uint64).max
@@ -23,6 +27,15 @@ def chain():
 @pytest.fixture(scope="module")
 def mod1():
     return make_singular_mod1().mod1
+
+
+def test_backend_choice_env():
+    # the environment decides the backend once, at import: numba if it
+    # imports, numpy otherwise
+    has_numba = importlib.util.find_spec("numba") is not None
+    assert numba_available() is has_numba
+    assert backend_choice() == ("numba" if has_numba else "numpy")
+    assert warm_up() == backend_choice()
 
 
 def test_numpy_path_reproduces_searchsorted(chain):
