@@ -1,6 +1,7 @@
 #!/bin/bash
-# Hash every CLI output of a fixed command set, to show that a refactor
-# leaves output bytes unchanged.
+# Hash every CLI output of a fixed command set, plus a few library
+# outputs the CLI does not reach, to show that a refactor leaves output
+# bytes unchanged.
 #
 #   benchmarks/output_digest.sh [SRC_DIR]        (default: src)
 #
@@ -13,11 +14,11 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 export PYTHONPATH=$SRC
 
-run() { # label, cli args...
+record() { # label, command...: run the command and hash what it leaves
   local label=$1; shift
   local dir=$WORK/$label
   mkdir -p "$dir"
-  python3 -m regen_bernstein.cli "$@" --out "$dir" > "$dir/stdout.txt" 2> "$dir/stderr.txt"
+  "$@" > "$dir/stdout.txt" 2> "$dir/stderr.txt"
   local code=$?
   echo "exit=$code" >> "$dir/stdout.txt"
   echo "$label exit=$code"
@@ -25,6 +26,15 @@ run() { # label, cli args...
     [ "$f" = stderr.txt ] && continue
     echo "$label/$f $(sha256sum < "$dir/$f" | cut -c1-16)"
   done
+}
+
+run() { # label, cli args...
+  local label=$1; shift
+  record "$label" python3 -m regen_bernstein.cli "$@" --out "$WORK/$label"
+}
+
+lib() { # label, python expression over the package's names; prints its repr
+  record "$1" python3 -c "from regen_bernstein import *; print(repr($2))"
 }
 
 for ch in two-state singular-mod1; do
@@ -56,3 +66,10 @@ run vexact variance --chain two-state --method exact
 run simbig-b40 simulate --chain singular-mod1 --precision 40 --n 2000 --seed 5 --extend
 # non-dyadic rows: the rational exact-tail route normalizes each row
 run orc-float oracle --chain two-state --a 0.3 --b 0.6 --n 12
+# library outputs: the binned mod-1 TV curve, a mod-1 Pitman check and
+# exact regeneration-count tails on dyadic and non-dyadic rows
+lib tv-mod1 "(lambda c: (c.tv.tolist(), c.se.tolist()))(tv_decay_curve(
+  make_singular_mod1(), 0.3, 6, replicas=20000, seed=1, bootstrap=50))"
+lib pitman-mod1 "check_pitman(make_singular_mod1(), 'one', replicas=2000, seed=1)"
+lib regen-count-half "exact_regeneration_count_tail(make_two_state(0.5, 0.5), 10, 2)"
+lib regen-count-float "exact_regeneration_count_tail(make_two_state(0.3, 0.6), 10, 2)"

@@ -169,18 +169,21 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
 
 
 def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
-    """One mod-1 path in fixed-point bits; returns len(eps) + 1 states.
+    """Mod-1 paths in fixed-point bits along the last axis of eps.
 
-    The running sum wraps modulo 2^64 and 2^B divides 2^64, so masking
-    the prefix sums once equals wrapping after every step.
+    eps and words hold one move per entry; x0_bits is one start (or one
+    per leading index). Each path holds its start and then one state
+    per move. The running sum wraps modulo 2^64 and 2^B divides 2^64,
+    so masking the prefix sums once equals wrapping after every step.
     """
     eps = np.asarray(eps, dtype=np.uint8)
     words = np.asarray(words, dtype=np.uint64)
-    out = np.empty(eps.shape[0] + 1, dtype=np.uint64)
-    out[0] = x0_bits
-    out[1:] = words & np.where(eps == 1, np.uint64(odd_mask), np.uint64(even_mask))
-    np.cumsum(out, out=out)
-    out[1:] &= np.uint64(wrap_mask)
+    out = np.empty(eps.shape[:-1] + (eps.shape[-1] + 1,), dtype=np.uint64)
+    out[..., 0] = x0_bits
+    step_mask = np.where(eps == 1, np.uint64(odd_mask), np.uint64(even_mask))
+    np.bitwise_and(words, step_mask, out=out[..., 1:])
+    np.cumsum(out, axis=-1, out=out)
+    out[..., 1:] &= np.uint64(wrap_mask)
     return out
 
 
@@ -212,8 +215,8 @@ def _mod1_sums_nb(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
         out[r] = acc
 
 
-def _mod1_f_np(bits, shift, scale, f_code):
-    x = (bits >> shift) * scale
+def mod1_f(x, f_code):
+    """A coded mod-1 functional on float states x in [0, 1)."""
     if f_code == F_COS2PI:
         return np.cos(_TWO_PI * x)
     if f_code == F_IDENTITY_CENTERED:
@@ -229,11 +232,11 @@ def _mod1_sums_np(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
     wrap = np.uint64(wrap_mask)
     x = x0_bits.copy()
     acc = np.empty(nrep, dtype=np.float64)
-    acc[:] = _mod1_f_np(x, shift, scale, f_code)
+    acc[:] = mod1_f((x >> shift) * scale, f_code)
     for i in range(nsteps):
         sel = np.where(eps[:, i] == 1, odd, even)
         x = (x + (words[:, i] & sel)) & wrap
-        acc += _mod1_f_np(x, shift, scale, f_code)
+        acc += mod1_f((x >> shift) * scale, f_code)
     out[:] = acc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -63,9 +63,8 @@ class MinorizationSpec:
 
     For finite chains small_set is a boolean mask over state indices,
     nu a probability vector, and r the residual-ratio matrix with rows
-    meaningful on the small set only. latent marks constructions whose
-    level variable comes from the chain's own driving randomness (the
-    mod-1 chain), in which case r is unused.
+    meaningful on the small set only. The mod-1 chain leaves r unset:
+    its level comes from the chain's own driving coins.
     """
 
     small_set: object
@@ -73,7 +72,6 @@ class MinorizationSpec:
     delta: float
     nu: object
     r: object = None
-    latent: bool = False
 
     def __post_init__(self):
         if int(self.m) < 1:
@@ -95,6 +93,9 @@ class SingularMod1Chain:
     so a pair of opposite moves lands exactly uniformly on the B-bit
     grid. That makes the two-step kernel uniformly minorized with
     delta = 1/2 even though every one-step move is singular.
+
+    A move is one coin and one 64-bit word: draw_moves draws them and
+    path applies them. Every mod-1 simulator goes through these two.
     """
 
     precision: int = 64
@@ -119,6 +120,18 @@ class SingularMod1Chain:
         object.__setattr__(self, "even_mask", even)
         object.__setattr__(self, "wrap_mask", (1 << b) - 1)
 
+    def draw_moves(self, rng: np.random.Generator, size):
+        """(coins, words) for size moves: all coins first, then all words."""
+        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
+                             endpoint=True)
+        return coins, words
+
+    def path(self, x0_bits, eps, words) -> np.ndarray:
+        """Fixed-point states from x0_bits under the moves, along the last axis."""
+        return _kernels.mod1_chain_path(self.odd_mask, self.even_mask,
+                                        self.wrap_mask, x0_bits, eps, words)
+
     def float_params(self):
         return _kernels.mod1_float_params(self.precision)
 
@@ -139,14 +152,12 @@ class ChainInstance:
     Exactly one of kernel (a finite chain) and mod1 (the singular mod-1
     chain) is given. stationary is a probability vector for finite
     chains, the string "lebesgue" for the mod-1 chain, or None when
-    unknown. ergodicity optionally carries caller-supplied (G, rho)
-    geometric-decay data; nothing in the package ever infers it.
+    unknown.
     """
 
     kernel: TransitionKernel | None
     minorization: MinorizationSpec
     stationary: object = None
-    ergodicity: tuple | None = None
     name: str = ""
     params: dict = field(default_factory=dict)
     mod1: SingularMod1Chain | None = None
@@ -259,17 +270,16 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
         name = spec
         if chain.mod1 is not None:
             table = {
-                "cos2pi": (_kernels.F_COS2PI, lambda x: np.cos(2.0 * np.pi * x), 1.0),
-                "identity_centered": (
-                    _kernels.F_IDENTITY_CENTERED, lambda x: x - 0.5, 0.5),
-                "indicator_centered": (
-                    _kernels.F_INDICATOR_CENTERED,
-                    lambda x: np.where(x < 0.5, 0.5, -0.5), 0.5),
+                "cos2pi": (_kernels.F_COS2PI, 1.0),
+                "identity_centered": (_kernels.F_IDENTITY_CENTERED, 0.5),
+                "indicator_centered": (_kernels.F_INDICATOR_CENTERED, 0.5),
             }
             if name not in table:
                 raise ValueError(f"unknown functional {name!r} for the mod-1 chain")
-            code, fn, sup = table[name]
-            return Functional(name=name, code=code, fn=fn, sup_bound=sup)
+            code, sup = table[name]
+            return Functional(name=name, code=code,
+                              fn=partial(_kernels.mod1_f, f_code=code),
+                              sup_bound=sup)
         pi = chain.pi_vector()
         k = chain.kernel.n_states
         if name == "indicator_centered":
@@ -497,22 +507,14 @@ def tv_decay_curve(chain: ChainInstance, x0, n_max: int, *, bins: int = 16,
     if bins < 2:
         raise ValueError("bins >= 2 required")
     mod1 = chain.mod1
-    rng = substream(seed, TAG_TV, 1)
-    eps = rng.integers(0, 2, size=(replicas, n_max), dtype=np.uint8)
-    words = rng.integers(0, np.iinfo(np.uint64).max, size=(replicas, n_max),
-                         dtype=np.uint64, endpoint=True)
-    x = np.full(replicas, x0, dtype=np.uint64)
-    odd = np.uint64(mod1.odd_mask)
-    even = np.uint64(mod1.even_mask)
-    wrap = np.uint64(mod1.wrap_mask)
+    bits = mod1.path(x0, *mod1.draw_moves(substream(seed, TAG_TV, 1),
+                                          (replicas, n_max)))
     boot_rng = substream(seed, TAG_TV, 2)
     tv = np.empty(n_max)
     se = np.empty(n_max)
     uniform_mass = 1.0 / bins
     for i in range(n_max):
-        sel = np.where(eps[:, i] == 1, odd, even)
-        x = (x + (words[:, i] & sel)) & wrap
-        vals = mod1.bits_to_float(x)
+        vals = mod1.bits_to_float(bits[:, i + 1])
         counts = np.bincount((vals * bins).astype(np.int64), minlength=bins)
         freq = counts / replicas
         tv[i] = 0.5 * float(np.abs(freq - uniform_mass).sum())
@@ -558,7 +560,7 @@ def make_singular_mod1(precision: int = 64) -> ChainInstance:
     """Singular mod-1 chain with the latent two-step splitting."""
     mod1 = SingularMod1Chain(precision=precision)
     spec = MinorizationSpec(small_set=lambda x: True, m=2, delta=0.5,
-                            nu="lebesgue", latent=True)
+                            nu="lebesgue")
     return ChainInstance(kernel=None, minorization=spec,
                          stationary="lebesgue", name="singular-mod1",
                          params={"precision": int(precision)}, mod1=mod1)
@@ -660,11 +662,7 @@ def sample_path(chain: ChainInstance, x0, n: int,
         return _kernels.finite_chain_path(chain.kernel.cumulative_rows(),
                                           start, uniforms)
     mod1 = chain.mod1
-    eps = rng.integers(0, 2, size=n - 1, dtype=np.uint8)
-    words = rng.integers(0, _U64_MAX, size=n - 1, dtype=np.uint64, endpoint=True)
-    bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask,
-                                    mod1.wrap_mask, start, eps, words)
-    return mod1.bits_to_float(bits)
+    return mod1.bits_to_float(mod1.path(start, *mod1.draw_moves(rng, n - 1)))
 
 
 # ---------------------------------------------------------------------------

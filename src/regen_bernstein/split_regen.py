@@ -27,9 +27,10 @@ from ._io import atomic_write_text
 from .chain_models import ChainInstance, Functional, resolve_functional, resolve_start
 from .errors import GuardError
 
-# Block counts drawn per request when extending to a regeneration: the
-# first chunk covers the horizon, later chunks grow geometrically.
-_EXTEND_CHUNK_START = 64
+# Blocks drawn per request: the first request covers the horizon. When
+# extending to a regeneration, each further request draws twice the
+# previous one, at least _EXTEND_CHUNK_MIN and at most _EXTEND_CHUNK_CAP.
+_EXTEND_CHUNK_MIN = 128
 _EXTEND_CHUNK_CAP = 65536
 
 
@@ -39,9 +40,7 @@ class SplitTrajectory:
 
     states and levels have equal length n; levels are constant within
     each m-block. sigma lists the regeneration times, i.e. the block
-    starts k with level 1 (and m | k by construction). For the mod-1
-    chain, bits holds the exact fixed-point states and latent the
-    per-step coin sequence.
+    starts k with level 1 (and m | k by construction).
     """
 
     states: np.ndarray
@@ -49,8 +48,6 @@ class SplitTrajectory:
     m: int
     init_label: str = ""
     chain_name: str = ""
-    bits: np.ndarray | None = None
-    latent: np.ndarray | None = None
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -87,7 +84,7 @@ class SplitTrajectory:
 
 
 def _finite_blocks(chain, x0, blocks, rng):
-    """(states with endpoint, block levels, None) for a run of complete blocks."""
+    """(states with endpoint, block levels) for a run of complete blocks."""
     m = chain.m
     spec = chain.minorization
     state_u = rng.random(blocks * m)
@@ -97,20 +94,15 @@ def _finite_blocks(chain, x0, blocks, rng):
         np.asarray(spec.small_set, dtype=bool),
         np.asarray(spec.r, dtype=np.float64),
         m, int(x0), state_u, level_u)
-    return states, levels, None
+    return states, levels
 
 
 def _mod1_blocks(chain, x0_bits, blocks, rng):
-    """(bits with endpoint, block levels, per-step coins) for two-step blocks."""
-    mod1 = chain.mod1
-    eps = rng.integers(0, 2, size=2 * blocks, dtype=np.uint8)
-    words = rng.integers(0, np.iinfo(np.uint64).max, size=2 * blocks,
-                         dtype=np.uint64, endpoint=True)
-    bits = _kernels.mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                                    x0_bits, eps, words)
+    """(bits with endpoint, block levels) for two-step blocks."""
+    eps, words = chain.mod1.draw_moves(rng, 2 * blocks)
     pair = eps.reshape(-1, 2)
     levels = (pair[:, 0] != pair[:, 1]).astype(np.uint8)
-    return bits, levels, eps
+    return chain.mod1.path(x0_bits, eps, words), levels
 
 
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
@@ -147,30 +139,24 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
             x = (x >> shift) << shift
         paths = [np.array([x], dtype=np.uint64)]
 
-    want_blocks = -(-n // m)
     all_levels = []
-    all_latent = []
     done_blocks = 0
-    chunk = max(_EXTEND_CHUNK_START, want_blocks)
+    blocks = -(-n // m)
     while True:
-        blocks = want_blocks - done_blocks if done_blocks < want_blocks else chunk
-        path, levels, latent = run_blocks(chain, x, blocks, rng)
+        path, levels = run_blocks(chain, x, blocks, rng)
         paths.append(path[1:])
         all_levels.append(levels)
-        all_latent.append(latent)
         x = int(path[-1])
         done_blocks += blocks
         if done_blocks > max_blocks:
             raise GuardError(
                 f"no regeneration covering the horizon within {max_blocks} blocks")
-        if done_blocks >= want_blocks:
-            if not extend_to_regeneration:
-                break
-            lev = np.concatenate(all_levels)
-            hits = np.flatnonzero(lev == 1) * m
-            if hits.size and hits.max() >= n - m:
-                break
-        chunk = min(chunk * 2, _EXTEND_CHUNK_CAP)
+        if not extend_to_regeneration:
+            break
+        hits = np.flatnonzero(np.concatenate(all_levels) == 1) * m
+        if hits.size and hits.max() >= n - m:
+            break
+        blocks = min(max(_EXTEND_CHUNK_MIN, 2 * blocks), _EXTEND_CHUNK_CAP)
     path = np.concatenate(paths)
     levels_blocks = np.concatenate(all_levels)
     per_state = np.repeat(levels_blocks, m)
@@ -179,14 +165,9 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
         stop = int(hits[hits >= n - m][0]) + m
     else:
         stop = n
-    path = path[:stop]
-    if mod1 is None:
-        return SplitTrajectory(states=path, levels=per_state[:stop], m=m,
-                               init_label=start.label, chain_name=chain.name)
-    return SplitTrajectory(
-        states=mod1.bits_to_float(path), levels=per_state[:stop], m=m,
-        init_label=start.label, chain_name=chain.name, bits=path,
-        latent=np.concatenate(all_latent)[:stop])
+    states = path[:stop] if mod1 is None else mod1.bits_to_float(path[:stop])
+    return SplitTrajectory(states=states, levels=per_state[:stop], m=m,
+                           init_label=start.label, chain_name=chain.name)
 
 
 # ---------------------------------------------------------------------------

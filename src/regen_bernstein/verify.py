@@ -35,7 +35,6 @@ from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 _ENUM_GUARD = 1e8
 _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
-_U64_MAX = np.iinfo(np.uint64).max
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +215,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
         for i in range(count):
             rng = substream(seed, TAG_TAIL, lo + i)
             x0[i] = start.draw(rng)
-            eps[i] = rng.integers(0, 2, size=steps, dtype=np.uint8)
-            words[i] = rng.integers(0, _U64_MAX, size=steps,
-                                    dtype=np.uint64, endpoint=True)
+            eps[i], words[i] = mod1.draw_moves(rng, steps)
         return _kernels.mod1_chain_sums(
             mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
             fspec.code, x0, eps, words)
@@ -357,8 +354,8 @@ def _block_transition_fractions(chain: ChainInstance):
     """(B0, B1) with B1[x][y] = 1_C(x) delta nu(y) and B0 = P^m - B1."""
     k = chain.kernel.n_states
     spec = chain.minorization
-    p_frac = [[Fraction(*float(chain.kernel.matrix[x, y]).as_integer_ratio())
-               for y in range(k)] for x in range(k)]
+    # rows normalized exactly, like nu (see _exact_tail_fractions)
+    p_frac = [_fraction_vector(row) for row in chain.kernel.matrix]
     pm = p_frac
     for _ in range(chain.m - 1):
         pm = [[sum(pm[x][z] * p_frac[z][y] for z in range(k))

@@ -13,7 +13,7 @@ from regen_bernstein import (TransitionKernel, chain_from_dict, load_chain,
                              resolve_functional, sample_path, save_chain,
                              stationary_distribution, tv_decay_curve,
                              validate_minorization)
-from regen_bernstein._rng import substream
+from regen_bernstein._rng import TAG_TV, substream
 
 
 @st.composite
@@ -104,7 +104,7 @@ def test_mod1_one_step_minorization_refuted():
     chain = make_singular_mod1()
     from regen_bernstein import MinorizationSpec
     spec = MinorizationSpec(small_set=lambda x: True, m=1, delta=0.25,
-                            nu="lebesgue", latent=True)
+                            nu="lebesgue")
     report = validate_minorization(chain, spec)
     assert report.mode == "support"
     assert not report.passed
@@ -142,6 +142,34 @@ def test_tv_sum_one_collapses_immediately():
     chain = make_two_state(0.25, 0.75)
     curve = tv_decay_curve(chain, 0, 3)
     assert np.all(curve.tv < 1e-14)
+
+
+def test_tv_mod1_matches_integer_replay():
+    # replay the same moves with plain Python integers and the same
+    # bootstrap stream; the curve must agree bitwise
+    chain = make_singular_mod1()
+    mod1 = chain.mod1
+    replicas, n_max, bins, bootstrap, seed = 1000, 3, 8, 20, 6
+    curve = tv_decay_curve(chain, 0.375, n_max, bins=bins, replicas=replicas,
+                           seed=seed, bootstrap=bootstrap)
+    rng = substream(seed, TAG_TV, 1)
+    eps = rng.integers(0, 2, size=(replicas, n_max), dtype=np.uint8)
+    words = rng.integers(0, np.iinfo(np.uint64).max, size=(replicas, n_max),
+                         dtype=np.uint64, endpoint=True)
+    boot_rng = substream(seed, TAG_TV, 2)
+    x = [mod1.float_to_bits(0.375)] * replicas
+    for i in range(n_max):
+        for r in range(replicas):
+            mask = mod1.odd_mask if eps[r, i] == 1 else mod1.even_mask
+            x[r] = (x[r] + (int(words[r, i]) & mask)) & mod1.wrap_mask
+        vals = mod1.bits_to_float(np.array(x, dtype=np.uint64))
+        freq = np.bincount((vals * bins).astype(np.int64),
+                           minlength=bins) / replicas
+        assert curve.tv[i] == 0.5 * float(np.abs(freq - 1.0 / bins).sum())
+        boot = boot_rng.multinomial(replicas, freq, size=bootstrap) / replicas
+        boot_tv = 0.5 * np.abs(boot - 1.0 / bins).sum(axis=1)
+        assert curve.se[i] == float(boot_tv.std(ddof=1))
+    assert curve.mode == "binned-lower-bound"
 
 
 def test_make_two_state_basics():

@@ -98,6 +98,16 @@ def test_mod1_path_matches_scalar_loop(precision):
         mask = mod1.odd_mask if eps[i] == 1 else mod1.even_mask
         x = (x + (int(words[i]) & mask)) & mod1.wrap_mask
         assert int(path[i + 1]) == x
+    # a 2-d batch runs along its last axis, one row per path
+    x0 = words[:4] & np.uint64(mod1.wrap_mask)
+    batch = mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
+                            x0, eps.reshape(4, 64), words.reshape(4, 64))
+    assert batch.shape == (4, 65)
+    for r in range(4):
+        row = mod1_chain_path(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
+                              int(x0[r]), eps[64 * r:64 * (r + 1)],
+                              words[64 * r:64 * (r + 1)])
+        assert np.array_equal(batch[r], row)
 
 
 def test_mod1_float_params_precisions():

@@ -266,6 +266,21 @@ def test_regen_count_tail_split_by_hand():
     assert close(exact_regeneration_count_tail(chain, 3, 1, init=0), 1.0 / 8.0)
 
 
+def test_regen_count_tail_non_dyadic_rows():
+    # 0.7 + 0.3 is not exactly 1 as a rational; with delta = 1 every
+    # visit to 0 at times 0..8 regenerates, so enumerate the 2^9 paths
+    a, b = 0.3, 0.6
+    p = np.array([[1.0 - a, a], [b, 1.0 - b]])
+    want = 0.0
+    for tail in itertools.product((0, 1), repeat=9):
+        path = (0,) + tail
+        prob = math.prod(p[x, y] for x, y in zip(path, path[1:]))
+        if path[:9].count(0) > 2:
+            want += prob
+    got = exact_regeneration_count_tail(make_two_state(a, b), 10, 2, init=0)
+    assert abs(got - want) < 1e-12
+
+
 def test_regen_count_tail_matches_simulation():
     chain = make_two_state(0.5, 0.5, delta=0.5)
     n, threshold, replicas = 8, 2, 4000
