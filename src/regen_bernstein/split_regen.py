@@ -127,17 +127,8 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     start = resolve_start(chain, init)
     x = start.draw(rng)
     mod1 = chain.mod1
-    if mod1 is None:
-        run_blocks = _finite_blocks
-        paths = [np.array([x], dtype=np.int64)]
-    else:
-        run_blocks = _mod1_blocks
-        if start.point is None:
-            # a drawn start keeps float resolution only (its low
-            # precision - 53 bits cleared); mc_tail keeps every bit
-            shift, _ = mod1.float_params()
-            x = (x >> shift) << shift
-        paths = [np.array([x], dtype=np.uint64)]
+    run_blocks = _finite_blocks if mod1 is None else _mod1_blocks
+    paths = [np.array([x], dtype=np.int64 if mod1 is None else np.uint64)]
 
     all_levels = []
     done_blocks = 0

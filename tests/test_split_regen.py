@@ -70,6 +70,31 @@ def test_levels_constant_within_mod1_blocks():
     assert np.all(traj.sigma % 2 == 0)
 
 
+def test_mod1_random_start_matches_integer_replay():
+    # a drawn start keeps every bit of its word: replay the start word,
+    # then the coins, then the words with plain Python integers
+    chain = make_singular_mod1()
+    mod1 = chain.mod1
+    u64_max = np.iinfo(np.uint64).max
+    n = 24
+    for seed in range(6):
+        traj = simulate_split(chain, "pi", n, _rng(seed))
+        rng = _rng(seed)
+        x = int(rng.integers(0, u64_max, dtype=np.uint64, endpoint=True))
+        x &= mod1.wrap_mask
+        eps = rng.integers(0, 2, size=n, dtype=np.uint8)
+        words = rng.integers(0, u64_max, size=n, dtype=np.uint64,
+                             endpoint=True)
+        bits = [x]
+        for e, w in zip(eps[:-1], words[:-1]):
+            mask = mod1.odd_mask if e == 1 else mod1.even_mask
+            x = (x + (int(w) & mask)) & mod1.wrap_mask
+            bits.append(x)
+        assert np.array_equal(
+            traj.states, mod1.bits_to_float(np.array(bits, dtype=np.uint64)))
+        assert np.array_equal(traj.levels, np.repeat(eps[0::2] != eps[1::2], 2))
+
+
 def test_mod1_level_frequency_half():
     # delta * pi(C) = 1/2 * 1, the block-start level-1 frequency
     chain = make_singular_mod1()
