@@ -180,8 +180,11 @@ def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
     words = np.asarray(words, dtype=np.uint64)
     out = np.empty(eps.shape[:-1] + (eps.shape[-1] + 1,), dtype=np.uint64)
     out[..., 0] = x0_bits
-    step_mask = np.where(eps == 1, np.uint64(odd_mask), np.uint64(even_mask))
-    np.bitwise_and(words, step_mask, out=out[..., 1:])
+    # step masks built in place: even, flipped to odd where eps == 1
+    steps = out[..., 1:]
+    np.multiply(eps == 1, np.uint64(odd_mask ^ even_mask), out=steps)
+    steps ^= np.uint64(even_mask)
+    steps &= words
     np.cumsum(out, axis=-1, out=out)
     out[..., 1:] &= np.uint64(wrap_mask)
     return out

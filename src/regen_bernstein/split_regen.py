@@ -149,13 +149,9 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
             break
         blocks = min(max(_EXTEND_CHUNK_MIN, 2 * blocks), _EXTEND_CHUNK_CAP)
     path = np.concatenate(paths)
-    levels_blocks = np.concatenate(all_levels)
-    per_state = np.repeat(levels_blocks, m)
-    if extend_to_regeneration:
-        hits = np.flatnonzero(levels_blocks == 1) * m
-        stop = int(hits[hits >= n - m][0]) + m
-    else:
-        stop = n
+    per_state = np.repeat(np.concatenate(all_levels), m)
+    # when extending, the loop stopped on hits: every regeneration time
+    stop = int(hits[hits >= n - m][0]) + m if extend_to_regeneration else n
     states = path[:stop] if mod1 is None else mod1.bits_to_float(path[:stop])
     return SplitTrajectory(states=states, levels=per_state[:stop], m=m,
                            init_label=start.label, chain_name=chain.name)
