@@ -73,3 +73,12 @@ lib tv-mod1 "(lambda c: (c.tv.tolist(), c.se.tolist()))(tv_decay_curve(
 lib pitman-mod1 "check_pitman(make_singular_mod1(), 'one', replicas=2000, seed=1)"
 lib regen-count-half "exact_regeneration_count_tail(make_two_state(0.5, 0.5), 10, 2)"
 lib regen-count-float "exact_regeneration_count_tail(make_two_state(0.3, 0.6), 10, 2)"
+# a three-state chain: the replica kernel's comparisons against more than
+# one cumulative column, in 1000-replica chunks of 599 steps that span
+# several step tiles
+lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
+  [0.125, 0.375, 0.5], [0.25, 0.5, 0.25]], 'small_set': [True, True, True],
+  'm': 1, 'delta': 0.5, 'nu': [0.25, 0.5, 0.25]}), 'indicator_centered', 'pi',
+  600, [0.5 * i for i in range(80)], 1000, seed=3).estimate.tolist()"
+# the exact tail's lattice DP past 2^26 paths
+run orc-long oracle --chain two-state --n 1000

@@ -6,7 +6,9 @@ per-replica order. The scalar loops are compiled when numba imports
 (see ``_backend``) and run as plain Python otherwise. The replica sums
 have a second, numpy implementation that loops over steps and
 vectorizes across replicas; it is used when numba is absent and must
-match its scalar loop bitwise.
+match its scalar loop bitwise. The finite one reads its uniforms
+step-major, in tiles of at most 1 MB, and makes one comparison per
+replica against each of the first ns - 1 cumulative columns.
 """
 
 from __future__ import annotations
@@ -41,8 +43,11 @@ _TWO_PI = 2.0 * math.pi
 # finite-state kernels
 #
 # State update: with u uniform on [0, 1), the next state is the count of
-# cumulative-row entries <= u, clamped to the last column. Every kernel
-# uses the same comparison, so paths agree bitwise.
+# cumulative-row entries <= u among the first ns - 1 columns (rows are
+# nondecreasing, so the scalar loops stop at the first miss). Every
+# kernel uses the same comparison, so paths agree bitwise. The numpy
+# replica sums walk the steps in tiles of at most 1 MB of uniforms, each
+# copied once to step-major order so that every step reads one row.
 # ---------------------------------------------------------------------------
 
 
@@ -84,17 +89,34 @@ def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
         out[r] = acc
 
 
+_TILE_FLOATS = 1 << 17  # 1 MB of float64 uniforms per step-major tile
+
+
 def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
+    # one gather and one compare per column for each step, in visit order
     nrep, ntrans = uniforms.shape
-    ns = cum_rows.shape[1]
+    cols = [np.ascontiguousarray(cum_rows[:, j])
+            for j in range(cum_rows.shape[1] - 1)]
+    tile = max(1, _TILE_FLOATS // max(1, nrep))
     states = x0.copy()
+    nxt = np.empty_like(states)
+    thr = np.empty(nrep, dtype=np.float64)
+    hit = np.empty(nrep, dtype=np.bool_)
+    fx = np.empty(nrep, dtype=np.float64)
     acc = f_vals[states].astype(np.float64)
-    for i in range(ntrans):
-        u = uniforms[:, i]
-        nxt = (u[:, None] >= cum_rows[states]).sum(axis=1)
-        np.minimum(nxt, ns - 1, out=nxt)
-        states = nxt
-        acc += f_vals[states]
+    block = np.empty((min(tile, ntrans), nrep), dtype=np.float64)
+    for s in range(0, ntrans, tile):
+        rows = block[:min(tile, ntrans - s)]
+        np.copyto(rows, uniforms[:, s:s + tile].T)
+        for u in rows:
+            nxt.fill(0)
+            for col in cols:
+                np.take(col, states, out=thr)
+                np.greater_equal(u, thr, out=hit)
+                nxt += hit
+            states, nxt = nxt, states
+            np.take(f_vals, states, out=fx)
+            acc += fx
     out[:] = acc
 
 

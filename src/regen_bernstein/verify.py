@@ -35,6 +35,7 @@ from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 _ENUM_GUARD = 1e8
 _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
+_LATTICE_COST_GUARD = 2e9
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,13 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     (binary-rational) denominators of f when that lattice is small
     enough, otherwise as exact rationals keyed per (state, sum) pair.
     Strictness at the threshold is decided in exact arithmetic.
+
+    Each route is guarded on what it costs. The lattice DP makes
+    (n - 1) * k^2 * width multiply-adds, with width the span of the
+    lattice of sums; above _LATTICE_COST_GUARD (2e9) it raises
+    GuardError before allocating anything. The rational route's big
+    integers grow with every step, so it keeps the k^n enumeration
+    guard, and _FRACTION_GUARD bounds its (state, sum) pairs.
     """
     if not chain.is_finite:
         raise ValueError("exact tails need a finite chain")
@@ -261,7 +269,6 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     if n < 1:
         raise ValueError("n must be at least 1")
     k = chain.kernel.n_states
-    _enumeration_guard(k, n)
     x0 = resolve_point(chain, x0)
     t = _validated_grid(t_grid)
     fspec = resolve_functional(chain, f)
@@ -275,9 +282,15 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     matrix = chain.kernel.matrix
     if lcm_den <= 2 ** 40 and width <= _LATTICE_WIDTH_CAP \
             and max(abs(base), abs(top)) < 2 ** 62:
+        cost = (n - 1) * k * k * width
+        if cost > _LATTICE_COST_GUARD:
+            raise GuardError(
+                f"lattice DP cost {cost:.1e} ((n - 1) * k^2 * width) exceeds "
+                f"the {_LATTICE_COST_GUARD:.0e} lattice cost guard")
         probs = _exact_tail_lattice(matrix, f_int, x0, n, base, width,
                                     lcm_den, t)
     else:
+        _enumeration_guard(k, n)
         probs = _exact_tail_fractions(matrix, fracs, x0, n, t)
     return TailCurve(t=t, estimate=probs, se=None, provenance="enumeration",
                      n=n)

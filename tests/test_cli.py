@@ -74,9 +74,9 @@ def test_validation_error_exits_1(capsys):
 
 
 def test_guard_error_exits_2(capsys):
-    # a nearly regeneration-free split run trips the block guard
+    # the exact tail's lattice DP would cost 8e10 multiply-adds
     code, _, err = run_cli(capsys, "oracle", "--chain", "two-state",
-                           "--n", "300", "--t-grid", "1.0")
+                           "--n", "100000", "--t-grid", "1.0")
     assert code == 2
     assert "guard violation" in err
 

@@ -1,13 +1,15 @@
 """Kernel references: every numpy kernel must match a scalar loop bitwise."""
 
 import importlib.util
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from regen_bernstein import (backend_choice, make_singular_mod1,
                              make_two_state, numba_available)
-from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
+from regen_bernstein._kernels import (_TILE_FLOATS, F_COS2PI,
+                                      F_IDENTITY_CENTERED,
                                       F_INDICATOR_CENTERED, _finite_sums_nb,
                                       _finite_sums_np, _mod1_sums_nb,
                                       _mod1_sums_np, finite_chain_path,
@@ -50,17 +52,60 @@ def test_numpy_path_reproduces_searchsorted(chain):
     assert path[0] == 0
 
 
+# dyadic rows, so uniforms can sit exactly on cumulative boundaries
+DYADIC_ROWS = {
+    3: [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.0, 0.75, 0.25]],
+    4: [[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.375, 0.125],
+        [0.0, 0.0, 0.5, 0.5], [0.125, 0.625, 0.0, 0.25]],
+}
+
+
+def _check_finite_sums_parity(cum, f, x0, u):
+    a = np.empty(x0.size)
+    b = np.empty(x0.size)
+    _finite_sums_nb(cum, f, x0, u, a)
+    _finite_sums_np(cum, f, x0, u, b)
+    assert np.array_equal(a, b), (cum.shape, u.shape)
+
+
 def test_finite_sums_numpy_matches_scalar_loop(chain):
     cum = chain.kernel.cumulative_rows()
     rng = substream(2, 1, 0)
     u = rng.random((40, 300))
-    f = np.array([0.7, -0.4])
     x0 = rng.integers(0, 2, size=40).astype(np.int64)
-    a = np.empty(40)
-    b = np.empty(40)
-    _finite_sums_nb(cum, f, x0, u, a)
-    _finite_sums_np(cum, f, x0, u, b)
-    assert np.array_equal(a, b)
+    _check_finite_sums_parity(cum, np.array([0.7, -0.4]), x0, u)
+    # 3 and 4 states; step counts of 0, less than one tile and more than
+    # one tile but not a multiple of it
+    for ns, rows in DYADIC_ROWS.items():
+        cum = np.cumsum(np.array(rows), axis=1)
+        f = rng.standard_normal(ns)
+        ties = np.append(np.unique(cum[:, :-1]), 0.0)
+        for nrep in (1, 7, 1000):
+            # a single replica would take 2^17 steps to cross a tile
+            crossing = (_TILE_FLOATS // nrep + 97,) if nrep > 1 else ()
+            for steps in (0, 97) + crossing:
+                u = rng.random((nrep, steps))
+                on_edge = rng.random((nrep, steps)) < 0.25
+                u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
+                x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
+                _check_finite_sums_parity(cum, f, x0, u)
+
+
+@pytest.mark.parametrize("shape", [(800, 9999), (32768, 99)])
+def test_finite_sums_numpy_memory_is_one_tile(chain, shape):
+    # the numpy kernel holds one tile of at most 1 MB of uniforms; a whole
+    # transposed copy would take 64 MB and 26 MB at these shapes
+    cum = chain.kernel.cumulative_rows()
+    u = substream(3, 1, 0).random(shape)
+    x0 = np.zeros(shape[0], dtype=np.int64)
+    out = np.empty(shape[0])
+    tracemalloc.start()
+    try:
+        _finite_sums_np(cum, np.array([0.7, -0.4]), x0, u, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize("code", [F_COS2PI, F_IDENTITY_CENTERED,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import regen_bernstein.verify as verify_mod
 from regen_bernstein import (
@@ -164,8 +165,12 @@ def test_exact_tail_vanishes_past_range():
 
 def test_exact_tail_guards():
     chain = make_two_state(0.5, 0.5)
+    # the lattice DP costs (n - 1) * k^2 * width = 8e10 at n = 10^5
+    with pytest.raises(GuardError, match="lattice cost guard"):
+        exact_tail(chain, "indicator_centered", 0, 100_000, [1.0])
+    # the rational route (non-dyadic f) keeps the k^n guard
     with pytest.raises(GuardError, match="enumeration guard"):
-        exact_tail(chain, "indicator_centered", 0, 300, [1.0])
+        exact_tail(make_two_state(0.3, 0.6), "indicator_centered", 0, 27, [1.0])
     for x0 in (-1, 5):
         with pytest.raises(ValueError, match="initial state .* out of range"):
             exact_tail(chain, "indicator_centered", x0, 4, [1.0])
@@ -189,6 +194,23 @@ def test_mc_tail_matches_exact_tail():
     got = mc_tail(chain, "indicator_centered", 0, 8, grid, 20000, seed=5)
     band = 4.0 * got.se + 1e-9
     assert np.all(np.abs(got.estimate - want) <= band)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.25, 0.25)])
+def test_mc_tail_matches_exact_tail_at_long_horizons(a, b):
+    # every grid count is an exact two-sided binomial test against the
+    # exact tail, Bonferroni-corrected over the grid; at n = 1000 the
+    # 4000-replica chunk spans several kernel tiles
+    chain = make_two_state(a, b)
+    for n in (100, 1000):
+        grid = np.linspace(0.0, 3.0 * math.sqrt(n), 25)
+        p = exact_tail(chain, "indicator_centered", 0, n, grid).estimate
+        got = mc_tail(chain, "indicator_centered", 0, n, grid, 4000, seed=11)
+        counts = np.rint(got.estimate * 4000)
+        level = 1e-6 / (2 * grid.size)
+        low = stats.binom.cdf(counts, 4000, p)
+        high = stats.binom.sf(counts - 1, 4000, p)
+        assert np.all((low >= level) & (high >= level)), (n, counts, p)
 
 
 def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
