@@ -8,7 +8,7 @@
 # Prints one "label/file sha256-prefix" line per output file and per
 # stdout, plus one "label exit=CODE" line per command. Compare the
 # listings of two checkouts with diff, or their sha256sum for a short
-# summary. Runs in about a minute on two cores.
+# summary. Runs in about a minute and a half on two cores.
 SRC=${1:-src}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
@@ -50,6 +50,8 @@ for ch in two-state singular-mod1; do
     --n-excursions 400 --n-first-blocks 200 --init pi
   run verth-$ch verify --chain $ch --f $F --n 40 --replicas 3000 --threads 2 --seed 4 \
     --n-excursions 400 --n-first-blocks 200 --init nu --format csv
+  run vers-$ch verify --chain $ch --f $F --n 40 --replicas 1000 --seed 4 \
+    --n-excursions 400 --n-first-blocks 200 --structure
 done
 run varb-x0 variance --chain two-state --method batch --n 500 --seed 2 --x0 1
 run varb-mx0 variance --chain singular-mod1 --method batch --n 500 --seed 2 --x0 0.25 --f cos2pi
@@ -82,3 +84,20 @@ lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
   600, [0.5 * i for i in range(80)], 1000, seed=3).estimate.tolist()"
 # the exact tail's lattice DP past 2^26 paths
 run orc-long oracle --chain two-state --n 1000
+# the block kernel B0 = P^m - delta 1_C nu at m = 2 on a dyadic
+# three-state chain (float for the gap law and its norm, exact rationals
+# for the count tail), and the history count of the block-Markov check
+THREE="chain_from_dict({'matrix': [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5],
+  [0.25, 0.5, 0.25]], 'small_set': [1, 1, 0], 'm': 2, 'delta': 0.5,
+  'nu': [0.25, 0.5, 0.25]})"
+lib gap-three-m2 "(lambda g: (g[0].tolist(), g[1].tolist(), g[2]))(
+  exact_gap_distribution($THREE))"
+lib gap-psi1-three-m2 "exact_gap_psi1($THREE)"
+lib regen-count-three-m2 "exact_regeneration_count_tail($THREE, 12, 2, init=0)"
+lib block-markov-half "check_block_markov(make_two_state(0.5, 0.5, delta=0.5), n=10)"
+# the bounds command: a full parameter bundle, a missing one, and a
+# single evaluator
+run bnd-bi bounds thm_bi a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 \
+  pi_C=0.5 m=1 n=100 t=40 D=3 f_sup=0.5
+run bnd-miss bounds thm_bi a=1 b=1 c=1
+run bnd-cb bounds classical_bernstein n=100 sigma2=0.25 M=1 t=10

@@ -1,8 +1,31 @@
-"""Atomic text output shared by every file the package writes."""
+"""Atomic text output shared by every file the package writes, and the
+plain-data form of the records written into it."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
+
+import numpy as np
+
+
+def plain(obj):
+    """obj as JSON-ready plain data.
+
+    A dataclass becomes the dict of its fields, arrays and tuples become
+    lists and numpy scalars Python scalars, recursively through dicts,
+    lists and tuples; anything else is returned as it is.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: plain(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(value) for value in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -10,6 +10,7 @@ error, 2 guard violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 
 from ._backend import backend_choice
+from ._io import plain
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
 from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
 from .chain_models import load_chain, make_chain, resolve_functional, sample_path
@@ -27,11 +29,9 @@ from .split_regen import (simulate_split, trajectory_summary,
 from .variance import (sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,
                        sigma_mrv_regenerative)
-from .verify import (collect_excursions, curves_csv_text, exact_tail,
-                     report_to_dict, run_verification, tail_curve_to_dict,
-                     write_curves_csv)
-
-_FORMULAS_DEFAULT = ("thm_bi", "thm_bi2", "thm_sbi")
+from .verify import (_FORMULA_CHOICES, collect_excursions, curves_csv_text,
+                     exact_tail, report_to_dict, run_verification,
+                     tail_curve_to_dict, write_curves_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +179,13 @@ def cmd_simulate(args, cfg):
 
 
 def _bounds_param_bundle(kv: dict) -> BernsteinParams:
-    names = ("a", "b", "c", "d", "alpha", "sigma2_mrv", "delta", "pi_C", "m")
-    missing = [name for name in names if name not in kv]
+    fields = dataclasses.fields(BernsteinParams)
+    missing = [f.name for f in fields
+               if f.default is dataclasses.MISSING and f.name not in kv]
     if missing:
         raise ValueError(f"missing parameters {missing} for the bundle bound")
-    fields = {name: kv.pop(name) for name in names}
-    for opt_name in ("D", "f_sup"):
-        if opt_name in kv:
-            fields[opt_name] = kv.pop(opt_name)
-    return BernsteinParams(**fields)
+    return BernsteinParams(**{f.name: kv.pop(f.name) for f in fields
+                              if f.name in kv})
 
 
 def cmd_bounds(args, cfg):
@@ -228,8 +226,7 @@ def cmd_bounds(args, cfg):
         "args": shown_args,
     }
     if isinstance(result, BoundValue):
-        payload.update({"value": float(result), "raw": result.raw,
-                        "flags": list(result.flags)})
+        payload.update(plain(result))
     elif isinstance(result, tuple):
         payload["value"] = [float(v) for v in result]
     else:
@@ -244,17 +241,6 @@ def cmd_bounds(args, cfg):
         csv_text = "formula,value\n" + "\n".join(
             f"{formula},{v!r}" for v in values) + "\n"
     return payload, csv_text
-
-
-def _estimate_dict(est) -> dict:
-    return {
-        "kind": est.kind,
-        "value": est.value,
-        "se": est.se,
-        "n_samples": est.n_samples,
-        "raw_value": est.raw_value,
-        "detail": est.detail,
-    }
 
 
 def cmd_variance(args, cfg):
@@ -273,8 +259,8 @@ def cmd_variance(args, cfg):
     elif method == "regenerative":
         n_regen = int(_opt(args, cfg, "n_regen", 20000))
         chi, gaps = collect_excursions(chain, fspec, n_regen, seed)
-        payload["estimate"] = _estimate_dict(sigma_mrv_regenerative(chi, gaps))
-        payload["excursion_variance"] = _estimate_dict(
+        payload["estimate"] = plain(sigma_mrv_regenerative(chi, gaps))
+        payload["excursion_variance"] = plain(
             sigma_inf_from_excursions(chi))
         payload["n_regen"] = n_regen
     elif method == "batch":
@@ -289,7 +275,7 @@ def cmd_variance(args, cfg):
         if batch_length is None:
             batch_length = max(1, int(round(math.sqrt(n) / 2.0)))
         states = sample_path(chain, x0, n, substream(seed, TAG_PATH, 0))
-        payload["estimate"] = _estimate_dict(
+        payload["estimate"] = plain(
             sigma_mrv_batch(fspec.apply(states), int(batch_length)))
         payload.update({"n": n, "batch_length": int(batch_length)})
     else:
@@ -320,7 +306,7 @@ def cmd_verify(args, cfg):
     grid = _build_grid(args, cfg, n)
     formulas = _opt(args, cfg, "formulas", None)
     if formulas is None:
-        formulas = _FORMULAS_DEFAULT
+        formulas = _FORMULA_CHOICES
     elif isinstance(formulas, str):
         formulas = tuple(x.strip() for x in formulas.split(",") if x.strip())
     else:

@@ -71,7 +71,17 @@ def psi_norm_empirical(samples, alpha: float, tol: float = 1e-9) -> OrliczEstima
         hi *= 2.0
     while mean_exp(lo) < 2.0 and lo > 1e-300:
         lo *= 0.5
-    bracket = (lo, hi)
+    return OrliczEstimate(alpha=alpha, value=_psi_root(mean_exp, lo, hi, tol),
+                          bracket=(lo, hi), n_samples=int(n))
+
+
+def _psi_root(mean_exp, lo: float, hi: float, tol: float) -> float:
+    """The c in [lo, hi] with mean_exp(c) = 2, by bisection.
+
+    mean_exp is non-increasing in c, at least 2 at lo and below 2 at hi.
+    Halves the bracket until its width is at most tol times its upper
+    end (200 halvings at most) and returns the midpoint.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mean_exp(mid) >= 2.0:
@@ -80,8 +90,7 @@ def psi_norm_empirical(samples, alpha: float, tol: float = 1e-9) -> OrliczEstima
             hi = mid
         if hi - lo <= tol * hi:
             break
-    return OrliczEstimate(alpha=alpha, value=0.5 * (lo + hi), bracket=bracket,
-                          n_samples=int(n))
+    return 0.5 * (lo + hi)
 
 
 def psi_alpha_via_psi1(samples, alpha: float, tol: float = 1e-9) -> float:

@@ -89,12 +89,31 @@ def two_state_sigma_mrv(a: float, b: float) -> float:
     return a * b * (2.0 - a - b) / (a + b) ** 3
 
 
-def _moving_block_indices(n: int, block: int, rng) -> np.ndarray:
-    """Index array assembled from uniformly placed moving blocks."""
-    n_blocks = -(-n // block)
-    starts = rng.integers(0, n - block + 1, size=n_blocks)
-    idx = (starts[:, None] + np.arange(block)[None, :]).ravel()
-    return idx[:n]
+def _excursion_plug_in(chi) -> float:
+    """E chi^2 + 2 E chi_i chi_{i+1} over one excursion series."""
+    m2 = float(np.mean(chi * chi))
+    m11 = float(np.mean(chi[:-1] * chi[1:]))
+    return m2 + 2.0 * m11
+
+
+def _block_bootstrap_se(statistic, samples: tuple, bootstrap: int,
+                        rng) -> tuple:
+    """(standard error, block length) of statistic(*samples), moving blocks.
+
+    Each resample takes the same indices of every aligned sample: blocks
+    of length max(4, round(k^(1/3))) at uniform starts, cut to the
+    sample size k, so a block spans the 1-dependence of adjacent
+    excursions.
+    """
+    k = samples[0].size
+    block = max(4, int(round(k ** (1.0 / 3.0))))
+    n_blocks = -(-k // block)
+    boot = np.empty(bootstrap)
+    for i in range(bootstrap):
+        starts = rng.integers(0, k - block + 1, size=n_blocks)
+        idx = (starts[:, None] + np.arange(block)[None, :]).ravel()[:k]
+        boot[i] = statistic(*(sample[idx] for sample in samples))
+    return float(boot.std(ddof=1)), block
 
 
 def sigma_inf_from_excursions(chi, *, bootstrap: int = 200,
@@ -111,20 +130,9 @@ def sigma_inf_from_excursions(chi, *, bootstrap: int = 200,
     k = chi.size
     if k < 2:
         raise ValueError("need at least 2 excursions")
-
-    def plug_in(x):
-        m2 = float(np.mean(x * x))
-        m11 = float(np.mean(x[:-1] * x[1:]))
-        return m2 + 2.0 * m11
-
-    raw = plug_in(chi)
-    rng = substream(seed, TAG_BOOTSTRAP, 1)
-    block = max(4, int(round(k ** (1.0 / 3.0))))
-    boot = np.empty(bootstrap)
-    for i in range(bootstrap):
-        idx = _moving_block_indices(k, block, rng)
-        boot[i] = plug_in(chi[idx])
-    se = float(boot.std(ddof=1))
+    raw = _excursion_plug_in(chi)
+    se, block = _block_bootstrap_se(_excursion_plug_in, (chi,), bootstrap,
+                                    substream(seed, TAG_BOOTSTRAP, 1))
     return VarianceEstimate(kind="excursion_plug_in", value=max(raw, 0.0),
                             se=se, n_samples=int(k), raw_value=raw,
                             detail={"bootstrap": bootstrap, "block": block})
@@ -150,18 +158,11 @@ def sigma_mrv_regenerative(chi, gaps, *, bootstrap: int = 200,
         raise ValueError("mean gap must be positive")
 
     def ratio(x, g):
-        m2 = float(np.mean(x * x))
-        m11 = float(np.mean(x[:-1] * x[1:]))
-        return (m2 + 2.0 * m11) / float(g.mean())
+        return _excursion_plug_in(x) / float(g.mean())
 
     raw = ratio(chi, gaps)
-    rng = substream(seed, TAG_BOOTSTRAP, 2)
-    block = max(4, int(round(k ** (1.0 / 3.0))))
-    boot = np.empty(bootstrap)
-    for i in range(bootstrap):
-        idx = _moving_block_indices(k, block, rng)
-        boot[i] = ratio(chi[idx], gaps[idx])
-    se = float(boot.std(ddof=1))
+    se, block = _block_bootstrap_se(ratio, (chi, gaps), bootstrap,
+                                    substream(seed, TAG_BOOTSTRAP, 2))
     return VarianceEstimate(kind="mrv_regenerative", value=max(raw, 0.0),
                             se=se, n_samples=int(k), raw_value=raw,
                             detail={"mean_gap": mean_gap, "block": block,

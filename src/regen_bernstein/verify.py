@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from . import _kernels
-from ._io import atomic_write_text
+from ._io import atomic_write_text, plain
 from ._rng import (TAG_COLLECT, TAG_FIT_EXCURSION, TAG_FIT_FIRST_BLOCK,
                    TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL, TAG_TWO_BLOCK,
                    stream_description, substream)
@@ -28,7 +28,7 @@ from .bounds import BernsteinParams, thm_bi, thm_bi2, thm_sbi
 from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
 from .errors import GuardError
-from .orlicz import psi_norm_empirical
+from .orlicz import _psi_root, psi_norm_empirical
 from .split_regen import excursions, gap_lengths, simulate_split, split_measure
 from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 
@@ -36,6 +36,7 @@ _ENUM_GUARD = 1e8
 _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
 _LATTICE_COST_GUARD = 2e9
+_COUNT_DP_GUARD = 1e9
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +237,6 @@ def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _enumeration_guard(k: int, n: int):
-    if k > 1 and n * math.log(k) > math.log(_ENUM_GUARD):
-        raise GuardError(
-            f"path space {k}^{n} exceeds the {_ENUM_GUARD:.0e} enumeration guard")
-
-
 def _strict_cutoff(t: float, lcm_den: int) -> int:
     """Smallest integer M with M / lcm_den > t, exactly."""
     thr = Fraction(t) * lcm_den
@@ -256,12 +251,18 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     enough, otherwise as exact rationals keyed per (state, sum) pair.
     Strictness at the threshold is decided in exact arithmetic.
 
+    The lattice route holds the probabilities in float64. Its terms are
+    non-negative, so a tail value carries a relative rounding error of
+    about ((n - 1)(k + 1) + width) * 2^-53 at most, with width the span
+    of the lattice of sums (below 1e-12 at n = 1000 on two states); it
+    raises RuntimeError if the total mass ends more than 1e-9 from 1.
+    The rational route is exact up to the final rounding to float.
+
     Each route is guarded on what it costs. The lattice DP makes
-    (n - 1) * k^2 * width multiply-adds, with width the span of the
-    lattice of sums; above _LATTICE_COST_GUARD (2e9) it raises
-    GuardError before allocating anything. The rational route's big
-    integers grow with every step, so it keeps the k^n enumeration
-    guard, and _FRACTION_GUARD bounds its (state, sum) pairs.
+    (n - 1) * k^2 * width multiply-adds; above _LATTICE_COST_GUARD (2e9)
+    it raises GuardError before allocating anything. The rational
+    route's big integers grow with every step, so it keeps the k^n
+    enumeration guard, and _FRACTION_GUARD bounds its (state, sum) pairs.
     """
     if not chain.is_finite:
         raise ValueError("exact tails need a finite chain")
@@ -290,7 +291,9 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
         probs = _exact_tail_lattice(matrix, f_int, x0, n, base, width,
                                     lcm_den, t)
     else:
-        _enumeration_guard(k, n)
+        if k > 1 and n * math.log(k) > math.log(_ENUM_GUARD):
+            raise GuardError(f"path space {k}^{n} exceeds the "
+                             f"{_ENUM_GUARD:.0e} enumeration guard")
         probs = _exact_tail_fractions(matrix, fracs, x0, n, t)
     return TailCurve(t=t, estimate=probs, se=None, provenance="enumeration",
                      n=n)
@@ -325,9 +328,7 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
 
 
 def _exact_tail_fractions(matrix, fracs, x0, n, t):
-    # float rows such as 0.7 + 0.3 do not sum to exactly 1 as rationals,
-    # so each row is divided by its exact sum (a no-op on dyadic rows)
-    p_frac = [_fraction_vector(row) for row in matrix]
+    p_frac = _fraction_rows(matrix)
     dp = {(x0, fracs[x0]): Fraction(1)}
     for _ in range(n - 1):
         new = defaultdict(Fraction)
@@ -351,7 +352,7 @@ def _exact_tail_fractions(matrix, fracs, x0, n, t):
 
 
 # ---------------------------------------------------------------------------
-# exact regeneration-count tails and gap law
+# the block kernel, exact regeneration-count tails and gap law
 # ---------------------------------------------------------------------------
 
 
@@ -363,29 +364,36 @@ def _fraction_vector(weights) -> list:
     return [w / total for w in vec]
 
 
+def _fraction_rows(matrix) -> np.ndarray:
+    # float rows such as 0.7 + 0.3 do not sum to exactly 1 as rationals,
+    # so each row is divided by its exact sum (a no-op on dyadic rows)
+    return np.array([_fraction_vector(row) for row in matrix], dtype=object)
+
+
+def _block_kernel(rows, small_set, m, delta, nu):
+    """(B0, u): the m-step block kernel B0 = P^m - u nu with u = delta 1_C.
+
+    rows, delta and nu are all floats or all exact Fractions (rows and
+    nu as object arrays); the same numpy operations serve both.
+    """
+    u = np.where(np.asarray(small_set, dtype=bool), delta, 0 * delta)
+    b0 = np.linalg.matrix_power(rows, m) - u[:, None] * nu[None, :]
+    return b0, u
+
+
 def _block_transition_fractions(chain: ChainInstance):
-    """(B0, B1) with B1[x][y] = 1_C(x) delta nu(y) and B0 = P^m - B1."""
-    k = chain.kernel.n_states
+    """Exact (B0, u, nu), rows and nu normalized exactly, B0 >= 0 checked."""
     spec = chain.minorization
-    # rows normalized exactly, like nu (see _exact_tail_fractions)
-    p_frac = [_fraction_vector(row) for row in chain.kernel.matrix]
-    pm = p_frac
-    for _ in range(chain.m - 1):
-        pm = [[sum(pm[x][z] * p_frac[z][y] for z in range(k))
-               for y in range(k)] for x in range(k)]
-    delta = Fraction(*float(spec.delta).as_integer_ratio())
-    nu = _fraction_vector(spec.nu)
-    in_c = np.asarray(spec.small_set, dtype=bool)
-    b1 = [[delta * nu[y] if in_c[x] else Fraction(0) for y in range(k)]
-          for x in range(k)]
-    b0 = [[pm[x][y] - b1[x][y] for y in range(k)] for x in range(k)]
-    for x in range(k):
-        for y in range(k):
-            if b0[x][y] < 0:
-                raise ValueError(
-                    "minorization fails in exact arithmetic at "
-                    f"({x}, {y}): P^m - delta nu = {float(b0[x][y]):.3e}")
-    return b0, b1
+    nu = np.array(_fraction_vector(spec.nu), dtype=object)
+    b0, u = _block_kernel(_fraction_rows(chain.kernel.matrix), spec.small_set,
+                          chain.m, Fraction(spec.delta), nu)
+    negative = np.argwhere(b0 < 0)
+    if negative.size:
+        x, y = negative[0]
+        raise ValueError(
+            "minorization fails in exact arithmetic at "
+            f"({x}, {y}): P^m - delta nu = {float(b0[x, y]):.3e}")
+    return b0, u, nu
 
 
 def exact_regeneration_count_tail(chain: ChainInstance, n: int,
@@ -407,32 +415,21 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     blocks = -((n - m) // -m) if n > m else 0
-    b0, b1 = _block_transition_fractions(chain)
-    k = chain.kernel.n_states
+    b0, u, nu = _block_transition_fractions(chain)
     plan = resolve_start(chain, init)
-    if plan.point is None:
-        start = _fraction_vector(plan.weights)
-    else:
-        start = [Fraction(int(y == plan.point)) for y in range(k)]
     cap = threshold + 1
-    dp = [[start[x] if c == 0 else Fraction(0) for c in range(cap + 1)]
-          for x in range(k)]
+    # dp[y, c]: mass at state y after min(count, cap) regenerations
+    dp = np.full((chain.kernel.n_states, cap + 1), Fraction(0), dtype=object)
+    if plan.point is None:
+        dp[:, 0] = _fraction_vector(plan.weights)
+    else:
+        dp[plan.point, 0] = Fraction(1)
     for _ in range(blocks):
-        new = [[Fraction(0)] * (cap + 1) for _ in range(k)]
-        for x in range(k):
-            row0, row1 = b0[x], b1[x]
-            for c in range(cap + 1):
-                w = dp[x][c]
-                if not w:
-                    continue
-                bumped = min(c + 1, cap)
-                for y in range(k):
-                    if row0[y]:
-                        new[y][c] += w * row0[y]
-                    if row1[y]:
-                        new[y][bumped] += w * row1[y]
-        dp = new
-    return float(sum(dp[x][cap] for x in range(k)))
+        regen = nu[:, None] * (u @ dp)[None, :]
+        dp = b0.T @ dp
+        dp[:, 1:] += regen[:, :-1]
+        dp[:, cap] += regen[:, cap]
+    return float(dp[:, cap].sum())
 
 
 def exact_gap_distribution(chain: ChainInstance, *, gmax: int = 4096,
@@ -446,12 +443,9 @@ def exact_gap_distribution(chain: ChainInstance, *, gmax: int = 4096,
     if not chain.is_finite:
         raise ValueError("exact gap laws need a finite chain")
     spec = chain.minorization
-    in_c = np.asarray(spec.small_set, dtype=bool)
     nu = np.asarray(spec.nu, dtype=np.float64)
-    pm = np.linalg.matrix_power(chain.kernel.matrix, chain.m)
-    b1 = np.where(in_c[:, None], spec.delta * nu[None, :], 0.0)
-    b0 = pm - b1
-    u = np.where(in_c, spec.delta, 0.0)
+    b0, u = _block_kernel(chain.kernel.matrix, spec.small_set, chain.m,
+                          spec.delta, nu)
     w = nu.copy()
     probs = []
     for _ in range(int(gmax)):
@@ -474,11 +468,9 @@ def exact_gap_psi1(chain: ChainInstance, *, tol: float = 1e-12) -> float:
         raise ValueError("exact gap norms need a finite chain")
     spec = chain.minorization
     k = chain.kernel.n_states
-    in_c = np.asarray(spec.small_set, dtype=bool)
     nu = np.asarray(spec.nu, dtype=np.float64)
-    pm = np.linalg.matrix_power(chain.kernel.matrix, chain.m)
-    b0 = pm - np.where(in_c[:, None], spec.delta * nu[None, :], 0.0)
-    u = np.where(in_c, spec.delta, 0.0)
+    b0, u = _block_kernel(chain.kernel.matrix, spec.small_set, chain.m,
+                          spec.delta, nu)
     rho = float(np.max(np.abs(np.linalg.eigvals(b0))))
     m = float(chain.m)
 
@@ -495,15 +487,7 @@ def exact_gap_psi1(chain: ChainInstance, *, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise RuntimeError("gap MGF root exceeds 1e12")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mgf(mid) >= 2.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * hi:
-            break
-    return 0.5 * (lo + hi)
+    return _psi_root(mgf, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +700,20 @@ def _pitman_rhs(chain: ChainInstance, g_fn, g_name: str) -> float:
         "the mod-1 chain supports G values 'one' and 'level' only")
 
 
+def _first_blocks(chain: ChainInstance, init, replicas: int, seed: int,
+                  *path):
+    """Each replica's (states, levels, sigma_0) up to its first regeneration.
+
+    Replica r runs simulate_split from init on substream
+    (seed, *path, r) over horizon m, extended to a regeneration, so its
+    states and levels end with the first regenerating block.
+    """
+    for r in range(replicas):
+        run = simulate_split(chain, init, chain.m, substream(seed, *path, r),
+                             extend_to_regeneration=True)
+        yield run.states, run.levels, int(run.sigma[0])
+
+
 def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
                  seed: int = 0) -> PitmanCheck:
     """Tests E_nu sum of G over block starts 0..sigma_0 vs its closed form.
@@ -730,13 +728,11 @@ def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
         raise ValueError("need at least 100 replicas")
     g_fn, g_name = _pitman_g(chain, g_spec)
     rhs = _pitman_rhs(chain, g_fn, g_name)
-    m = chain.m
     totals = np.empty(replicas, dtype=np.float64)
-    for r in range(replicas):
-        rng = substream(seed, TAG_PITMAN, r)
-        traj = simulate_split(chain, "nu", m, rng, extend_to_regeneration=True)
-        starts = np.arange(0, int(traj.sigma[0]) + 1, m)
-        vals = np.asarray(g_fn(traj.states[starts], traj.levels[starts]),
+    runs = _first_blocks(chain, "nu", replicas, seed, TAG_PITMAN)
+    for r, (states, levels, sigma0) in enumerate(runs):
+        starts = np.arange(0, sigma0 + 1, chain.m)
+        vals = np.asarray(g_fn(states[starts], levels[starts]),
                           dtype=np.float64)
         totals[r] = vals.sum()
     lhs = float(totals.mean())
@@ -791,14 +787,22 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
     if n < 2:
         raise ValueError("horizon n must be at least 2")
     k = chain.kernel.n_states
-    _enumeration_guard(k, n)
+    # counts stay below (2k)^(n-1): (n - 1) k^2 additions of integers
+    # of at most this many 64-bit words
+    words = math.ceil((n - 1) * math.log2(2 * k) / 64)
+    cost = (n - 1) * k * k * words
+    if cost > _COUNT_DP_GUARD:
+        raise GuardError(
+            f"history count cost {cost:.1e} ((n - 1) * k^2 additions of "
+            f"{words}-word integers) exceeds the {_COUNT_DP_GUARD:.0e} "
+            "count guard")
     spec = chain.minorization
     fspec = resolve_functional(chain, f)
     f_vec = fspec.values
     in_c = np.asarray(spec.small_set, dtype=bool)
     nu = np.asarray(spec.nu, dtype=np.float64)
     matrix = chain.kernel.matrix
-    b0 = matrix - np.where(in_c[:, None], spec.delta * nu[None, :], 0.0)
+    b0, _ = _block_kernel(matrix, in_c, chain.m, spec.delta, nu)
     h = np.linalg.solve(np.eye(k) - b0, f_vec)
     # second route: Neumann series sum of B0^j f
     h_series = f_vec.copy()
@@ -1012,13 +1016,10 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     def first_blocks(init, tag_offset):
         totals = np.empty(n_first_blocks, dtype=np.float64)
         sigma0 = np.empty(n_first_blocks, dtype=np.float64)
-        for r in range(n_first_blocks):
-            run = simulate_split(
-                chain, init, m,
-                substream(seed, TAG_FIT_FIRST_BLOCK, tag_offset, r),
-                extend_to_regeneration=True)
-            s0 = int(run.sigma[0])
-            vals = fspec.apply(run.states[:s0 + m])
+        runs = _first_blocks(chain, init, n_first_blocks, seed,
+                             TAG_FIT_FIRST_BLOCK, tag_offset)
+        for r, (states, _, s0) in enumerate(runs):
+            vals = fspec.apply(states)
             totals[r] = float(np.abs(vals.reshape(-1, m).sum(axis=1)).sum())
             sigma0[r] = s0
         return totals, sigma0
@@ -1177,31 +1178,11 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
 
 
 def tail_curve_to_dict(tail: TailCurve) -> dict:
-    return {
-        "t": [float(v) for v in tail.t],
-        "estimate": [float(v) for v in tail.estimate],
-        "se": None if tail.se is None else [float(v) for v in tail.se],
-        "provenance": tail.provenance,
-        "n": int(tail.n),
-        "replicas": None if tail.replicas is None else int(tail.replicas),
-    }
+    return plain(tail)
 
 
 def structure_report_to_dict(report: BlockStructureReport) -> dict:
-    return {
-        "passed": report.passed,
-        "n_gaps": report.n_gaps,
-        "mean_gap": report.mean_gap,
-        "mean_gap_se": report.mean_gap_se,
-        "level": report.level,
-        "lags": report.lags,
-        "results": [
-            {"name": r.name, "passed": r.passed, "tested": r.tested,
-             "statistic": r.statistic, "threshold": r.threshold,
-             "detail": r.detail}
-            for r in report.results
-        ],
-    }
+    return {**plain(report), "passed": report.passed}
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -1220,18 +1201,10 @@ def report_to_dict(report: VerificationReport) -> dict:
                    "flags": list(curve.flags)}
             for name, curve in sorted(report.curves.items())
         },
-        "verdicts": {
-            name: {"passed": v.passed, "worst_margin": v.worst_margin,
-                   "worst_t": v.worst_t, "n_points": v.n_points, "z": v.z}
-            for name, v in sorted(report.verdicts.items())
-        },
-        "params": {
-            "a": params.a, "b": params.b, "c": params.c, "d": params.d,
-            "alpha": params.alpha, "sigma2_mrv": params.sigma2_mrv,
-            "delta": params.delta, "pi_C": params.pi_C, "m": params.m,
-            "D": params.D, "f_sup": params.f_sup,
-            "warnings": list(params.consistency_warnings()),
-        },
+        "verdicts": {name: plain(v)
+                     for name, v in sorted(report.verdicts.items())},
+        "params": {**plain(params),
+                   "warnings": list(params.consistency_warnings())},
         "diagnostics": report.diagnostics,
         "structure": (None if report.structure is None
                       else structure_report_to_dict(report.structure)),

@@ -20,6 +20,7 @@ from regen_bernstein import (
     TailCurve,
     block_structure_tests,
     bound_curves,
+    chain_from_dict,
     check_block_markov,
     check_block_structure,
     check_domination,
@@ -303,18 +304,59 @@ def test_regen_count_tail_non_dyadic_rows():
     assert abs(got - want) < 1e-12
 
 
-def test_regen_count_tail_matches_simulation():
-    chain = make_two_state(0.5, 0.5, delta=0.5)
-    n, threshold, replicas = 8, 2, 4000
+def _check_count_tail_by_simulation(chain, n, threshold, stream):
+    # the exact count tail lies within 4 SE of 4000 simulated replicas
+    replicas = 4000
     want = exact_regeneration_count_tail(chain, n, threshold, init=0)
     hits = 0
     for r in range(replicas):
-        traj = simulate_split(chain, 0, n, substream(17, 3, r),
+        traj = simulate_split(chain, 0, n, substream(17, stream, r),
                               extend_to_regeneration=True)
         hits += count_regenerations(traj, n) > threshold
     got = hits / replicas
     se = math.sqrt(want * (1.0 - want) / replicas)
     assert abs(got - want) <= 4.0 * se
+
+
+def test_regen_count_tail_matches_simulation():
+    _check_count_tail_by_simulation(make_two_state(0.5, 0.5, delta=0.5),
+                                    8, 2, 3)
+
+
+def _three_state(m):
+    # dyadic rows with P^m >= delta nu on C = {0, 1} for m = 2 and 3
+    return chain_from_dict({
+        "matrix": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5],
+                   [0.25, 0.5, 0.25]],
+        "small_set": [1, 1, 0], "m": m, "delta": 0.5,
+        "nu": [0.25, 0.5, 0.25]})
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_block_kernel_exact_matches_float(m):
+    chain = _three_state(m)
+    spec = chain.minorization
+    b0, u = verify_mod._block_kernel(chain.kernel.matrix, spec.small_set, m,
+                                     spec.delta, np.asarray(spec.nu))
+    b0_exact, u_exact, _ = verify_mod._block_transition_fractions(chain)
+    assert b0_exact.dtype == object and np.all(b0_exact >= 0)
+    assert np.max(np.abs(b0 - b0_exact.astype(np.float64))) <= 1e-15
+    assert np.array_equal(u, u_exact.astype(np.float64))
+    pm = np.linalg.matrix_power(chain.kernel.matrix, m)
+    assert np.allclose(b0 + np.outer(u, spec.nu), pm, rtol=0.0, atol=1e-15)
+
+
+def test_exact_gap_law_at_m2():
+    chain = _three_state(2)
+    gaps, probs, remaining = exact_gap_distribution(chain)
+    assert np.all(gaps % 2 == 0) and remaining < 1e-14
+    assert close(float(gaps @ probs), chain.mean_gap(), rel=1e-9)
+    d = exact_gap_psi1(chain)
+    assert abs(float(probs @ np.exp(gaps / d)) - 2.0) <= 1e-6
+
+
+def test_regen_count_tail_matches_simulation_at_m2():
+    _check_count_tail_by_simulation(_three_state(2), 12, 2, 4)
 
 
 def test_regen_count_tail_guards():
@@ -486,6 +528,11 @@ def test_block_markov_guards():
     chain = make_two_state(0.5, 0.5)
     with pytest.raises(ValueError, match="at least 2"):
         check_block_markov(chain, n=1)
+    # the history counts cost (n - 1) k^2 big-integer additions, not k^n
+    assert check_block_markov(chain, n=27).passed
+    assert check_block_markov(chain, n=10 ** 4).passed
+    with pytest.raises(GuardError, match="count guard"):
+        check_block_markov(chain, n=10 ** 6)
 
 
 # ---------------------------------------------------------------------------
