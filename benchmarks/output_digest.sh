@@ -95,6 +95,17 @@ lib gap-three-m2 "(lambda g: (g[0].tolist(), g[1].tolist(), g[2]))(
 lib gap-psi1-three-m2 "exact_gap_psi1($THREE)"
 lib regen-count-three-m2 "exact_regeneration_count_tail($THREE, 12, 2, init=0)"
 lib block-markov-half "check_block_markov(make_two_state(0.5, 0.5, delta=0.5), n=10)"
+# first-regeneration runs: Pitman checks and fitted first-block norms on
+# the three-state m = 2 chain and on a slowly regenerating two-state
+# chain whose runs take several extension requests
+SLOW="make_two_state(0.1, 0.1, delta=0.05)"
+for pair in three-m2:"$THREE" slow:"$SLOW"; do
+  name=${pair%%:*}; ch=${pair#*:}
+  lib pitman-$name "[check_pitman($ch, g, replicas=3000, seed=2)
+  for g in ('one', 'level', ('state', 1))]"
+  lib fit-$name "(lambda p: (p.params, p.diagnostics))(fit_bernstein_params(
+  $ch, 'indicator_centered', n_excursions=400, n_first_blocks=2500, seed=2))"
+done
 # the bounds command: a full parameter bundle, a missing one, and a
 # single evaluator
 run bnd-bi bounds thm_bi a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 \

@@ -8,7 +8,9 @@ have a second, numpy implementation that loops over steps and
 vectorizes across replicas; it is used when numba is absent and must
 match its scalar loop bitwise. The finite one reads its uniforms
 step-major, in tiles of at most 1 MB, and makes one comparison per
-replica against each of the first ns - 1 cumulative columns.
+replica against each of the first ns - 1 cumulative columns. The
+replica-batched split paths (finite_split_first_hits) are numpy on
+both backends, with finite_split_path as their scalar reference.
 """
 
 from __future__ import annotations
@@ -178,6 +180,50 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     _finite_split_nb(cum_rows, in_c, r_mat, int(m), int(x0), state_u, level_u,
                      states, levels)
     return states, levels
+
+
+_LEVEL_WINDOW = 8  # blocks stepped between two level evaluations
+
+
+def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
+    """Split paths of many replicas, each up to its first level-1 block.
+
+    Row i of state_u (blocks * m uniforms) and level_u (blocks uniforms)
+    drives replica i from x0[i] with finite_split_path's comparisons,
+    one step for all replicas at a time (numpy on either backend).
+    Returns (states, hit): states has shape (rows, blocks * m + 1) and
+    hit holds each row's first level-1 block, or -1 if it has none.
+    Levels are evaluated every _LEVEL_WINDOW blocks, and the steps stop
+    after the window in which the last row hits, so a row's states are
+    set only through the end of block hit (all of them when hit is -1).
+    """
+    rows, blocks = level_u.shape
+    cols = [np.ascontiguousarray(cum_rows[:, j])
+            for j in range(cum_rows.shape[1] - 1)]
+    states = np.empty((blocks * m + 1, rows), dtype=np.int64)  # step-major
+    states[0] = x0
+    hit = np.full(rows, -1, dtype=np.int64)
+    thr = np.empty(rows, dtype=np.float64)
+    ge = np.empty(rows, dtype=np.bool_)
+    for k0 in range(0, blocks, _LEVEL_WINDOW):
+        k1 = min(k0 + _LEVEL_WINDOW, blocks)
+        for i in range(k0 * m, k1 * m):
+            nxt = states[i + 1]
+            nxt.fill(0)
+            for col in cols:
+                col.take(states[i], out=thr)
+                np.greater_equal(state_u[:, i], thr, out=ge)
+                nxt += ge
+        # (window blocks, rows) levels from each block's start and end
+        start = states[k0 * m:k1 * m:m]
+        end = states[(k0 + 1) * m:k1 * m + 1:m]
+        level = in_c[start] & (level_u[:, k0:k1].T < r_mat[start, end])
+        fresh = level.any(axis=0) & (hit < 0)
+        if fresh.any():
+            hit[fresh] = k0 + level[:, fresh].argmax(axis=0)
+            if hit.min() >= 0:
+                break
+    return states.T, hit
 
 
 # ---------------------------------------------------------------------------

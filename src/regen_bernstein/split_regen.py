@@ -32,6 +32,19 @@ from .errors import GuardError
 # previous one, at least _EXTEND_CHUNK_MIN and at most _EXTEND_CHUNK_CAP.
 _EXTEND_CHUNK_MIN = 128
 _EXTEND_CHUNK_CAP = 65536
+# States one lockstep kernel call simulates at most (one replica at least)
+_LOCKSTEP_STATES = 1 << 17
+
+
+def _extension_chunk(blocks: int) -> int:
+    """Blocks of the request that follows a request of blocks blocks."""
+    return min(max(_EXTEND_CHUNK_MIN, 2 * blocks), _EXTEND_CHUNK_CAP)
+
+
+def _guard_blocks(done_blocks: int, max_blocks: int) -> None:
+    if done_blocks > max_blocks:
+        raise GuardError(
+            f"no regeneration covering the horizon within {max_blocks} blocks")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +110,16 @@ def _finite_blocks(chain, x0, blocks, rng):
     return states, levels
 
 
+def _coin_levels(eps):
+    """Levels of two-step mod-1 blocks along the last axis: the block
+    regenerates exactly when its two coins differ."""
+    return eps[..., 0::2] != eps[..., 1::2]
+
+
 def _mod1_blocks(chain, x0_bits, blocks, rng):
     """(bits with endpoint, block levels) for two-step blocks."""
     eps, words = chain.mod1.draw_moves(rng, 2 * blocks)
-    pair = eps.reshape(-1, 2)
-    levels = (pair[:, 0] != pair[:, 1]).astype(np.uint8)
+    levels = _coin_levels(eps).astype(np.uint8)
     return chain.mod1.path(x0_bits, eps, words), levels
 
 
@@ -139,15 +157,13 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
         all_levels.append(levels)
         x = int(path[-1])
         done_blocks += blocks
-        if done_blocks > max_blocks:
-            raise GuardError(
-                f"no regeneration covering the horizon within {max_blocks} blocks")
+        _guard_blocks(done_blocks, max_blocks)
         if not extend_to_regeneration:
             break
         hits = np.flatnonzero(np.concatenate(all_levels) == 1) * m
         if hits.size and hits.max() >= n - m:
             break
-        blocks = min(max(_EXTEND_CHUNK_MIN, 2 * blocks), _EXTEND_CHUNK_CAP)
+        blocks = _extension_chunk(blocks)
     path = np.concatenate(paths)
     per_state = np.repeat(np.concatenate(all_levels), m)
     # when extending, the loop stopped on hits: every regeneration time
@@ -155,6 +171,86 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     states = path[:stop] if mod1 is None else mod1.bits_to_float(path[:stop])
     return SplitTrajectory(states=states, levels=per_state[:stop], m=m,
                            init_label=start.label, chain_name=chain.name)
+
+
+def _finite_round(chain, x0, blocks, rngs):
+    """One lockstep request on a finite chain: (paths, first hits)."""
+    m = chain.m
+    spec = chain.minorization
+    state_u = np.empty((len(rngs), blocks * m))
+    level_u = np.empty((len(rngs), blocks))
+    for i, rng in enumerate(rngs):  # _finite_blocks' draws, per replica
+        rng.random(out=state_u[i])
+        rng.random(out=level_u[i])
+    return _kernels.finite_split_first_hits(
+        chain.kernel.cumulative_rows(),
+        np.asarray(spec.small_set, dtype=bool),
+        np.asarray(spec.r, dtype=np.float64), m, x0, state_u, level_u)
+
+
+def _mod1_round(chain, x0_bits, blocks, rngs):
+    """One lockstep request on the mod-1 chain: (paths, first hits)."""
+    eps = np.empty((len(rngs), 2 * blocks), dtype=np.uint8)
+    words = np.empty((len(rngs), 2 * blocks), dtype=np.uint64)
+    for i, rng in enumerate(rngs):  # _mod1_blocks' draws, per replica
+        eps[i], words[i] = chain.mod1.draw_moves(rng, 2 * blocks)
+    levels = _coin_levels(eps)
+    hit = np.where(levels.any(axis=1), levels.argmax(axis=1), -1)
+    return chain.mod1.path(x0_bits, eps, words), hit
+
+
+def _first_regenerations(chain: ChainInstance, start, rngs, *,
+                         max_blocks: int = 10_000_000):
+    """Runs up to the first regeneration for many replicas in lockstep.
+
+    start is a resolved Start and rngs holds one generator per replica.
+    Replica i draws from rngs[i] exactly what
+    simulate_split(chain, init, chain.m, rngs[i],
+    extend_to_regeneration=True) draws: its start, one block, then the
+    extension schedule's requests until one holds a level-1 block. Each
+    request is one batched kernel call over the replicas that have not
+    regenerated (split in groups of at most _LOCKSTEP_STATES states).
+
+    Returns (states, levels, sigma0). Replica i's run is sigma0[i] + m
+    states long, through the end of its first regenerating block; the
+    runs' states (indices, or floats on the mod-1 chain) and per-state
+    levels are concatenated in replica order and equal simulate_split's
+    bitwise.
+    """
+    m = chain.m
+    mod1 = chain.mod1
+    run_round = _finite_round if mod1 is None else _mod1_round
+    x = np.array([start.draw(rng) for rng in rngs],
+                 dtype=np.int64 if mod1 is None else np.uint64)
+    sigma0 = np.full(len(rngs), -1, dtype=np.int64)
+    owners, pieces = [], []
+    active = np.arange(len(rngs))
+    done_blocks = 0
+    blocks = 1  # the first request covers the horizon m
+    while active.size:
+        _guard_blocks(done_blocks + blocks, max_blocks)
+        group = max(1, _LOCKSTEP_STATES // (blocks * m))
+        for lo in range(0, active.size, group):
+            ids = active[lo:lo + group]
+            paths, hit = run_round(chain, x[ids], blocks, [rngs[i] for i in ids])
+            # each request keeps its states before the endpoint, and the
+            # regenerating one its states through the first level-1 block
+            kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
+            owners.append(np.repeat(ids, kept))
+            pieces.append(paths[np.arange(paths.shape[1]) < kept[:, None]])
+            alive = hit < 0
+            x[ids[alive]] = paths[alive, -1]
+            sigma0[ids[~alive]] = (done_blocks + hit[~alive]) * m
+        done_blocks += blocks
+        active = active[sigma0[active] < 0]
+        blocks = _extension_chunk(blocks)
+    order = np.argsort(np.concatenate(owners), kind="stable")
+    states = np.concatenate(pieces)[order]
+    if mod1 is not None:
+        states = mod1.bits_to_float(states)
+    block_levels = np.zeros(states.size // m, dtype=np.uint8)
+    block_levels[np.cumsum(sigma0 // m + 1) - 1] = 1
+    return states, np.repeat(block_levels, m), sigma0
 
 
 # ---------------------------------------------------------------------------

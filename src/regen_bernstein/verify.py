@@ -29,7 +29,8 @@ from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
 from .errors import GuardError
 from .orlicz import _psi_root, psi_norm_empirical
-from .split_regen import excursions, gap_lengths, simulate_split, split_measure
+from .split_regen import (_first_regenerations, excursions, gap_lengths,
+                          simulate_split, split_measure)
 from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 
 _ENUM_GUARD = 1e8
@@ -37,6 +38,8 @@ _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
 _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
+# replicas whose generators _first_blocks holds at once
+_FIRST_BLOCK_SLAB = 64
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +705,31 @@ def _pitman_rhs(chain: ChainInstance, g_fn, g_name: str) -> float:
 
 def _first_blocks(chain: ChainInstance, init, replicas: int, seed: int,
                   *path):
-    """Each replica's (states, levels, sigma_0) up to its first regeneration.
+    """Runs up to the first regeneration, one slab of replicas at a time.
 
-    Replica r runs simulate_split from init on substream
-    (seed, *path, r) over horizon m, extended to a regeneration, so its
-    states and levels end with the first regenerating block.
+    Replica r draws from substream (seed, *path, r) what simulate_split
+    from init over horizon m, extended to a regeneration, draws. Each
+    slab of at most _FIRST_BLOCK_SLAB replicas yields
+    split_regen._first_regenerations' (states, levels, sigma0), and its
+    generators are dropped before the next slab's are made.
     """
-    for r in range(replicas):
-        run = simulate_split(chain, init, chain.m, substream(seed, *path, r),
-                             extend_to_regeneration=True)
-        yield run.states, run.levels, int(run.sigma[0])
+    start = resolve_start(chain, init)
+    for lo in range(0, replicas, _FIRST_BLOCK_SLAB):
+        hi = min(lo + _FIRST_BLOCK_SLAB, replicas)
+        yield _first_regenerations(
+            chain, start, [substream(seed, *path, r) for r in range(lo, hi)])
+
+
+def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of values, counts[i] values for run i.
+
+    Each run is summed on its own, as numpy sums the run's array, so the
+    totals equal per-replica sums bitwise.
+    """
+    counts = counts.tolist()
+    ends = np.cumsum(counts).tolist()
+    return np.array([values[hi - c:hi].sum() for hi, c in zip(ends, counts)],
+                    dtype=np.float64)
 
 
 def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
@@ -719,22 +737,22 @@ def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
     """Tests E_nu sum of G over block starts 0..sigma_0 vs its closed form.
 
     The closed form is E(G under the split stationary law) divided by
-    delta pi(C). Passing means agreement within 4 SE; the level
-    indicator sums to exactly 1 on every path, so its SE is zero and
-    the comparison is exact.
+    delta pi(C). G acts elementwise on arrays of block-start states and
+    levels; it is applied to a whole slab of runs at once. Passing
+    means agreement within 4 SE; the level indicator sums to exactly 1
+    on every path, so its SE is zero and the comparison is exact.
     """
     replicas = int(replicas)
     if replicas < 100:
         raise ValueError("need at least 100 replicas")
     g_fn, g_name = _pitman_g(chain, g_spec)
     rhs = _pitman_rhs(chain, g_fn, g_name)
-    totals = np.empty(replicas, dtype=np.float64)
-    runs = _first_blocks(chain, "nu", replicas, seed, TAG_PITMAN)
-    for r, (states, levels, sigma0) in enumerate(runs):
-        starts = np.arange(0, sigma0 + 1, chain.m)
-        vals = np.asarray(g_fn(states[starts], levels[starts]),
-                          dtype=np.float64)
-        totals[r] = vals.sum()
+    m = chain.m
+    totals = np.concatenate([
+        _run_sums(np.asarray(g_fn(states[::m], levels[::m]), dtype=np.float64),
+                  sigma0 // m + 1)
+        for states, levels, sigma0 in _first_blocks(chain, "nu", replicas,
+                                                    seed, TAG_PITMAN)])
     lhs = float(totals.mean())
     se = float(totals.std(ddof=1) / math.sqrt(replicas))
     passed = abs(lhs - rhs) <= max(4.0 * se, 1e-9)
@@ -772,10 +790,13 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
     single number nu . h with h the excursion-sum potential solving
     h = f + B0 h. The routine enumerates every attainable history of
     length <= n ending in a regeneration (counted exactly), evaluates
-    the conditional through the next-state law hook, and compares.
-    h is computed twice, by direct solve and by Neumann summation, so
-    the reference value is not a single-route artifact. corruption > 0
-    tilts the next-state law away from nu; the check must then fail.
+    the conditional through the law the split simulator gives the state
+    after a regeneration at x, P(x, .) r(x, .) normalized, and compares.
+    A residual ratio r that does not split off delta nu makes that law
+    differ from nu, and the check fails. h is computed twice, by direct
+    solve and by Neumann summation, so the reference value is not a
+    single-route artifact. corruption > 0 tilts the next-state law
+    away from nu; the check must then fail.
     """
     if not chain.is_finite:
         raise ValueError("the conditional identity check needs a finite chain")
@@ -819,11 +840,17 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
 
     r_mat = np.asarray(spec.r, dtype=np.float64)
     constant = float(nu @ h)
+    support = matrix > 0.0
+    capable = [bool(in_c[x] and np.any(support[x] & (r_mat[x] > 0.0)))
+               for x in range(k)]
+    # the simulator's law of the state after a regeneration at x:
+    # P(x, .) r(x, .), normalized; it is nu when r is the minorization's
     next_laws = {}
     for x in range(k):
-        if not in_c[x]:
+        if not capable[x]:
             continue
-        law = nu.copy()
+        law = matrix[x] * r_mat[x]
+        law /= law.sum()
         if corruption:
             tilt = np.zeros(k)
             tilt[(x + 1) % k] += corruption
@@ -834,10 +861,7 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
 
     # exact big-integer count of attainable (states, levels) histories
     # ending in a regeneration, and the set of regeneration contexts
-    support = matrix > 0.0
     counts = [1] * k
-    capable = [bool(in_c[x] and np.any(support[x] & (r_mat[x] > 0.0)))
-               for x in range(k)]
     n_contexts = 0
     n_histories = 0
     seen_states = set()
@@ -1014,15 +1038,13 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     d_est = psi_norm_empirical(gaps, 1.0).value
 
     def first_blocks(init, tag_offset):
-        totals = np.empty(n_first_blocks, dtype=np.float64)
-        sigma0 = np.empty(n_first_blocks, dtype=np.float64)
-        runs = _first_blocks(chain, init, n_first_blocks, seed,
-                             TAG_FIT_FIRST_BLOCK, tag_offset)
-        for r, (states, _, s0) in enumerate(runs):
-            vals = fspec.apply(states)
-            totals[r] = float(np.abs(vals.reshape(-1, m).sum(axis=1)).sum())
-            sigma0[r] = s0
-        return totals, sigma0
+        totals, sigma0 = [], []
+        for states, _, s0 in _first_blocks(chain, init, n_first_blocks, seed,
+                                           TAG_FIT_FIRST_BLOCK, tag_offset):
+            block_sums = np.abs(fspec.apply(states).reshape(-1, m).sum(axis=1))
+            totals.append(_run_sums(block_sums, s0 // m + 1))
+            sigma0.append(s0)
+        return np.concatenate(totals), np.concatenate(sigma0).astype(np.float64)
 
     totals_x, sigma0_x = first_blocks(("point", x_star), 0)
     totals_pi, sigma0_pi = first_blocks("pi", 1)

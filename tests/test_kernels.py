@@ -13,7 +13,9 @@ from regen_bernstein._kernels import (_TILE_FLOATS, F_COS2PI,
                                       F_INDICATOR_CENTERED, _finite_sums_nb,
                                       _finite_sums_np, _mod1_sums_nb,
                                       _mod1_sums_np, finite_chain_path,
-                                      finite_chain_sums, mod1_bits_to_float,
+                                      finite_chain_sums,
+                                      finite_split_first_hits,
+                                      finite_split_path, mod1_bits_to_float,
                                       mod1_chain_path, mod1_float_params,
                                       warm_up)
 from regen_bernstein._rng import substream
@@ -89,6 +91,34 @@ def test_finite_sums_numpy_matches_scalar_loop(chain):
                 u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
                 x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
                 _check_finite_sums_parity(cum, f, x0, u)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_finite_split_first_hits_matches_scalar_path(m):
+    rng = substream(2, 2, m)
+    for ns, rows in DYADIC_ROWS.items():
+        cum = np.cumsum(np.array(rows), axis=1)
+        in_c = np.arange(ns) % 2 == 0
+        r_mat = rng.choice([0.0, 0.125, 0.5, 1.0], size=(ns, ns))
+        nrep, blocks = 60, 30
+        state_u = rng.random((nrep, blocks * m))
+        on_edge = rng.random(state_u.shape) < 0.25
+        state_u[on_edge] = rng.choice(np.unique(cum[:, :-1]),
+                                      size=int(on_edge.sum()))
+        level_u = rng.choice([0.0, 0.125, 0.3, 0.5, 0.9], size=(nrep, blocks))
+        level_u[:3] = 1.0  # rows without a level-1 block
+        x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
+        states, hit = finite_split_first_hits(cum, in_c, r_mat, m, x0,
+                                              state_u, level_u)
+        assert states.shape == (nrep, blocks * m + 1)
+        assert np.any(hit < 0) and np.any(hit > 0)
+        for i in range(nrep):
+            path, levels = finite_split_path(cum, in_c, r_mat, m, x0[i],
+                                             state_u[i], level_u[i])
+            first = np.flatnonzero(levels == 1)
+            assert hit[i] == (first[0] if first.size else -1)
+            stop = (hit[i] + 1) * m + 1 if hit[i] >= 0 else path.size
+            assert np.array_equal(states[i, :stop], path[:stop])
 
 
 @pytest.mark.parametrize("shape", [(800, 9999), (32768, 99)])

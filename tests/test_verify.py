@@ -8,6 +8,7 @@ its psi_1 gap norm 1 / log(4/3).
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,7 +45,9 @@ from regen_bernstein import (
     two_block_sup_tail,
     write_curves_csv,
 )
-from regen_bernstein._rng import substream
+from regen_bernstein import split_regen
+from regen_bernstein._rng import TAG_FIT_FIRST_BLOCK, TAG_PITMAN, substream
+from regen_bernstein.chain_models import resolve_start
 
 
 def close(got, want, rel=1e-12):
@@ -533,6 +536,133 @@ def test_block_markov_guards():
     assert check_block_markov(chain, n=10 ** 4).passed
     with pytest.raises(GuardError, match="count guard"):
         check_block_markov(chain, n=10 ** 6)
+
+
+def test_block_markov_uses_the_simulated_post_regeneration_law():
+    # r(0, .) = (1, 1/2) does not split off delta nu = (1/4, 1/4): the
+    # simulator regenerates into P(0, .) r(0, .) normalized = (2/3, 1/3)
+    chain = chain_from_dict({
+        "matrix": [[0.5, 0.5], [0.5, 0.5]], "small_set": [1, 0], "m": 1,
+        "delta": 0.5, "nu": [0.5, 0.5], "r": [[1.0, 0.5], [0.0, 0.0]]})
+    res = check_block_markov(chain, n=6)
+    assert res.routes_agree and not res.passed
+    assert res.max_deviation > 0.1
+    # the two-state chains' split regenerates into nu exactly
+    for a, b, delta in ((0.5, 0.5, 1.0), (0.5, 0.5, 0.5), (0.25, 0.25, 1.0)):
+        res = check_block_markov(make_two_state(a, b, delta=delta), n=6)
+        assert res.passed and res.max_deviation == 0.0
+
+
+# ---------------------------------------------------------------------------
+# first-regeneration runs in lockstep
+# ---------------------------------------------------------------------------
+
+_LOCKSTEP_CHAINS = {
+    "three-m2": lambda: _three_state(2),
+    "three-m3": lambda: _three_state(3),
+    # sigma_0 reaches past 129 blocks: two or more extension requests
+    "two-state-slow": lambda: make_two_state(0.1, 0.1, delta=0.05),
+    "mod1-64": lambda: make_singular_mod1(64),
+    "mod1-16": lambda: make_singular_mod1(16),
+}
+
+
+def _per_replica_runs(chain, init, replicas, seed, *path):
+    # the scalar reference: one simulate_split per replica
+    return [simulate_split(chain, init, chain.m, substream(seed, *path, r),
+                           extend_to_regeneration=True)
+            for r in range(replicas)]
+
+
+@pytest.mark.parametrize("states_cap", [1 << 17, 64])
+@pytest.mark.parametrize("init", ["nu", "pi", "point"])
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
+def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
+                                                  states_cap):
+    # a small states cap splits every request into many kernel calls
+    monkeypatch.setattr(split_regen, "_LOCKSTEP_STATES", states_cap)
+    chain = _LOCKSTEP_CHAINS[name]()
+    if init == "point":
+        init = ("point", 0.3 if chain.mod1 is not None else 1)
+    replicas = 400 if name == "two-state-slow" else 150
+    want = _per_replica_runs(chain, init, replicas, 21, 5)
+    states, levels, sigma0 = split_regen._first_regenerations(
+        chain, resolve_start(chain, init),
+        [substream(21, 5, r) for r in range(replicas)])
+    want_states = np.concatenate([run.states for run in want])
+    want_levels = np.concatenate([run.levels for run in want])
+    assert states.dtype == want_states.dtype
+    assert levels.dtype == want_levels.dtype and sigma0.dtype == np.int64
+    assert np.array_equal(states, want_states)
+    assert np.array_equal(levels, want_levels)
+    assert np.array_equal(sigma0, [int(run.sigma[0]) for run in want])
+    if name == "two-state-slow":
+        assert sigma0.max() >= 129
+
+
+def test_first_regenerations_guard():
+    chain = make_two_state(0.5, 0.5, delta=0.01)
+    rngs = [substream(1, 2, r) for r in range(50)]
+    with pytest.raises(GuardError,
+                       match="no regeneration covering the horizon within 8 blocks"):
+        split_regen._first_regenerations(chain, resolve_start(chain, "pi"),
+                                         rngs, max_blocks=8)
+
+
+def _pitman_by_replica(chain, g_spec, replicas, seed):
+    g_fn, _ = verify_mod._pitman_g(chain, g_spec)
+    totals = np.empty(replicas)
+    for r, run in enumerate(_per_replica_runs(chain, "nu", replicas, seed,
+                                              TAG_PITMAN)):
+        starts = np.arange(0, run.sigma[0] + 1, chain.m)
+        totals[r] = np.asarray(g_fn(run.states[starts], run.levels[starts]),
+                               dtype=np.float64).sum()
+    return float(totals.mean()), float(totals.std(ddof=1) / math.sqrt(replicas))
+
+
+def _first_block_norms_by_replica(chain, f, x_star, replicas, seed):
+    fspec = resolve_functional(chain, f)
+    norms = []
+    for offset, init in enumerate((("point", x_star), "pi")):
+        runs = _per_replica_runs(chain, init, replicas, seed,
+                                 TAG_FIT_FIRST_BLOCK, offset)
+        totals = [float(np.abs(fspec.apply(run.states).reshape(-1, chain.m)
+                               .sum(axis=1)).sum()) for run in runs]
+        sigma0 = [float(run.sigma[0]) for run in runs]
+        norms += [psi_norm_empirical(np.array(totals), 1.0).value,
+                  psi_norm_empirical(np.array(sigma0), 1.0).value]
+    return norms
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
+def test_pitman_and_fit_match_per_replica_runs(monkeypatch, name):
+    # several slabs per call; every figure equals the per-replica loop's
+    monkeypatch.setattr(verify_mod, "_FIRST_BLOCK_SLAB", 128)
+    chain = _LOCKSTEP_CHAINS[name]()
+    g_specs = ["one", "level"] + ([("state", 1)] if chain.is_finite else [])
+    for g_spec in g_specs:
+        res = check_pitman(chain, g_spec, replicas=300, seed=9)
+        assert (res.lhs, res.se) == _pitman_by_replica(chain, g_spec, 300, 9)
+    f = "cos2pi" if chain.mod1 is not None else "indicator_centered"
+    fitted = fit_bernstein_params(chain, f, n_excursions=200,
+                                  n_first_blocks=300, seed=9)
+    raw = fitted.diagnostics["raw"]
+    assert [raw["a"], raw["sigma0_xstar"], raw["b"], raw["sigma0_pi"]] == \
+        _first_block_norms_by_replica(chain, f, fitted.diagnostics["x_star"],
+                                      300, 9)
+
+
+def test_pitman_holds_one_slab_of_generators():
+    # 20000 generators held at once take about 23 MB; with one slab of
+    # them at a time the peak stays under 1 MB
+    chain = make_two_state(0.5, 0.5)
+    tracemalloc.start()
+    try:
+        check_pitman(chain, "one", replicas=20000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 # ---------------------------------------------------------------------------
