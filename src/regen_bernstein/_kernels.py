@@ -91,7 +91,20 @@ def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
         out[r] = acc
 
 
-_TILE_FLOATS = 1 << 17  # 1 MB of float64 uniforms per step-major tile
+# 1 MB of float64 uniforms per step-major tile (and per lockstep split
+# call, see split_regen._first_regenerations)
+_TILE_FLOATS = 1 << 17
+
+
+def _finite_step(cols, states, u, nxt, thr, ge):
+    """One step of many replicas: nxt[i] counts the columns c with
+    u[i] >= c[states[i]], the scalar loops' state update. thr and ge
+    are scratch arrays of the replicas' length."""
+    nxt.fill(0)
+    for col in cols:
+        np.take(col, states, out=thr)
+        np.greater_equal(u, thr, out=ge)
+        nxt += ge
 
 
 def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
@@ -111,11 +124,7 @@ def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
         rows = block[:min(tile, ntrans - s)]
         np.copyto(rows, uniforms[:, s:s + tile].T)
         for u in rows:
-            nxt.fill(0)
-            for col in cols:
-                np.take(col, states, out=thr)
-                np.greater_equal(u, thr, out=hit)
-                nxt += hit
+            _finite_step(cols, states, u, nxt, thr, hit)
             states, nxt = nxt, states
             np.take(f_vals, states, out=fx)
             acc += fx
@@ -182,9 +191,6 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     return states, levels
 
 
-_LEVEL_WINDOW = 8  # blocks stepped between two level evaluations
-
-
 def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     """Split paths of many replicas, each up to its first level-1 block.
 
@@ -193,9 +199,9 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     one step for all replicas at a time (numpy on either backend).
     Returns (states, hit): states has shape (rows, blocks * m + 1) and
     hit holds each row's first level-1 block, or -1 if it has none.
-    Levels are evaluated every _LEVEL_WINDOW blocks, and the steps stop
-    after the window in which the last row hits, so a row's states are
-    set only through the end of block hit (all of them when hit is -1).
+    The steps stop after the block in which the last row hits, so a
+    row's states are set only through the end of block hit (all of them
+    when hit is -1).
     """
     rows, blocks = level_u.shape
     cols = [np.ascontiguousarray(cum_rows[:, j])
@@ -205,22 +211,13 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     hit = np.full(rows, -1, dtype=np.int64)
     thr = np.empty(rows, dtype=np.float64)
     ge = np.empty(rows, dtype=np.bool_)
-    for k0 in range(0, blocks, _LEVEL_WINDOW):
-        k1 = min(k0 + _LEVEL_WINDOW, blocks)
-        for i in range(k0 * m, k1 * m):
-            nxt = states[i + 1]
-            nxt.fill(0)
-            for col in cols:
-                col.take(states[i], out=thr)
-                np.greater_equal(state_u[:, i], thr, out=ge)
-                nxt += ge
-        # (window blocks, rows) levels from each block's start and end
-        start = states[k0 * m:k1 * m:m]
-        end = states[(k0 + 1) * m:k1 * m + 1:m]
-        level = in_c[start] & (level_u[:, k0:k1].T < r_mat[start, end])
-        fresh = level.any(axis=0) & (hit < 0)
+    for k in range(blocks):
+        for i in range(k * m, (k + 1) * m):
+            _finite_step(cols, states[i], state_u[:, i], states[i + 1], thr, ge)
+        start, end = states[k * m], states[(k + 1) * m]
+        fresh = (hit < 0) & in_c[start] & (level_u[:, k] < r_mat[start, end])
         if fresh.any():
-            hit[fresh] = k0 + level[:, fresh].argmax(axis=0)
+            hit[fresh] = k
             if hit.min() >= 0:
                 break
     return states.T, hit

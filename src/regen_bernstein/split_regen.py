@@ -32,8 +32,8 @@ from .errors import GuardError
 # previous one, at least _EXTEND_CHUNK_MIN and at most _EXTEND_CHUNK_CAP.
 _EXTEND_CHUNK_MIN = 128
 _EXTEND_CHUNK_CAP = 65536
-# States one lockstep kernel call simulates at most (one replica at least)
-_LOCKSTEP_STATES = 1 << 17
+# Blocks a run to a regeneration may draw before GuardError
+_MAX_BLOCKS = 10_000_000
 
 
 def _extension_chunk(blocks: int) -> int:
@@ -125,7 +125,7 @@ def _mod1_blocks(chain, x0_bits, blocks, rng):
 
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
                    *, extend_to_regeneration: bool = False,
-                   max_blocks: int = 10_000_000) -> SplitTrajectory:
+                   max_blocks: int = _MAX_BLOCKS) -> SplitTrajectory:
     """Simulate the split chain for at least n states.
 
     init is anything resolve_start accepts: a state, ("point", x), "nu"
@@ -199,8 +199,7 @@ def _mod1_round(chain, x0_bits, blocks, rngs):
     return chain.mod1.path(x0_bits, eps, words), hit
 
 
-def _first_regenerations(chain: ChainInstance, start, rngs, *,
-                         max_blocks: int = 10_000_000):
+def _first_regenerations(chain: ChainInstance, start, rngs):
     """Runs up to the first regeneration for many replicas in lockstep.
 
     start is a resolved Start and rngs holds one generator per replica.
@@ -209,7 +208,8 @@ def _first_regenerations(chain: ChainInstance, start, rngs, *,
     extend_to_regeneration=True) draws: its start, one block, then the
     extension schedule's requests until one holds a level-1 block. Each
     request is one batched kernel call over the replicas that have not
-    regenerated (split in groups of at most _LOCKSTEP_STATES states).
+    regenerated (split in groups of at most _kernels._TILE_FLOATS
+    states), and more than _MAX_BLOCKS blocks raise GuardError.
 
     Returns (states, levels, sigma0). Replica i's run is sigma0[i] + m
     states long, through the end of its first regenerating block; the
@@ -228,8 +228,8 @@ def _first_regenerations(chain: ChainInstance, start, rngs, *,
     done_blocks = 0
     blocks = 1  # the first request covers the horizon m
     while active.size:
-        _guard_blocks(done_blocks + blocks, max_blocks)
-        group = max(1, _LOCKSTEP_STATES // (blocks * m))
+        _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
+        group = max(1, _kernels._TILE_FLOATS // (blocks * m))
         for lo in range(0, active.size, group):
             ids = active[lo:lo + group]
             paths, hit = run_round(chain, x[ids], blocks, [rngs[i] for i in ids])

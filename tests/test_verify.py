@@ -580,7 +580,7 @@ def _per_replica_runs(chain, init, replicas, seed, *path):
 def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
                                                   states_cap):
     # a small states cap splits every request into many kernel calls
-    monkeypatch.setattr(split_regen, "_LOCKSTEP_STATES", states_cap)
+    monkeypatch.setattr(split_regen._kernels, "_TILE_FLOATS", states_cap)
     chain = _LOCKSTEP_CHAINS[name]()
     if init == "point":
         init = ("point", 0.3 if chain.mod1 is not None else 1)
@@ -600,13 +600,14 @@ def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
         assert sigma0.max() >= 129
 
 
-def test_first_regenerations_guard():
+def test_first_regenerations_guard(monkeypatch):
+    monkeypatch.setattr(split_regen, "_MAX_BLOCKS", 8)
     chain = make_two_state(0.5, 0.5, delta=0.01)
     rngs = [substream(1, 2, r) for r in range(50)]
     with pytest.raises(GuardError,
                        match="no regeneration covering the horizon within 8 blocks"):
         split_regen._first_regenerations(chain, resolve_start(chain, "pi"),
-                                         rngs, max_blocks=8)
+                                         rngs)
 
 
 def _pitman_by_replica(chain, g_spec, replicas, seed):
