@@ -95,6 +95,14 @@ lib gap-three-m2 "(lambda g: (g[0].tolist(), g[1].tolist(), g[2]))(
 lib gap-psi1-three-m2 "exact_gap_psi1($THREE)"
 lib regen-count-three-m2 "exact_regeneration_count_tail($THREE, 12, 2, init=0)"
 lib block-markov-half "check_block_markov(make_two_state(0.5, 0.5, delta=0.5), n=10)"
+# long split runs on the same chain at m = 2 and m = 3, whose r varies
+# with the block endpoint: the states and levels, hashed
+for m in 2 3; do
+  lib split-three-m$m "(lambda t, h=__import__('hashlib'): (len(t), t.sigma.size,
+  h.sha256(t.states.tobytes()).hexdigest(), h.sha256(t.levels.tobytes()).hexdigest()))(
+  simulate_split(chain_from_dict(dict(chain_to_dict($THREE), m=$m, r=None)), 'pi',
+  100000, __import__('numpy').random.default_rng(7), extend_to_regeneration=True))"
+done
 # first-regeneration runs: Pitman checks and fitted first-block norms on
 # the three-state m = 2 chain and on a slowly regenerating two-state
 # chain whose runs take several extension requests

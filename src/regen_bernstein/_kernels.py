@@ -8,9 +8,11 @@ have a second, numpy implementation that loops over steps and
 vectorizes across replicas; it is used when numba is absent and must
 match its scalar loop bitwise. The finite one reads its uniforms
 step-major, in tiles of at most 1 MB, and makes one comparison per
-replica against each of the first ns - 1 cumulative columns. The
-replica-batched split paths (finite_split_first_hits) are numpy on
-both backends, with finite_split_path as their scalar reference.
+replica against each of the first ns - 1 cumulative columns. A split
+path (finite_split_path) is the finite path loop plus a vectorized
+read-off of the block levels from the drawn path. The replica-batched
+split paths (finite_split_first_hits) are numpy on both backends, with
+finite_split_path as their scalar reference.
 """
 
 from __future__ import annotations
@@ -149,45 +151,22 @@ def finite_chain_sums(cum_rows, f_vals, x0, uniforms):
     return out
 
 
-@njit(cache=True, nogil=True)
-def _finite_split_nb(cum_rows, in_c, r_mat, m, x0, state_u, level_u, states, levels):
-    ns = cum_rows.shape[1]
-    x = x0
-    states[0] = x
-    for k in range(level_u.shape[0]):
-        start = x
-        for i in range(m):
-            u = state_u[k * m + i]
-            j = 0
-            while j < ns - 1 and u >= cum_rows[x, j]:
-                j += 1
-            x = j
-            states[k * m + i + 1] = x
-        if in_c[start] and level_u[k] < r_mat[start, x]:
-            levels[k] = 1
-        else:
-            levels[k] = 0
-
-
 def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     """One split-chain path over complete m-blocks.
 
     state_u has length blocks * m and level_u length blocks. Returns
     (states, block_levels) where states holds blocks * m + 1 indices;
     the extra final state is the endpoint that the last level draw
-    conditions on. Level k is 1 when the block start lies in the small
+    conditions on. The path is finite_chain_path's, and the levels are
+    read off it: level k is 1 when the block start lies in the small
     set and level_u[k] < r(start, endpoint).
     """
-    state_u = np.ascontiguousarray(state_u, dtype=np.float64)
-    level_u = np.ascontiguousarray(level_u, dtype=np.float64)
-    blocks = level_u.shape[0]
-    if state_u.shape[0] != blocks * m:
+    level_u = np.asarray(level_u, dtype=np.float64)
+    if np.shape(state_u)[0] != level_u.shape[0] * m:
         raise ValueError("state_u must hold m uniforms per block")
-    states = np.empty(blocks * m + 1, dtype=np.int64)
-    levels = np.empty(blocks, dtype=np.uint8)
-    # Python ints: un-jitted, index arithmetic on numpy scalars is slower
-    _finite_split_nb(cum_rows, in_c, r_mat, int(m), int(x0), state_u, level_u,
-                     states, levels)
+    states = finite_chain_path(cum_rows, x0, state_u)
+    starts, ends = states[:-1:m], states[m::m]
+    levels = (in_c[starts] & (level_u < r_mat[starts, ends])).astype(np.uint8)
     return states, levels
 
 

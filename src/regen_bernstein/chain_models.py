@@ -434,6 +434,7 @@ def validate_minorization(chain: ChainInstance, spec: MinorizationSpec | None = 
         pm = np.linalg.matrix_power(mat, spec.m)
         gaps = pm[mask] - spec.delta * nu[None, :]
         margin = float(gaps.min()) if gaps.size else math.inf
+        detail = {"m": spec.m, "delta": spec.delta}
         if spec.r is not None:
             r = np.asarray(spec.r, dtype=np.float64)
             rows = np.flatnonzero(mask)
@@ -444,10 +445,10 @@ def validate_minorization(chain: ChainInstance, spec: MinorizationSpec | None = 
             if err > 1e-10:
                 warnings.append(
                     f"r is inconsistent with delta * nu by {err:.3e} somewhere")
+                detail["r_error"] = err
         return MinorizationReport(
             mode="exact", passed=bool(margin >= -1e-12), margin=margin,
-            warnings=tuple(warnings),
-            detail={"m": spec.m, "delta": spec.delta})
+            warnings=tuple(warnings), detail=detail)
     if spec.m == 2:
         return MinorizationReport(
             mode="construction", passed=True, margin=0.0,
@@ -712,6 +713,10 @@ def chain_from_dict(data: dict) -> ChainInstance:
     if not report.passed:
         raise ValueError(
             f"chain file minorization fails with margin {report.margin:.3e}")
+    if "r_error" in report.detail:
+        # such an r regenerates into P^m(x, .) r(x, .) normalized, not nu
+        raise ValueError("chain file r is inconsistent with delta * nu by "
+                         f"{report.detail['r_error']:.3e}")
     return chain
 
 

@@ -32,7 +32,7 @@ from .errors import GuardError
 # previous one, at least _EXTEND_CHUNK_MIN and at most _EXTEND_CHUNK_CAP.
 _EXTEND_CHUNK_MIN = 128
 _EXTEND_CHUNK_CAP = 65536
-# Blocks a run to a regeneration may draw before GuardError
+# Blocks one run may draw: a request past it raises GuardError undrawn
 _MAX_BLOCKS = 10_000_000
 
 
@@ -96,18 +96,19 @@ class SplitTrajectory:
         return len(self.sigma) == 0
 
 
+def _finite_split_inputs(chain):
+    """The split kernels' chain arguments (cum_rows, in_c, r_mat, m)."""
+    spec = chain.minorization
+    return (chain.kernel.cumulative_rows(), np.asarray(spec.small_set, dtype=bool),
+            np.asarray(spec.r, dtype=np.float64), spec.m)
+
+
 def _finite_blocks(chain, x0, blocks, rng):
     """(states with endpoint, block levels) for a run of complete blocks."""
-    m = chain.m
-    spec = chain.minorization
-    state_u = rng.random(blocks * m)
+    state_u = rng.random(blocks * chain.m)
     level_u = rng.random(blocks)
-    states, levels = _kernels.finite_split_path(
-        chain.kernel.cumulative_rows(),
-        np.asarray(spec.small_set, dtype=bool),
-        np.asarray(spec.r, dtype=np.float64),
-        m, int(x0), state_u, level_u)
-    return states, levels
+    return _kernels.finite_split_path(*_finite_split_inputs(chain), int(x0),
+                                      state_u, level_u)
 
 
 def _coin_levels(eps):
@@ -124,8 +125,7 @@ def _mod1_blocks(chain, x0_bits, blocks, rng):
 
 
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
-                   *, extend_to_regeneration: bool = False,
-                   max_blocks: int = _MAX_BLOCKS) -> SplitTrajectory:
+                   *, extend_to_regeneration: bool = False) -> SplitTrajectory:
     """Simulate the split chain for at least n states.
 
     init is anything resolve_start accepts: a state, ("point", x), "nu"
@@ -134,14 +134,13 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     extend_to_regeneration=True, simulation continues block by block
     until a regeneration time sigma >= n - m exists and stops at the end
     of that block, which is exactly the coverage the block decomposition
-    needs.
+    needs. GuardError is raised before drawing a request that would take
+    the run past _MAX_BLOCKS blocks.
     """
     n = int(n)
     m = chain.m
     if n < m:
         raise ValueError(f"n < m: need n >= {m}, got {n}")
-    if max_blocks < 1:
-        raise ValueError("max_blocks must be positive")
     start = resolve_start(chain, init)
     x = start.draw(rng)
     mod1 = chain.mod1
@@ -152,12 +151,12 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     done_blocks = 0
     blocks = -(-n // m)
     while True:
+        _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
         path, levels = run_blocks(chain, x, blocks, rng)
         paths.append(path[1:])
         all_levels.append(levels)
         x = int(path[-1])
         done_blocks += blocks
-        _guard_blocks(done_blocks, max_blocks)
         if not extend_to_regeneration:
             break
         hits = np.flatnonzero(np.concatenate(all_levels) == 1) * m
@@ -175,17 +174,13 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
 
 def _finite_round(chain, x0, blocks, rngs):
     """One lockstep request on a finite chain: (paths, first hits)."""
-    m = chain.m
-    spec = chain.minorization
-    state_u = np.empty((len(rngs), blocks * m))
+    state_u = np.empty((len(rngs), blocks * chain.m))
     level_u = np.empty((len(rngs), blocks))
     for i, rng in enumerate(rngs):  # _finite_blocks' draws, per replica
         rng.random(out=state_u[i])
         rng.random(out=level_u[i])
-    return _kernels.finite_split_first_hits(
-        chain.kernel.cumulative_rows(),
-        np.asarray(spec.small_set, dtype=bool),
-        np.asarray(spec.r, dtype=np.float64), m, x0, state_u, level_u)
+    return _kernels.finite_split_first_hits(*_finite_split_inputs(chain), x0,
+                                            state_u, level_u)
 
 
 def _mod1_round(chain, x0_bits, blocks, rngs):

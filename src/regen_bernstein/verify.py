@@ -310,11 +310,12 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
         new = np.zeros_like(dp)
         for y in range(k):
             vec = matrix[:, y] @ dp
+            # n >= 2 here, so width > |shift|: base <= min(lo, 2 lo)
+            # and top >= max(hi, 2 hi)
             shift = f_int[y]
             if shift >= 0:
-                if shift < width:
-                    new[y, shift:] += vec[:width - shift]
-            elif -shift < width:
+                new[y, shift:] += vec[:width - shift]
+            else:
                 new[y, :width + shift] += vec[-shift:]
         dp = new
     total = float(dp.sum())

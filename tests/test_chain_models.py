@@ -312,3 +312,12 @@ def test_chain_from_dict_bad_minorization(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="minorization fails"):
         load_chain(str(path))
+
+
+def test_chain_from_dict_rejects_inconsistent_r():
+    # r(0, .) = (1, 1/2) does not split off delta nu = (1/4, 1/4); the
+    # split chain would regenerate into (2/3, 1/3) instead of nu
+    with pytest.raises(ValueError, match="chain file r is inconsistent"):
+        chain_from_dict({
+            "matrix": [[0.5, 0.5], [0.5, 0.5]], "small_set": [1, 0], "m": 1,
+            "delta": 0.5, "nu": [0.5, 0.5], "r": [[1.0, 0.5], [0.0, 0.0]]})

@@ -115,6 +115,11 @@ def test_finite_split_first_hits_matches_scalar_path(m):
         for i in range(nrep):
             path, levels = finite_split_path(cum, in_c, r_mat, m, x0[i],
                                              state_u[i], level_u[i])
+            assert levels.dtype == np.uint8 and levels.size == blocks
+            for k in range(blocks):
+                start, end = path[k * m], path[(k + 1) * m]
+                want = in_c[start] and level_u[i, k] < r_mat[start, end]
+                assert levels[k] == want, (i, k)
             first = np.flatnonzero(levels == 1)
             assert hit[i] == (first[0] if first.size else -1)
             stop = (hit[i] + 1) * m + 1 if hit[i] >= 0 else path.size

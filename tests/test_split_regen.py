@@ -14,6 +14,7 @@ from regen_bernstein import (GuardError, block_decompose, count_regenerations,
                              sample_path, simulate_split, split_measure,
                              trajectory_summary, trajectory_to_csv,
                              write_json)
+from regen_bernstein import split_regen
 from regen_bernstein.split_regen import SplitTrajectory
 from regen_bernstein._rng import TAG_SPLIT, substream
 
@@ -211,11 +212,22 @@ def test_extend_to_regeneration_covers_horizon():
     assert len(traj) == traj.sigma.max() + traj.m
 
 
-def test_extend_guard_trips():
+def test_extend_guard_trips(monkeypatch):
+    monkeypatch.setattr(split_regen, "_MAX_BLOCKS", 8)
     chain = make_two_state(0.5, 0.5, delta=0.01)
     with pytest.raises(GuardError, match="no regeneration"):
-        simulate_split(chain, "pi", 64, _rng(11),
-                       extend_to_regeneration=True, max_blocks=8)
+        simulate_split(chain, "pi", 64, _rng(11), extend_to_regeneration=True)
+
+
+def test_guard_trips_before_drawing(monkeypatch):
+    # a request past the block limit raises before it draws anything (a
+    # point start draws nothing either)
+    monkeypatch.setattr(split_regen, "_MAX_BLOCKS", 8)
+    rng = _rng(12)
+    before = rng.bit_generator.state
+    with pytest.raises(GuardError, match="within 8 blocks"):
+        simulate_split(make_two_state(0.5, 0.5), 0, 64, rng)
+    assert rng.bit_generator.state == before
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,7 +239,7 @@ def test_decomposition_identity_property(a, b, delta, seed):
     chain = make_two_state(a, b, delta=delta)
     n = 64
     traj = simulate_split(chain, "pi", n, _rng(seed, 1),
-                          extend_to_regeneration=True, max_blocks=1_000_000)
+                          extend_to_regeneration=True)
     f = resolve_functional(chain, "indicator_centered").values
     dec = block_decompose(traj, f, n)
     direct = float(f[traj.states[:n]].sum())

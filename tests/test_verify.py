@@ -17,8 +17,11 @@ from scipy import stats
 import regen_bernstein.verify as verify_mod
 from regen_bernstein import (
     BernsteinParams,
+    ChainInstance,
     GuardError,
+    MinorizationSpec,
     TailCurve,
+    TransitionKernel,
     block_structure_tests,
     bound_curves,
     chain_from_dict,
@@ -41,6 +44,7 @@ from regen_bernstein import (
     resolve_functional,
     run_verification,
     simulate_split,
+    stationary_distribution,
     two_block_factor,
     two_block_sup_tail,
     write_curves_csv,
@@ -540,10 +544,14 @@ def test_block_markov_guards():
 
 def test_block_markov_uses_the_simulated_post_regeneration_law():
     # r(0, .) = (1, 1/2) does not split off delta nu = (1/4, 1/4): the
-    # simulator regenerates into P(0, .) r(0, .) normalized = (2/3, 1/3)
-    chain = chain_from_dict({
-        "matrix": [[0.5, 0.5], [0.5, 0.5]], "small_set": [1, 0], "m": 1,
-        "delta": 0.5, "nu": [0.5, 0.5], "r": [[1.0, 0.5], [0.0, 0.0]]})
+    # simulator regenerates into P(0, .) r(0, .) normalized = (2/3, 1/3).
+    # chain_from_dict rejects such an r, so the chain is built directly.
+    kernel = TransitionKernel(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]))
+    spec = MinorizationSpec(small_set=np.array([True, False]), m=1, delta=0.5,
+                            nu=np.array([0.5, 0.5]),
+                            r=np.array([[1.0, 0.5], [0.0, 0.0]]))
+    chain = ChainInstance(kernel=kernel, minorization=spec,
+                          stationary=stationary_distribution(kernel))
     res = check_block_markov(chain, n=6)
     assert res.routes_agree and not res.passed
     assert res.max_deviation > 0.1
