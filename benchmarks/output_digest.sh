@@ -103,6 +103,14 @@ for m in 2 3; do
   simulate_split(chain_from_dict(dict(chain_to_dict($THREE), m=$m, r=None)), 'pi',
   100000, __import__('numpy').random.default_rng(7), extend_to_regeneration=True))"
 done
+# the same runs without extension at a horizon m does not divide: the
+# first request's ceil(n / m) blocks cut to n states
+for m in 2 3; do
+  lib split-cut-three-m$m "(lambda t, h=__import__('hashlib'): (len(t), t.sigma.size,
+  h.sha256(t.states.tobytes()).hexdigest(), h.sha256(t.levels.tobytes()).hexdigest()))(
+  simulate_split(chain_from_dict(dict(chain_to_dict($THREE), m=$m, r=None)), 'pi',
+  100001, __import__('numpy').random.default_rng(7)))"
+done
 # first-regeneration runs: Pitman checks and fitted first-block norms on
 # the three-state m = 2 chain and on a slowly regenerating two-state
 # chain whose runs take several extension requests

@@ -12,7 +12,9 @@ replica against each of the first ns - 1 cumulative columns. A split
 path (finite_split_path) is the finite path loop plus a vectorized
 read-off of the block levels from the drawn path. The replica-batched
 split paths (finite_split_first_hits) are numpy on both backends, with
-finite_split_path as their scalar reference.
+finite_split_path as their scalar reference; split_regen._split_runs
+takes the scalar loop for one replica, which is much faster than
+stepping a single row through numpy, and the batched one for several.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
 
 
 # 1 MB of float64 uniforms per step-major tile (and per lockstep split
-# call, see split_regen._first_regenerations)
+# call, see split_regen._split_runs)
 _TILE_FLOATS = 1 << 17
 
 
@@ -170,36 +172,39 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     return states, levels
 
 
-def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
-    """Split paths of many replicas, each up to its first level-1 block.
+def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
+                            first):
+    """Split paths of many replicas, each up to its first level-1 block
+    at or after block first.
 
     Row i of state_u (blocks * m uniforms) and level_u (blocks uniforms)
     drives replica i from x0[i] with finite_split_path's comparisons,
     one step for all replicas at a time (numpy on either backend).
-    Returns (states, hit): states has shape (rows, blocks * m + 1) and
-    hit holds each row's first level-1 block, or -1 if it has none.
-    The steps stop after the block in which the last row hits, so a
-    row's states are set only through the end of block hit (all of them
-    when hit is -1).
+    Returns (states, levels) of shapes (rows, blocks * m + 1) and
+    (rows, blocks), levels as uint8. The steps stop after the block in
+    which every row has a level-1 block at or after block first, so a
+    row's states and levels are set only through the end of its first
+    such block (all of them when it has none).
     """
     rows, blocks = level_u.shape
     cols = [np.ascontiguousarray(cum_rows[:, j])
             for j in range(cum_rows.shape[1] - 1)]
     states = np.empty((blocks * m + 1, rows), dtype=np.int64)  # step-major
     states[0] = x0
-    hit = np.full(rows, -1, dtype=np.int64)
+    levels = np.zeros((blocks, rows), dtype=np.bool_)  # block-major
+    hit = np.zeros(rows, dtype=np.bool_)
     thr = np.empty(rows, dtype=np.float64)
     ge = np.empty(rows, dtype=np.bool_)
     for k in range(blocks):
         for i in range(k * m, (k + 1) * m):
             _finite_step(cols, states[i], state_u[:, i], states[i + 1], thr, ge)
         start, end = states[k * m], states[(k + 1) * m]
-        fresh = (hit < 0) & in_c[start] & (level_u[:, k] < r_mat[start, end])
-        if fresh.any():
-            hit[fresh] = k
-            if hit.min() >= 0:
+        levels[k] = in_c[start] & (level_u[:, k] < r_mat[start, end])
+        if k >= first:
+            hit |= levels[k]
+            if hit.all():
                 break
-    return states.T, hit
+    return states.T, levels.T.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

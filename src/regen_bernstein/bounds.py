@@ -62,6 +62,15 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_split_mass(delta: float, pi_C: float) -> None:
+    """Rejects a minorization constant delta or small-set mass pi_C
+    outside (0, 1]."""
+    if not (0.0 < delta <= 1.0):
+        raise ValueError("delta must lie in (0, 1]")
+    if not (0.0 < pi_C <= 1.0):
+        raise ValueError("pi_C must lie in (0, 1]")
+
+
 def _log_n(n: float) -> float:
     return math.log(max(float(n), _E1))
 
@@ -336,10 +345,7 @@ class BernsteinParams:
         _check_nonneg(a=self.a, b=self.b, c=self.c, d=self.d,
                       sigma2_mrv=self.sigma2_mrv)
         _check_alpha(self.alpha)
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError("delta must lie in (0, 1]")
-        if not (0.0 < self.pi_C <= 1.0):
-            raise ValueError("pi_C must lie in (0, 1]")
+        _check_split_mass(self.delta, self.pi_C)
         if int(self.m) < 1:
             raise ValueError("m must be a positive integer")
         object.__setattr__(self, "m", int(self.m))
@@ -442,10 +448,7 @@ def thm_sbi(n: float, t: float, sigma2_mrv: float, f_sup: float, D: float,
     """
     _check_pos(n=n)
     _check_nonneg(t=t, sigma2_mrv=sigma2_mrv, f_sup=f_sup, D=D)
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    if not (0.0 < pi_C <= 1.0):
-        raise ValueError("pi_C must lie in (0, 1]")
+    _check_split_mass(delta, pi_C)
     lead = _E10 + 2.0 / (delta * pi_C)
     denom = (32.0 * n * sigma2_mrv
              + 433.0 * t * delta * pi_C * f_sup * D * D * _log_n(n))
@@ -457,10 +460,7 @@ def bbi_constants(delta: float, pi_C: float, D: float) -> tuple:
 
     thm_sbi then reads K exp(-t^2 / (32 n sigma2 + tau t f_sup log n)).
     """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    if not (0.0 < pi_C <= 1.0):
-        raise ValueError("pi_C must lie in (0, 1]")
+    _check_split_mass(delta, pi_C)
     _check_nonneg(D=D)
     return _E10 + 2.0 / (delta * pi_C), 433.0 * delta * pi_C * D * D
 

@@ -103,25 +103,101 @@ def _finite_split_inputs(chain):
             np.asarray(spec.r, dtype=np.float64), spec.m)
 
 
-def _finite_blocks(chain, x0, blocks, rng):
-    """(states with endpoint, block levels) for a run of complete blocks."""
-    state_u = rng.random(blocks * chain.m)
-    level_u = rng.random(blocks)
-    return _kernels.finite_split_path(*_finite_split_inputs(chain), int(x0),
-                                      state_u, level_u)
+def _split_request(chain, x0, blocks, rngs, first):
+    """One request of blocks blocks per replica: (paths, levels).
+
+    Row i starts from x0[i] and draws from rngs[i]: blocks * m state
+    uniforms, then blocks level uniforms (on the mod-1 chain, the moves
+    of the blocks' steps). paths holds blocks * m + 1 states per row,
+    the start first, and levels one uint8 level per block. On a finite
+    chain one row takes the scalar path loop, and several rows step in
+    lockstep up to the block in which every row has a level-1 block at
+    or after block first; a row is set through its first such block.
+    """
+    rows = len(rngs)
+    steps = blocks * chain.m
+    mod1 = chain.mod1
+    if mod1 is not None:
+        eps = np.empty((rows, steps), dtype=np.uint8)
+        words = np.empty((rows, steps), dtype=np.uint64)
+        for i, rng in enumerate(rngs):
+            eps[i], words[i] = mod1.draw_moves(rng, steps)
+        # a two-step block regenerates exactly when its two coins differ
+        levels = (eps[:, 0::2] != eps[:, 1::2]).astype(np.uint8)
+        return mod1.path(x0, eps, words), levels
+    state_u = np.empty((rows, steps))
+    level_u = np.empty((rows, blocks))
+    for i, rng in enumerate(rngs):
+        rng.random(out=state_u[i])
+        rng.random(out=level_u[i])
+    inputs = _finite_split_inputs(chain)
+    if rows == 1:
+        states, levels = _kernels.finite_split_path(*inputs, int(x0[0]),
+                                                    state_u[0], level_u[0])
+        return states[None], levels[None]
+    return _kernels.finite_split_first_hits(*inputs, x0, state_u, level_u,
+                                            first)
 
 
-def _coin_levels(eps):
-    """Levels of two-step mod-1 blocks along the last axis: the block
-    regenerates exactly when its two coins differ."""
-    return eps[..., 0::2] != eps[..., 1::2]
+def _split_runs(chain: ChainInstance, start, rngs, n: int, extend: bool = True):
+    """Split runs of many replicas in lockstep, one generator each.
 
+    start is a resolved Start. Replica i draws from rngs[i] its start,
+    one request of ceil(n / m) blocks and, when extending, the extension
+    schedule's requests until a level-1 block starts at or after n - m;
+    its run stops at the end of that block. Without extension a run is
+    the first request cut to n states. Each request is one batched
+    kernel call over the replicas still running (in groups of at most
+    _kernels._TILE_FLOATS states), and GuardError is raised before a
+    request that would take the runs past _MAX_BLOCKS blocks.
 
-def _mod1_blocks(chain, x0_bits, blocks, rng):
-    """(bits with endpoint, block levels) for two-step blocks."""
-    eps, words = chain.mod1.draw_moves(rng, 2 * blocks)
-    levels = _coin_levels(eps).astype(np.uint8)
-    return chain.mod1.path(x0_bits, eps, words), levels
+    Returns (states, levels, lengths): the runs' states (indices, or
+    floats on the mod-1 chain) and per-state levels, concatenated in
+    replica order, and each run's length.
+    """
+    m = chain.m
+    mod1 = chain.mod1
+    x = np.array([start.draw(rng) for rng in rngs],
+                 dtype=np.int64 if mod1 is None else np.uint64)
+    runs = [[] for _ in rngs]  # (states, levels) per request, per replica
+    lengths = np.zeros(len(rngs), dtype=np.int64)
+    active = np.arange(len(rngs))
+    done_blocks = 0
+    blocks = -(-n // m)
+    first = blocks - 1  # the first block that starts at or after n - m
+    while active.size:
+        _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
+        group = max(1, _kernels._TILE_FLOATS // (blocks * m))
+        running = []
+        for lo in range(0, active.size, group):
+            ids = active[lo:lo + group]
+            paths, levels = _split_request(chain, x[ids], blocks,
+                                           [rngs[i] for i in ids], first)
+            counted = levels[:, first:]
+            hit = np.where(counted.any(axis=1),
+                           first + counted.argmax(axis=1), -1)
+            if extend:
+                kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
+            else:
+                kept = np.full(ids.size, n)
+            per_state = np.repeat(levels, m, axis=1)
+            for j, (i, k) in enumerate(zip(ids.tolist(), kept.tolist())):
+                runs[i].append((paths[j, :k], per_state[j, :k]))
+            lengths[ids] += kept
+            alive = hit < 0
+            x[ids[alive]] = paths[alive, -1]
+            running.append(ids[alive])
+        if not extend:
+            break
+        done_blocks += blocks
+        active = np.concatenate(running)
+        blocks = _extension_chunk(blocks)
+        first = 0
+    states = np.concatenate([piece for run in runs for piece, _ in run])
+    if mod1 is not None:
+        states = mod1.bits_to_float(states)
+    levels = np.concatenate([piece for run in runs for _, piece in run])
+    return states, levels, lengths
 
 
 def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
@@ -135,117 +211,18 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     until a regeneration time sigma >= n - m exists and stops at the end
     of that block, which is exactly the coverage the block decomposition
     needs. GuardError is raised before drawing a request that would take
-    the run past _MAX_BLOCKS blocks.
+    the run past _MAX_BLOCKS blocks. The run is _split_runs' with one
+    generator.
     """
     n = int(n)
     m = chain.m
     if n < m:
         raise ValueError(f"n < m: need n >= {m}, got {n}")
     start = resolve_start(chain, init)
-    x = start.draw(rng)
-    mod1 = chain.mod1
-    run_blocks = _finite_blocks if mod1 is None else _mod1_blocks
-    paths = [np.array([x], dtype=np.int64 if mod1 is None else np.uint64)]
-
-    all_levels = []
-    done_blocks = 0
-    blocks = -(-n // m)
-    while True:
-        _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
-        path, levels = run_blocks(chain, x, blocks, rng)
-        paths.append(path[1:])
-        all_levels.append(levels)
-        x = int(path[-1])
-        done_blocks += blocks
-        if not extend_to_regeneration:
-            break
-        hits = np.flatnonzero(np.concatenate(all_levels) == 1) * m
-        if hits.size and hits.max() >= n - m:
-            break
-        blocks = _extension_chunk(blocks)
-    path = np.concatenate(paths)
-    per_state = np.repeat(np.concatenate(all_levels), m)
-    # when extending, the loop stopped on hits: every regeneration time
-    stop = int(hits[hits >= n - m][0]) + m if extend_to_regeneration else n
-    states = path[:stop] if mod1 is None else mod1.bits_to_float(path[:stop])
-    return SplitTrajectory(states=states, levels=per_state[:stop], m=m,
+    states, levels, _ = _split_runs(chain, start, [rng], n,
+                                    extend=extend_to_regeneration)
+    return SplitTrajectory(states=states, levels=levels, m=m,
                            init_label=start.label, chain_name=chain.name)
-
-
-def _finite_round(chain, x0, blocks, rngs):
-    """One lockstep request on a finite chain: (paths, first hits)."""
-    state_u = np.empty((len(rngs), blocks * chain.m))
-    level_u = np.empty((len(rngs), blocks))
-    for i, rng in enumerate(rngs):  # _finite_blocks' draws, per replica
-        rng.random(out=state_u[i])
-        rng.random(out=level_u[i])
-    return _kernels.finite_split_first_hits(*_finite_split_inputs(chain), x0,
-                                            state_u, level_u)
-
-
-def _mod1_round(chain, x0_bits, blocks, rngs):
-    """One lockstep request on the mod-1 chain: (paths, first hits)."""
-    eps = np.empty((len(rngs), 2 * blocks), dtype=np.uint8)
-    words = np.empty((len(rngs), 2 * blocks), dtype=np.uint64)
-    for i, rng in enumerate(rngs):  # _mod1_blocks' draws, per replica
-        eps[i], words[i] = chain.mod1.draw_moves(rng, 2 * blocks)
-    levels = _coin_levels(eps)
-    hit = np.where(levels.any(axis=1), levels.argmax(axis=1), -1)
-    return chain.mod1.path(x0_bits, eps, words), hit
-
-
-def _first_regenerations(chain: ChainInstance, start, rngs):
-    """Runs up to the first regeneration for many replicas in lockstep.
-
-    start is a resolved Start and rngs holds one generator per replica.
-    Replica i draws from rngs[i] exactly what
-    simulate_split(chain, init, chain.m, rngs[i],
-    extend_to_regeneration=True) draws: its start, one block, then the
-    extension schedule's requests until one holds a level-1 block. Each
-    request is one batched kernel call over the replicas that have not
-    regenerated (split in groups of at most _kernels._TILE_FLOATS
-    states), and more than _MAX_BLOCKS blocks raise GuardError.
-
-    Returns (states, levels, sigma0). Replica i's run is sigma0[i] + m
-    states long, through the end of its first regenerating block; the
-    runs' states (indices, or floats on the mod-1 chain) and per-state
-    levels are concatenated in replica order and equal simulate_split's
-    bitwise.
-    """
-    m = chain.m
-    mod1 = chain.mod1
-    run_round = _finite_round if mod1 is None else _mod1_round
-    x = np.array([start.draw(rng) for rng in rngs],
-                 dtype=np.int64 if mod1 is None else np.uint64)
-    sigma0 = np.full(len(rngs), -1, dtype=np.int64)
-    owners, pieces = [], []
-    active = np.arange(len(rngs))
-    done_blocks = 0
-    blocks = 1  # the first request covers the horizon m
-    while active.size:
-        _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
-        group = max(1, _kernels._TILE_FLOATS // (blocks * m))
-        for lo in range(0, active.size, group):
-            ids = active[lo:lo + group]
-            paths, hit = run_round(chain, x[ids], blocks, [rngs[i] for i in ids])
-            # each request keeps its states before the endpoint, and the
-            # regenerating one its states through the first level-1 block
-            kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
-            owners.append(np.repeat(ids, kept))
-            pieces.append(paths[np.arange(paths.shape[1]) < kept[:, None]])
-            alive = hit < 0
-            x[ids[alive]] = paths[alive, -1]
-            sigma0[ids[~alive]] = (done_blocks + hit[~alive]) * m
-        done_blocks += blocks
-        active = active[sigma0[active] < 0]
-        blocks = _extension_chunk(blocks)
-    order = np.argsort(np.concatenate(owners), kind="stable")
-    states = np.concatenate(pieces)[order]
-    if mod1 is not None:
-        states = mod1.bits_to_float(states)
-    block_levels = np.zeros(states.size // m, dtype=np.uint8)
-    block_levels[np.cumsum(sigma0 // m + 1) - 1] = 1
-    return states, np.repeat(block_levels, m), sigma0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import TAG_BOOTSTRAP, substream
+from .bounds import _check_split_mass
 from .chain_models import ChainInstance, resolve_functional
 
 
@@ -208,10 +209,7 @@ def mean_excursion_value(f_bar: float, delta: float, pi_C: float, m: int) -> flo
     which is why centered excursions have mean zero regardless of the
     gap law.
     """
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
-    if not (0.0 < pi_C <= 1.0):
-        raise ValueError("pi_C must lie in (0, 1]")
+    _check_split_mass(delta, pi_C)
     if int(m) < 1:
         raise ValueError("m must be a positive integer")
     return int(m) * float(f_bar) / (delta * pi_C)

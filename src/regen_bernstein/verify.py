@@ -29,7 +29,7 @@ from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
 from .errors import GuardError
 from .orlicz import _psi_root, psi_norm_empirical
-from .split_regen import (_first_regenerations, excursions, gap_lengths,
+from .split_regen import (_split_runs, excursions, gap_lengths,
                           simulate_split, split_measure)
 from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 
@@ -710,15 +710,17 @@ def _first_blocks(chain: ChainInstance, init, replicas: int, seed: int,
 
     Replica r draws from substream (seed, *path, r) what simulate_split
     from init over horizon m, extended to a regeneration, draws. Each
-    slab of at most _FIRST_BLOCK_SLAB replicas yields
-    split_regen._first_regenerations' (states, levels, sigma0), and its
-    generators are dropped before the next slab's are made.
+    slab of at most _FIRST_BLOCK_SLAB replicas yields the states and
+    levels of split_regen._split_runs at n = m and each run's sigma0,
+    and its generators are dropped before the next slab's are made.
     """
     start = resolve_start(chain, init)
     for lo in range(0, replicas, _FIRST_BLOCK_SLAB):
         hi = min(lo + _FIRST_BLOCK_SLAB, replicas)
-        yield _first_regenerations(
-            chain, start, [substream(seed, *path, r) for r in range(lo, hi)])
+        states, levels, lengths = _split_runs(
+            chain, start, [substream(seed, *path, r) for r in range(lo, hi)],
+            chain.m)
+        yield states, levels, lengths - chain.m
 
 
 def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -842,14 +844,11 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
     r_mat = np.asarray(spec.r, dtype=np.float64)
     constant = float(nu @ h)
     support = matrix > 0.0
-    capable = [bool(in_c[x] and np.any(support[x] & (r_mat[x] > 0.0)))
-               for x in range(k)]
+    capable = in_c & np.any(support & (r_mat > 0.0), axis=1)
     # the simulator's law of the state after a regeneration at x:
     # P(x, .) r(x, .), normalized; it is nu when r is the minorization's
     next_laws = {}
-    for x in range(k):
-        if not capable[x]:
-            continue
+    for x in np.flatnonzero(capable).tolist():
         law = matrix[x] * r_mat[x]
         law /= law.sum()
         if corruption:
@@ -861,33 +860,22 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
         next_laws[x] = law
 
     # exact big-integer count of attainable (states, levels) histories
-    # ending in a regeneration, and the set of regeneration contexts
-    counts = [1] * k
+    # ending in a regeneration, and of regeneration contexts: a step
+    # x -> y branches on the level when x is in C and 0 < r(x, y) < 1
+    split = (r_mat > 0.0).astype(np.int64) + (r_mat < 1.0)
+    branches = np.where(support, np.where(in_c[:, None], split, 1), 0)
+    branches = branches.astype(object)  # Python ints: exact products
+    counts = np.ones(k, dtype=object)
     n_contexts = 0
     n_histories = 0
-    seen_states = set()
-    for s in range(n - 1):
-        for x in range(k):
-            if counts[x] and capable[x]:
-                n_contexts += 1
-                n_histories += counts[x]
-                seen_states.add(x)
-        new_counts = [0] * k
-        for x in range(k):
-            if not counts[x]:
-                continue
-            for y in range(k):
-                if not support[x, y]:
-                    continue
-                if in_c[x]:
-                    r = r_mat[x, y]
-                    branches = (1 if r > 0.0 else 0) + (1 if r < 1.0 else 0)
-                else:
-                    branches = 1
-                new_counts[y] += counts[x] * branches
-        counts = new_counts
+    for _ in range(n - 1):
+        live = counts[capable]
+        n_contexts += int(np.count_nonzero(live))
+        n_histories += int(live.sum())
+        counts = counts @ branches
 
-    per_state = {int(x): float(next_laws[x] @ h) for x in sorted(seen_states)}
+    # every capable state is seen at step 0, where each count is 1
+    per_state = {x: float(law @ h) for x, law in next_laws.items()}
     if not per_state:
         raise ValueError("no attainable regeneration context at this horizon")
     max_dev = max(abs(v - constant) for v in per_state.values())
@@ -942,6 +930,14 @@ def _resolve_xi_law(xi_law):
     raise ValueError(f"unknown noise law {xi_law!r}")
 
 
+def _draw_xi(law_fn, rng, size: int) -> np.ndarray:
+    """size noise values from the law, checked to be a 1-d array of them."""
+    xi = np.asarray(law_fn(rng, size), dtype=np.float64)
+    if xi.shape != (size,):
+        raise ValueError("noise law must return a 1-d array of the asked size")
+    return xi
+
+
 def two_block_factor(h, xi_law, length: int, seed: int) -> TwoBlockSample:
     """One realization of the canonical 1-dependent process.
 
@@ -955,9 +951,7 @@ def two_block_factor(h, xi_law, length: int, seed: int) -> TwoBlockSample:
     h_fn, h_name = _resolve_two_block_h(h)
     law_fn, law_name = _resolve_xi_law(xi_law)
     rng = substream(seed, TAG_TWO_BLOCK, 0)
-    xi = np.asarray(law_fn(rng, length + 1), dtype=np.float64)
-    if xi.shape != (length + 1,):
-        raise ValueError("noise law must return a 1-d array of the asked size")
+    xi = _draw_xi(law_fn, rng, length + 1)
     x = np.asarray(h_fn(xi[:-1], xi[1:]), dtype=np.float64)
     return TwoBlockSample(x=x, xi=xi, h_name=h_name, law_name=law_name)
 
@@ -984,7 +978,7 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
         out = np.empty(hi - lo, dtype=np.float64)
         for i in range(hi - lo):
             rng = substream(seed, TAG_TWO_BLOCK, 1 + lo + i)
-            xi = np.asarray(law_fn(rng, n + 1), dtype=np.float64)
+            xi = _draw_xi(law_fn, rng, n + 1)
             x = np.asarray(h_fn(xi[:-1], xi[1:]), dtype=np.float64)
             out[i] = np.abs(np.cumsum(x)).max()
         return out

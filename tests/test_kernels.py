@@ -1,6 +1,7 @@
 """Kernel references: every numpy kernel must match a scalar loop bitwise."""
 
 import importlib.util
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -96,7 +97,7 @@ def test_finite_sums_numpy_matches_scalar_loop(chain):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_finite_split_first_hits_matches_scalar_path(m):
     rng = substream(2, 2, m)
-    for ns, rows in DYADIC_ROWS.items():
+    for (ns, rows), first in itertools.product(DYADIC_ROWS.items(), [0, 7]):
         cum = np.cumsum(np.array(rows), axis=1)
         in_c = np.arange(ns) % 2 == 0
         r_mat = rng.choice([0.0, 0.125, 0.5, 1.0], size=(ns, ns))
@@ -108,22 +109,30 @@ def test_finite_split_first_hits_matches_scalar_path(m):
         level_u = rng.choice([0.0, 0.125, 0.3, 0.5, 0.9], size=(nrep, blocks))
         level_u[:3] = 1.0  # rows without a level-1 block
         x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
-        states, hit = finite_split_first_hits(cum, in_c, r_mat, m, x0,
-                                              state_u, level_u)
+        states, levels = finite_split_first_hits(cum, in_c, r_mat, m, x0,
+                                                 state_u, level_u, first)
         assert states.shape == (nrep, blocks * m + 1)
-        assert np.any(hit < 0) and np.any(hit > 0)
+        assert levels.shape == (nrep, blocks) and levels.dtype == np.uint8
+        hits = []
         for i in range(nrep):
-            path, levels = finite_split_path(cum, in_c, r_mat, m, x0[i],
-                                             state_u[i], level_u[i])
-            assert levels.dtype == np.uint8 and levels.size == blocks
+            path, want = finite_split_path(cum, in_c, r_mat, m, x0[i],
+                                           state_u[i], level_u[i])
+            assert want.dtype == np.uint8 and want.size == blocks
             for k in range(blocks):
                 start, end = path[k * m], path[(k + 1) * m]
-                want = in_c[start] and level_u[i, k] < r_mat[start, end]
-                assert levels[k] == want, (i, k)
-            first = np.flatnonzero(levels == 1)
-            assert hit[i] == (first[0] if first.size else -1)
-            stop = (hit[i] + 1) * m + 1 if hit[i] >= 0 else path.size
-            assert np.array_equal(states[i, :stop], path[:stop])
+                lev = in_c[start] and level_u[i, k] < r_mat[start, end]
+                assert want[k] == lev, (i, k)
+            # the row is set through its first level-1 block at or
+            # after block first
+            counted = np.flatnonzero(want[first:] == 1)
+            hit = first + counted[0] if counted.size else blocks - 1
+            hits.append(hit if counted.size else -1)
+            assert np.array_equal(states[i, :(hit + 1) * m + 1],
+                                  path[:(hit + 1) * m + 1])
+            assert np.array_equal(levels[i, :hit + 1], want[:hit + 1])
+        assert min(hits) < 0 and max(hits) > first
+        if first:  # some row has a level-1 block before first
+            assert any(levels[i, :first].any() for i in range(nrep))
 
 
 @pytest.mark.parametrize("shape", [(800, 9999), (32768, 99)])

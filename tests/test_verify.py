@@ -20,6 +20,7 @@ from regen_bernstein import (
     ChainInstance,
     GuardError,
     MinorizationSpec,
+    SplitTrajectory,
     TailCurve,
     TransitionKernel,
     block_structure_tests,
@@ -50,6 +51,7 @@ from regen_bernstein import (
     write_curves_csv,
 )
 from regen_bernstein import split_regen
+from regen_bernstein._kernels import finite_split_path
 from regen_bernstein._rng import TAG_FIT_FIRST_BLOCK, TAG_PITMAN, substream
 from regen_bernstein.chain_models import resolve_start
 
@@ -575,11 +577,64 @@ _LOCKSTEP_CHAINS = {
 }
 
 
+def _reference_split(chain, init, n, rng, extend):
+    # the split chain in plain Python, one request at a time: the start,
+    # ceil(n / m) blocks, then requests of max(128, 2 * previous) blocks
+    # (at most 65536) until a level-1 block starts at or after n - m
+    m = chain.m
+    mod1 = chain.mod1
+    spec = chain.minorization
+    x = resolve_start(chain, init).draw(rng)
+    states, levels = [x], []
+    blocks = -(-n // m)
+    while True:
+        if mod1 is None:
+            path, block_levels = finite_split_path(
+                chain.kernel.cumulative_rows(),
+                np.asarray(spec.small_set, dtype=bool),
+                np.asarray(spec.r, dtype=np.float64), m, x,
+                rng.random(blocks * m), rng.random(blocks))
+        else:
+            eps, words = mod1.draw_moves(rng, blocks * m)
+            path = mod1.path(x, eps, words)
+            block_levels = [eps[2 * k] != eps[2 * k + 1] for k in range(blocks)]
+        states += path[1:].tolist()
+        levels += [int(v) for v in block_levels]
+        x = states[-1]
+        hits = [k * m for k, v in enumerate(levels) if v and k * m >= n - m]
+        if hits or not extend:
+            break
+        blocks = min(max(128, 2 * blocks), 65536)
+    stop = hits[0] + m if extend else n
+    per_state = [v for v in levels for _ in range(m)]
+    states = (np.array(states[:stop], dtype=np.int64) if mod1 is None
+              else mod1.bits_to_float(np.array(states[:stop], dtype=np.uint64)))
+    return SplitTrajectory(states=states,
+                           levels=np.array(per_state[:stop], dtype=np.uint8), m=m)
+
+
 def _per_replica_runs(chain, init, replicas, seed, *path):
-    # the scalar reference: one simulate_split per replica
-    return [simulate_split(chain, init, chain.m, substream(seed, *path, r),
-                           extend_to_regeneration=True)
-            for r in range(replicas)]
+    return [_reference_split(chain, init, chain.m, substream(seed, *path, r),
+                             True) for r in range(replicas)]
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS) + ["two-state"])
+def test_simulate_split_matches_reference(name, extend):
+    # one-generator runs at m = 1, 2, 3 and on the mod-1 chain, over
+    # horizons that m does not divide; the generator ends where the
+    # reference leaves it
+    chain = (make_two_state(0.3, 0.6) if name == "two-state"
+             else _LOCKSTEP_CHAINS[name]())
+    point = ("point", 0.3 if chain.mod1 is not None else 1)
+    for n, init in itertools.product([chain.m, 37, 1000], ["pi", point]):
+        rng, ref_rng = substream(8, n, 0), substream(8, n, 0)
+        got = simulate_split(chain, init, n, rng, extend_to_regeneration=extend)
+        want = _reference_split(chain, init, n, ref_rng, extend)
+        assert got.states.dtype == want.states.dtype
+        assert np.array_equal(got.states, want.states), (n, init)
+        assert np.array_equal(got.levels, want.levels), (n, init)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("states_cap", [1 << 17, 64])
@@ -587,25 +642,44 @@ def _per_replica_runs(chain, init, replicas, seed, *path):
 @pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
 def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
                                                   states_cap):
-    # a small states cap splits every request into many kernel calls
+    # first-regeneration runs (n = m) of many replicas in lockstep equal
+    # the reference's per-replica runs; a small states cap splits every
+    # request into many kernel calls
     monkeypatch.setattr(split_regen._kernels, "_TILE_FLOATS", states_cap)
     chain = _LOCKSTEP_CHAINS[name]()
     if init == "point":
         init = ("point", 0.3 if chain.mod1 is not None else 1)
     replicas = 400 if name == "two-state-slow" else 150
     want = _per_replica_runs(chain, init, replicas, 21, 5)
-    states, levels, sigma0 = split_regen._first_regenerations(
+    states, levels, lengths = split_regen._split_runs(
         chain, resolve_start(chain, init),
-        [substream(21, 5, r) for r in range(replicas)])
+        [substream(21, 5, r) for r in range(replicas)], chain.m)
     want_states = np.concatenate([run.states for run in want])
     want_levels = np.concatenate([run.levels for run in want])
     assert states.dtype == want_states.dtype
-    assert levels.dtype == want_levels.dtype and sigma0.dtype == np.int64
+    assert levels.dtype == want_levels.dtype and lengths.dtype == np.int64
     assert np.array_equal(states, want_states)
     assert np.array_equal(levels, want_levels)
-    assert np.array_equal(sigma0, [int(run.sigma[0]) for run in want])
+    assert np.array_equal(lengths, [len(run) for run in want])
     if name == "two-state-slow":
-        assert sigma0.max() >= 129
+        assert lengths.max() >= 130
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
+def test_lockstep_runs_at_a_horizon_match_reference(name):
+    # several replicas past a horizon of many blocks: in the first
+    # request a level-1 block counts only from the one starting at n - m
+    chain = _LOCKSTEP_CHAINS[name]()
+    n, replicas = 37, 60
+    want = [_reference_split(chain, "pi", n, substream(6, r), True)
+            for r in range(replicas)]
+    states, levels, lengths = split_regen._split_runs(
+        chain, resolve_start(chain, "pi"),
+        [substream(6, r) for r in range(replicas)], n)
+    assert np.array_equal(states, np.concatenate([run.states for run in want]))
+    assert np.array_equal(levels, np.concatenate([run.levels for run in want]))
+    assert np.array_equal(lengths, [len(run) for run in want])
+    assert any(run.sigma[0] < n - chain.m for run in want)
 
 
 def test_first_regenerations_guard(monkeypatch):
@@ -614,8 +688,8 @@ def test_first_regenerations_guard(monkeypatch):
     rngs = [substream(1, 2, r) for r in range(50)]
     with pytest.raises(GuardError,
                        match="no regeneration covering the horizon within 8 blocks"):
-        split_regen._first_regenerations(chain, resolve_start(chain, "pi"),
-                                         rngs)
+        split_regen._split_runs(chain, resolve_start(chain, "pi"), rngs,
+                                chain.m)
 
 
 def _pitman_by_replica(chain, g_spec, replicas, seed):
@@ -719,6 +793,19 @@ def test_two_block_guards():
         two_block_factor("product", "normal", 0, seed=0)
     with pytest.raises(ValueError, match="1000 replicas"):
         two_block_sup_tail("product", "normal", 16, [1.0], 10, seed=0)
+
+
+@pytest.mark.parametrize("law", [
+    lambda rng, size: rng.uniform(-1.0, 1.0, size - 1),  # one value short
+    lambda rng, size: rng.uniform(-1.0, 1.0),  # a scalar
+])
+def test_two_block_noise_law_shape_checked(law):
+    # both the single sample and the replicated tail reject a law that
+    # does not return size values, rather than summing fewer terms
+    with pytest.raises(ValueError, match="asked size"):
+        two_block_factor("product", law, 16, seed=0)
+    with pytest.raises(ValueError, match="asked size"):
+        two_block_sup_tail("product", law, 16, [0.5, 1.0], 1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
