@@ -13,6 +13,7 @@ inside formulas use the natural log as written.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 _LN2 = math.log(2.0)
@@ -20,6 +21,7 @@ _E1 = math.e
 _E8 = math.exp(8.0)
 _E10 = math.exp(10.0)
 _SQRT2 = math.sqrt(2.0)
+_TINY = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,22 @@ def _exp_ratio_pow(t: float, scale: float, alpha: float) -> float:
     return math.exp(-((t / scale) ** alpha))
 
 
-def _exp_quad(t: float, denom: float) -> float:
-    """exp(-t^2 / denom) with the denominator-zero limit."""
-    if denom <= 0.0:
-        return 0.0 if t > 0.0 else 1.0
-    return math.exp(-(t * t) / denom)
+def _exp_quad(t: float, a: float, bt: float, b: float) -> float:
+    """exp(-t^2 / (a + b t)) for a, b, t >= 0, with the denominator-zero limit.
+
+    bt is b t as the formula rounds it, so ordinary values keep every
+    bit. Where t^2 or the denominator is zero or subnormal, or the
+    denominator overflows, the ratio is taken as t / (a / t + b), which
+    neither underflow nor inf / inf loses.
+    """
+    t2 = t * t
+    denom = a + bt
+    if t2 >= _TINY and _TINY <= denom < math.inf:
+        return math.exp(-t2 / denom)
+    if t == 0.0:
+        return 1.0
+    scaled = a / t + b
+    return math.exp(-t / scaled) if scaled > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +139,16 @@ def classical_bernstein(n: float, sigma2: float, M: float, t: float,
     _check_pos(n=n)
     _check_nonneg(sigma2=sigma2, M=M, t=t)
     factor = 2.0 if sup_version else 1.0
-    denom = 2.0 * n * sigma2 + (2.0 / 3.0) * M * t
-    return capped(factor * _exp_quad(t, denom))
+    b = (2.0 / 3.0) * M
+    return capped(factor * _exp_quad(t, 2.0 * n * sigma2, b * t, b))
 
 
 def psi1_bernstein(n: float, tau: float, t: float) -> BoundValue:
     """exp(-t^2 / (4 n tau^2 + 2 tau t)) for centered psi_1 summands."""
     _check_pos(n=n, tau=tau)
     _check_nonneg(t=t)
-    denom = 4.0 * n * tau * tau + 2.0 * tau * t
-    return capped(_exp_quad(t, denom))
+    b = 2.0 * tau
+    return capped(_exp_quad(t, 4.0 * n * tau * tau, b * t, b))
 
 
 def iid_unbounded(n: float, c: float, alpha: float, sigma2: float,
@@ -150,8 +163,8 @@ def iid_unbounded(n: float, c: float, alpha: float, sigma2: float,
     _check_nonneg(sigma2=sigma2, t=t)
     m_trunc = m_cutoff(c, alpha, n, "iid")
     first = _E8 * math.exp(-(t ** alpha) / (2.0 * (6.0 * c) ** alpha))
-    second = 2.0 * _exp_quad(t, (72.0 / 25.0) * n * sigma2
-                             + (8.0 / 5.0) * t * m_trunc)
+    second = 2.0 * _exp_quad(t, (72.0 / 25.0) * n * sigma2,
+                             (8.0 / 5.0) * t * m_trunc, (8.0 / 5.0) * m_trunc)
     return capped(math.fsum((first, second)))
 
 
@@ -172,7 +185,8 @@ def random_sum_bound(l: float, v: float, alpha: float, sigma2: float,
     big_b = v * (3.0 * _log_n(l) / alpha ** 2) ** (1.0 / alpha)
     mu = max(8.0 * big_b / 3.0, 2.0 * math.sqrt(sigma2) * math.sqrt(psi1_excess))
     first = _E8 * math.exp(-(t ** alpha) / (2.0 * ((2.0 + _SQRT2) * v) ** alpha))
-    second = 2.0 ** 1.5 * _exp_quad(t, 8.0 * a * sigma2 + 2.0 * _SQRT2 * mu * t)
+    b = 2.0 * _SQRT2 * mu
+    second = 2.0 ** 1.5 * _exp_quad(t, 8.0 * a * sigma2, b * t, b)
     return capped(math.fsum((first, second)))
 
 
@@ -193,9 +207,10 @@ def one_dep_bounded(n: float, m_dep: int, sigma_inf2: float, M: float,
         raise ValueError("m_dep must be 1 or 2")
     _check_pos(n=n)
     _check_nonneg(sigma_inf2=sigma_inf2, M=M, t=t)
-    denom = (_ONE_DEP_C[m_dep] * (n + 1.0 + m_dep) * sigma_inf2
-             + _ONE_DEP_D[m_dep] * t * M)
-    return capped(2.0 * (m_dep + 1.0) * _exp_quad(t, denom))
+    d_m = _ONE_DEP_D[m_dep]
+    return capped(2.0 * (m_dep + 1.0) * _exp_quad(
+        t, _ONE_DEP_C[m_dep] * (n + 1.0 + m_dep) * sigma_inf2, d_m * t * M,
+        d_m * M))
 
 
 def one_dep_sup(n: float, m_dep: int, c: float, alpha: float,
@@ -220,7 +235,8 @@ def one_dep_sup(n: float, m_dep: int, c: float, alpha: float,
     first = (2.0 * (m_dep + 1.0) * _E8
              * math.exp(-(t ** alpha) / ((16.0 / alpha) * (a_m * c) ** alpha)))
     second = 2.0 * (m_dep + 1.0) * _exp_quad(
-        t, b_m * (n + m_dep + 1.0) * sigma_inf2 + c_m * t * m_trunc)
+        t, b_m * (n + m_dep + 1.0) * sigma_inf2, c_m * t * m_trunc,
+        c_m * m_trunc)
     return capped(math.fsum((first, second)))
 
 
@@ -248,8 +264,9 @@ def one_dep_stopped(n: float, c: float, alpha: float, sigma_inf2: float,
         flags.append("b_factor below its floor of 2")
     m_trunc = m_cutoff(c, alpha, n, "main")
     first = 4.0 * _E8 * math.exp(-(t ** alpha) / ((16.0 / alpha) * (26.0 * c) ** alpha))
-    second = 9.0 * _exp_quad(t, 102.0 * a * sigma_inf2
-                             + 14.0 * m_trunc * t * b_factor)
+    second = 9.0 * _exp_quad(t, 102.0 * a * sigma_inf2,
+                             14.0 * m_trunc * t * b_factor,
+                             14.0 * m_trunc * b_factor)
     return capped(math.fsum((first, second)), tuple(flags))
 
 
@@ -399,7 +416,8 @@ def thm_bi(params: BernsteinParams, n: float, t: float) -> BoundValue:
         t3 = 6.0 * _E8 * math.exp(-(t ** al) / ((16.0 / al) * (27.0 * params.c) ** al))
     else:
         t3 = 0.0 if t > 0.0 else 6.0 * _E8
-    t4 = 6.0 * _exp_quad(t, 30.0 * n * params.sigma2_mrv + 8.0 * t * m_trunc)
+    t4 = 6.0 * _exp_quad(t, 30.0 * n * params.sigma2_mrv, 8.0 * t * m_trunc,
+                         8.0 * m_trunc)
     if params.d > 0.0:
         t5 = _E1 * math.exp(-(n * params.m)
                             / (67.0 * params.delta * params.pi_C * params.d ** 2))
@@ -432,8 +450,9 @@ def thm_bi2(params: BernsteinParams, n: float, p: float, t: float) -> BoundValue
         t3 = 4.0 * _E8 * math.exp(-(t ** al) / ((16.0 / al) * (27.0 * params.c) ** al))
     else:
         t3 = 0.0 if t > 0.0 else 4.0 * _E8
-    t4 = 6.0 * _exp_quad(t, 37.0 * (1.0 + p) * n * params.sigma2_mrv
-                         + 18.0 * m_trunc * params.d * t * math.sqrt(kp))
+    lin = 18.0 * m_trunc * params.d
+    t4 = 6.0 * _exp_quad(t, 37.0 * (1.0 + p) * n * params.sigma2_mrv,
+                         lin * t * math.sqrt(kp), lin * math.sqrt(kp))
     flags = list(params.consistency_warnings())
     return capped(math.fsum((t1, t2, t3, t4)), tuple(flags))
 
@@ -450,9 +469,10 @@ def thm_sbi(n: float, t: float, sigma2_mrv: float, f_sup: float, D: float,
     _check_nonneg(t=t, sigma2_mrv=sigma2_mrv, f_sup=f_sup, D=D)
     _check_split_mass(delta, pi_C)
     lead = _E10 + 2.0 / (delta * pi_C)
-    denom = (32.0 * n * sigma2_mrv
-             + 433.0 * t * delta * pi_C * f_sup * D * D * _log_n(n))
-    return capped(lead * _exp_quad(t, denom))
+    return capped(lead * _exp_quad(
+        t, 32.0 * n * sigma2_mrv,
+        433.0 * t * delta * pi_C * f_sup * D * D * _log_n(n),
+        433.0 * delta * pi_C * f_sup * D * D * _log_n(n)))
 
 
 def bbi_constants(delta: float, pi_C: float, D: float) -> tuple:

@@ -542,8 +542,6 @@ def make_two_state(a: float = 0.5, b: float = 0.5,
     b = float(b)
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ValueError("a and b must lie strictly inside (0, 1)")
-    if not (0.0 < delta <= 1.0):
-        raise ValueError("delta must lie in (0, 1]")
     mat = np.array([[1.0 - a, a], [b, 1.0 - b]])
     kernel = TransitionKernel(matrix=mat)
     nu = mat[0].copy()

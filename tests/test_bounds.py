@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
@@ -132,6 +132,11 @@ def test_one_dep_stopped_frozen():
        st.floats(min_value=0.0, allow_subnormal=False, max_value=10.0),
        st.floats(min_value=0.0, allow_subnormal=False, max_value=5.0),
        st.floats(min_value=0.0, allow_subnormal=False, max_value=100.0))
+# M t underflows to zero; t^2 is subnormal; t^2 and M t overflow. All
+# three are exp(-1.5).
+@example(1.0, 0.0, 5.009725211071133e-296, 5.009725211071133e-296)
+@example(1.0, 0.0, 1e-160, 1e-160)
+@example(1.0, 0.0, 1e160, 1e160)
 def test_classical_bernstein_matches_oracle(n, sigma2, big_m, t):
     got = classical_bernstein(n, sigma2, big_m, t).raw
     want = float(oracle.classical_bernstein(n, sigma2, big_m, t))
