@@ -122,9 +122,10 @@ for pair in three-m2:"$THREE" slow:"$SLOW"; do
   lib fit-$name "(lambda p: (p.params, p.diagnostics))(fit_bernstein_params(
   $ch, 'indicator_centered', n_excursions=400, n_first_blocks=2500, seed=2))"
 done
-# the substream derivation: first draws of each stream over a grid of
-# seeds (masked to 64 bits) and paths (empty, replica-block edges,
-# indices past 2^32 and 2^64, entropy longer than the 4-word pool)
+# the substream derivation, numpy's SeedSequence: first draws of each
+# stream over a grid of seeds (masked to 64 bits) and paths (empty,
+# indices around 256, past 2^32 and past 2^64, entropy longer than the
+# 4-word pool)
 lib rng-grid "[(lambda g: (g.random(2).tolist(),
   g.integers(0, 256, 3, dtype='u1').tolist(),
   g.integers(0, 2**64, 2, dtype='u8').tolist(), g.standard_normal(2).tolist()))(
@@ -132,6 +133,12 @@ lib rng-grid "[(lambda g: (g.random(2).tolist(),
   for seed in (0, 7, 2**63 + 1, 2**64 + 5, -1)
   for path in ((), (3, 0), (3, 255), (3, 256), (3, 257), (3, 70000), (3, 2**32 - 1),
   (3, 2**32), (3, 2**64 + 3), (5, 2**33, 17), (5, 3, 4, 5, 6, 7, 8, 9))]"
+# two-block sup tails over 1500 replicas (five blocks of 256 and a short
+# one) on two threads
+lib two-block-product "two_block_sup_tail('product', 'uniform', 200,
+  [0.5 * i for i in range(41)], 1500, seed=3, threads=2).estimate.tolist()"
+lib two-block-difference "two_block_sup_tail('difference', 'uniform', 200,
+  [0.1 * i for i in range(21)], 1500, seed=3, threads=2).estimate.tolist()"
 # the bounds command: a full parameter bundle, a missing one, and a
 # single evaluator
 run bnd-bi bounds thm_bi a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 \

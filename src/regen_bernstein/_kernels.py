@@ -95,8 +95,7 @@ def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
         out[r] = acc
 
 
-# 1 MB of float64 uniforms per step-major tile (and per lockstep split
-# call, see split_regen._split_runs)
+# 1 MB of float64 uniforms per step-major tile
 _TILE_FLOATS = 1 << 17
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -598,22 +599,26 @@ class Start:
     def _cum(self) -> np.ndarray:
         return np.cumsum(self.weights)
 
-    def draw(self, rng: np.random.Generator) -> int:
+    def draw(self, rng: np.random.Generator, size=None):
+        """One native start, or an array of size of them (a point start
+        returns its one state either way)."""
         if self.point is not None:
             return self.point
         if self.weights is not None:
-            idx = int(np.searchsorted(self._cum, rng.random(), side="right"))
-            return min(idx, len(self._cum) - 1)
-        word = int(rng.integers(0, _U64_MAX, dtype=np.uint64, endpoint=True))
-        return word & self.wrap_mask
+            idx = np.searchsorted(self._cum, rng.random(size), side="right")
+            return np.minimum(idx, len(self._cum) - 1)
+        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
+                             endpoint=True)
+        return words & np.uint64(self.wrap_mask)
 
 
 def resolve_start(chain: ChainInstance, init) -> Start:
     """Validate an initial condition: a state, ("point", x), "nu" or "pi".
 
     "pi-approx" is accepted as "pi", and the mod-1 chain also accepts
-    "lebesgue". Finite point starts must be state indices in range;
-    mod-1 point starts must lie in [0, 1).
+    "lebesgue". Finite point starts must be state indices in range (an
+    integral float such as 1.0 counts); mod-1 point starts must lie in
+    [0, 1).
     """
     if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
         init = init[1]
@@ -629,7 +634,12 @@ def resolve_start(chain: ChainInstance, init) -> Start:
     if chain.mod1 is not None:
         return Start(label=f"point:{init}",
                      point=chain.mod1.float_to_bits(float(init)))
-    x = int(init)
+    try:
+        x = operator.index(init)
+    except TypeError:
+        if not (isinstance(init, (float, np.floating)) and float(init).is_integer()):
+            raise ValueError(f"initial state {init!r} is not a state index") from None
+        x = int(init)
     if not (0 <= x < chain.kernel.n_states):
         raise ValueError(f"initial state {x} out of range")
     return Start(label=f"point:{init}", point=x)

@@ -22,7 +22,8 @@ from ._backend import backend_choice
 from ._io import plain
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
 from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
-from .chain_models import load_chain, make_chain, resolve_functional, sample_path
+from .chain_models import (load_chain, make_chain, resolve_functional,
+                           resolve_point, sample_path)
 from .errors import GuardError
 from .split_regen import (simulate_split, trajectory_summary,
                           trajectory_to_csv, write_json)
@@ -140,7 +141,7 @@ def _base_metadata(command: str, seed: int) -> dict:
     return {
         "command": command,
         "seed": int(seed),
-        "rng": stream_description(seed),
+        "rng": stream_description(seed, replicated=command == "verify"),
         "backend": backend_choice(),
     }
 
@@ -353,12 +354,13 @@ def cmd_oracle(args, cfg):
     x0 = _opt(args, cfg, "x0")
     if x0 is None:
         x0 = chain.first_small_set_state()
-    tail = exact_tail(chain, f_spec, int(x0), n, grid)
+    x0 = resolve_point(chain, x0)
+    tail = exact_tail(chain, f_spec, x0, n, grid)
     payload = {
         "command": "oracle",
         "chain": chain.label(),
         "functional": resolve_functional(chain, f_spec).name,
-        "x0": int(x0),
+        "x0": x0,
         "n": n,
         "seed": int(seed),
         "tail": tail_curve_to_dict(tail),

@@ -103,33 +103,28 @@ def _finite_split_inputs(chain):
             np.asarray(spec.r, dtype=np.float64), spec.m)
 
 
-def _split_request(chain, x0, blocks, rngs, first):
-    """One request of blocks blocks per replica: (paths, levels).
+def _split_request(chain, x0, blocks, rng, first):
+    """One request of blocks blocks for every row: (paths, levels).
 
-    Row i starts from x0[i] and draws from rngs[i]: blocks * m state
-    uniforms, then blocks level uniforms (on the mod-1 chain, the moves
-    of the blocks' steps). paths holds blocks * m + 1 states per row,
-    the start first, and levels one uint8 level per block. On a finite
-    chain one row takes the scalar path loop, and several rows step in
-    lockstep up to the block in which every row has a level-1 block at
-    or after block first; a row is set through its first such block.
+    Row i starts from x0[i]. The rows draw from rng together: all their
+    blocks * m state uniforms (row by row), then all their level
+    uniforms; on the mod-1 chain, the moves of all their steps. paths
+    holds blocks * m + 1 states per row, the start first, and levels one
+    uint8 level per block. On a finite chain one row takes the scalar
+    path loop, and several rows step in lockstep up to the block in
+    which every row has a level-1 block at or after block first; a row
+    is set through its first such block.
     """
-    rows = len(rngs)
+    rows = len(x0)
     steps = blocks * chain.m
     mod1 = chain.mod1
     if mod1 is not None:
-        eps = np.empty((rows, steps), dtype=np.uint8)
-        words = np.empty((rows, steps), dtype=np.uint64)
-        for i, rng in enumerate(rngs):
-            eps[i], words[i] = mod1.draw_moves(rng, steps)
+        eps, words = mod1.draw_moves(rng, (rows, steps))
         # a two-step block regenerates exactly when its two coins differ
         levels = (eps[:, 0::2] != eps[:, 1::2]).astype(np.uint8)
         return mod1.path(x0, eps, words), levels
-    state_u = np.empty((rows, steps))
-    level_u = np.empty((rows, blocks))
-    for i, rng in enumerate(rngs):
-        rng.random(out=state_u[i])
-        rng.random(out=level_u[i])
+    state_u = rng.random((rows, steps))
+    level_u = rng.random((rows, blocks))
     inputs = _finite_split_inputs(chain)
     if rows == 1:
         states, levels = _kernels.finite_split_path(*inputs, int(x0[0]),
@@ -139,17 +134,26 @@ def _split_request(chain, x0, blocks, rngs, first):
                                             first)
 
 
-def _split_runs(chain: ChainInstance, start, rngs, n: int, extend: bool = True):
-    """Split runs of many replicas in lockstep, one generator each.
+def _prefixes(array: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Row i's first kept[i] entries, row after row (a view for one row)."""
+    if len(kept) == 1:
+        return array[0, :kept[0]]
+    return array[np.arange(array.shape[1]) < kept[:, None]]
 
-    start is a resolved Start. Replica i draws from rngs[i] its start,
-    one request of ceil(n / m) blocks and, when extending, the extension
-    schedule's requests until a level-1 block starts at or after n - m;
-    its run stops at the end of that block. Without extension a run is
-    the first request cut to n states. Each request is one batched
-    kernel call over the replicas still running (in groups of at most
-    _kernels._TILE_FLOATS states), and GuardError is raised before a
-    request that would take the runs past _MAX_BLOCKS blocks.
+
+def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
+                extend: bool = True):
+    """Split runs of rows replicas in lockstep, all drawing from rng.
+
+    start is a resolved Start. The replicas draw their starts, then one
+    request of ceil(n / m) blocks each and, when extending, the
+    extension schedule's requests for the replicas still running: each
+    runs until a level-1 block starts at or after n - m and stops at the
+    end of that block. Without extension a run is the first request cut
+    to n states. Each request is one draw and one batched kernel call
+    over the replicas still running, and GuardError is raised before a
+    request that would take the runs past _MAX_BLOCKS blocks. One row
+    is simulate_split's run.
 
     Returns (states, levels, lengths): the runs' states (indices, or
     floats on the mod-1 chain) and per-state levels, concatenated in
@@ -157,46 +161,46 @@ def _split_runs(chain: ChainInstance, start, rngs, n: int, extend: bool = True):
     """
     m = chain.m
     mod1 = chain.mod1
-    x = np.array([start.draw(rng) for rng in rngs],
-                 dtype=np.int64 if mod1 is None else np.uint64)
-    runs = [[] for _ in rngs]  # (states, levels) per request, per replica
-    lengths = np.zeros(len(rngs), dtype=np.int64)
-    active = np.arange(len(rngs))
+    x = np.empty(rows, dtype=np.int64 if mod1 is None else np.uint64)
+    x[:] = start.draw(rng, rows)
+    requests = []  # (running rows, states each keeps, paths, levels)
+    lengths = np.zeros(rows, dtype=np.int64)
+    active = np.arange(rows)
     done_blocks = 0
     blocks = -(-n // m)
     first = blocks - 1  # the first block that starts at or after n - m
     while active.size:
         _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
-        group = max(1, _kernels._TILE_FLOATS // (blocks * m))
-        running = []
-        for lo in range(0, active.size, group):
-            ids = active[lo:lo + group]
-            paths, levels = _split_request(chain, x[ids], blocks,
-                                           [rngs[i] for i in ids], first)
-            counted = levels[:, first:]
-            hit = np.where(counted.any(axis=1),
-                           first + counted.argmax(axis=1), -1)
-            if extend:
-                kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
-            else:
-                kept = np.full(ids.size, n)
-            per_state = np.repeat(levels, m, axis=1)
-            for j, (i, k) in enumerate(zip(ids.tolist(), kept.tolist())):
-                runs[i].append((paths[j, :k], per_state[j, :k]))
-            lengths[ids] += kept
-            alive = hit < 0
-            x[ids[alive]] = paths[alive, -1]
-            running.append(ids[alive])
+        paths, levels = _split_request(chain, x[active], blocks, rng, first)
+        counted = levels[:, first:]
+        hit = np.where(counted.any(axis=1), first + counted.argmax(axis=1), -1)
+        if extend:
+            kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
+        else:
+            kept = np.full(active.size, n)
+        requests.append((active, kept, paths, levels))
+        lengths[active] += kept
         if not extend:
             break
+        alive = hit < 0
+        x[active[alive]] = paths[alive, -1]
+        active = active[alive]
         done_blocks += blocks
-        active = np.concatenate(running)
         blocks = _extension_chunk(blocks)
         first = 0
-    states = np.concatenate([piece for run in runs for piece, _ in run])
+    # a row's kept states are its start and then its path's first states
+    states = np.concatenate([_prefixes(paths[:, :-1], kept)
+                             for _, kept, paths, _ in requests])
+    levels = np.concatenate([_prefixes(np.repeat(block_levels, m, axis=1), kept)
+                             for _, kept, _, block_levels in requests])
+    if rows > 1 and len(requests) > 1:
+        # stable: each replica's pieces stay in request order
+        order = np.argsort(np.concatenate([np.repeat(ids, kept)
+                                           for ids, kept, _, _ in requests]),
+                           kind="stable")
+        states, levels = states[order], levels[order]
     if mod1 is not None:
         states = mod1.bits_to_float(states)
-    levels = np.concatenate([piece for run in runs for _, piece in run])
     return states, levels, lengths
 
 
@@ -212,14 +216,14 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     of that block, which is exactly the coverage the block decomposition
     needs. GuardError is raised before drawing a request that would take
     the run past _MAX_BLOCKS blocks. The run is _split_runs' with one
-    generator.
+    row.
     """
     n = int(n)
     m = chain.m
     if n < m:
         raise ValueError(f"n < m: need n >= {m}, got {n}")
     start = resolve_start(chain, init)
-    states, levels, _ = _split_runs(chain, start, [rng], n,
+    states, levels, _ = _split_runs(chain, start, rng, 1, n,
                                     extend=extend_to_regeneration)
     return SplitTrajectory(states=states, levels=levels, m=m,
                            init_label=start.label, chain_name=chain.name)

@@ -21,9 +21,9 @@ from scipy import stats
 
 from . import _kernels
 from ._io import atomic_write_text, plain
-from ._rng import (TAG_COLLECT, TAG_FIT_EXCURSION, TAG_FIT_FIRST_BLOCK,
-                   TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL, TAG_TWO_BLOCK,
-                   stream_description, substream)
+from ._rng import (BLOCK, TAG_COLLECT, TAG_FIT_EXCURSION,
+                   TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL,
+                   TAG_TWO_BLOCK, stream_description, substream)
 from .bounds import BernsteinParams, thm_bi, thm_bi2, thm_sbi
 from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
@@ -38,8 +38,8 @@ _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
 _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
-# replicas whose generators _first_blocks holds at once
-_FIRST_BLOCK_SLAB = 64
+# noise values per tile of the two-block statistic (256 KB)
+_TWO_BLOCK_TILE_FLOATS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +146,27 @@ def _replica_chunk(replicas: int, n: int, bytes_per_step: int = 8) -> int:
     return int(min(replicas, 65536, max(256, 64_000_000 // per)))
 
 
+def _block_rows(lo: int, hi: int):
+    """(block index, rows) of each block of BLOCK replicas in lo..hi-1.
+
+    lo is a block edge; rows is a slice relative to lo, and the last
+    block is short when hi is not a block edge.
+    """
+    for first in range(lo, hi, BLOCK):
+        yield first // BLOCK, slice(first - lo, min(first + BLOCK, hi) - lo)
+
+
 def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
                      steps: int, bytes_per_step: int, threads: int) -> TailCurve:
     """Monte Carlo TailCurve of |statistic| over replicas 0..replicas-1.
 
     statistics(lo, hi) returns the statistic of replicas lo..hi-1, each
-    drawn from its own substream, so the counts do not depend on the
-    chunk size or on the thread count.
+    block of BLOCK replicas drawn from its own substream. Chunks are
+    whole blocks (the size is rounded down), so the counts do not depend
+    on the chunk size or on the thread count.
     """
     chunk = _replica_chunk(replicas, steps, bytes_per_step)
+    chunk = max(BLOCK, chunk - chunk % BLOCK)
     pairs = [(lo, min(lo + chunk, replicas))
              for lo in range(0, replicas, chunk)]
 
@@ -177,9 +189,12 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
             seed: int, *, threads: int = 1) -> TailCurve:
     """Empirical tail of |sum of f over n states| across replicas.
 
-    Each replica owns the substream (seed, TAG_TAIL, replica_index), so
-    the result is bit-identical for a fixed (seed, replicas) no matter
-    how the work is chunked or threaded. init is anything resolve_start
+    Block b of BLOCK replicas (the last one possibly short) owns the
+    substream (seed, TAG_TAIL, b) and draws block-major: the starts of
+    its replicas, then their n - 1 moves each, replica by replica (on
+    the mod-1 chain all the block's coins, then all its words). So the
+    result is bit-identical for a fixed (seed, replicas) no matter how
+    the work is chunked or threaded. init is anything resolve_start
     accepts: a point state, "nu", or "pi".
     """
     n = int(n)
@@ -192,40 +207,42 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     fspec = resolve_functional(chain, f)
     start = resolve_start(chain, init)
     steps = n - 1
+    mod1 = chain.mod1
 
-    if chain.mod1 is None:
+    if mod1 is None:
         cum_rows = chain.kernel.cumulative_rows()
+        state_type, move_types = np.int64, (np.float64,)
 
-        def sums(lo, hi):
-            count = hi - lo
-            uniforms = np.empty((count, steps), dtype=np.float64)
-            x0 = np.empty(count, dtype=np.int64)
-            for i in range(count):
-                rng = substream(seed, TAG_TAIL, lo + i)
-                x0[i] = start.draw(rng)
-                uniforms[i] = rng.random(steps)
+        def draw_moves(rng, uniforms):
+            rng.random(out=uniforms)
+
+        def kernel(x0, uniforms):
             return _kernels.finite_chain_sums(cum_rows, fspec.values, x0,
                                               uniforms)
+    else:
+        shift, scale = mod1.float_params()
+        state_type, move_types = np.uint64, (np.uint8, np.uint64)
 
-        return _replicated_tail(sums, t, n, replicas, steps, 8, threads)
+        def draw_moves(rng, eps, words):
+            eps[:], words[:] = mod1.draw_moves(rng, eps.shape)
 
-    mod1 = chain.mod1
-    shift, scale = mod1.float_params()
+        def kernel(x0, eps, words):
+            return _kernels.mod1_chain_sums(
+                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
+                fspec.code, x0, eps, words)
 
     def sums(lo, hi):
-        count = hi - lo
-        eps = np.empty((count, steps), dtype=np.uint8)
-        words = np.empty((count, steps), dtype=np.uint64)
-        x0 = np.empty(count, dtype=np.uint64)
-        for i in range(count):
-            rng = substream(seed, TAG_TAIL, lo + i)
-            x0[i] = start.draw(rng)
-            eps[i], words[i] = mod1.draw_moves(rng, steps)
-        return _kernels.mod1_chain_sums(
-            mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-            fspec.code, x0, eps, words)
+        x0 = np.empty(hi - lo, dtype=state_type)
+        moves = [np.empty((hi - lo, steps), dtype=dtype) for dtype in move_types]
+        for block, rows in _block_rows(lo, hi):
+            rng = substream(seed, TAG_TAIL, block)
+            x0[rows] = start.draw(rng, rows.stop - rows.start)
+            draw_moves(rng, *(buf[rows] for buf in moves))
+        return kernel(x0, *moves)
 
-    return _replicated_tail(sums, t, n, replicas, steps, 9, threads)
+    bytes_per_step = sum(np.dtype(dtype).itemsize for dtype in move_types)
+    return _replicated_tail(sums, t, n, replicas, steps, bytes_per_step,
+                            threads)
 
 
 def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -670,9 +687,7 @@ def _pitman_g(chain: ChainInstance, g_spec):
     if isinstance(g_spec, tuple) and len(g_spec) == 2 and g_spec[0] == "state":
         if not chain.is_finite:
             raise ValueError("state-indicator G needs a finite chain")
-        target = int(g_spec[1])
-        if not (0 <= target < chain.kernel.n_states):
-            raise ValueError(f"state {target} out of range")
+        target = resolve_point(chain, g_spec[1])
         return (lambda s, lev: (np.asarray(s) == target).astype(np.float64),
                 f"state:{target}")
     if g_spec == "one":
@@ -706,33 +721,24 @@ def _pitman_rhs(chain: ChainInstance, g_fn, g_name: str) -> float:
 
 def _first_blocks(chain: ChainInstance, init, replicas: int, seed: int,
                   *path):
-    """Runs up to the first regeneration, one slab of replicas at a time.
+    """Runs up to the first regeneration, one block of replicas at a time.
 
-    Replica r draws from substream (seed, *path, r) what simulate_split
-    from init over horizon m, extended to a regeneration, draws. Each
-    slab of at most _FIRST_BLOCK_SLAB replicas yields the states and
-    levels of split_regen._split_runs at n = m and each run's sigma0,
-    and its generators are dropped before the next slab's are made.
+    Block b of BLOCK replicas (the last one possibly short) runs from
+    init in split_regen._split_runs at n = m, drawing from substream
+    (seed, *path, b); each block yields its runs' states and levels and
+    each run's sigma0.
     """
     start = resolve_start(chain, init)
-    for lo in range(0, replicas, _FIRST_BLOCK_SLAB):
-        hi = min(lo + _FIRST_BLOCK_SLAB, replicas)
+    for block, rows in _block_rows(0, replicas):
         states, levels, lengths = _split_runs(
-            chain, start, [substream(seed, *path, r) for r in range(lo, hi)],
-            chain.m)
+            chain, start, substream(seed, *path, block),
+            rows.stop - rows.start, chain.m)
         yield states, levels, lengths - chain.m
 
 
 def _run_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of values, counts[i] values for run i.
-
-    Each run is summed on its own, as numpy sums the run's array, so the
-    totals equal per-replica sums bitwise.
-    """
-    counts = counts.tolist()
-    ends = np.cumsum(counts).tolist()
-    return np.array([values[hi - c:hi].sum() for hi, c in zip(ends, counts)],
-                    dtype=np.float64)
+    """Sums of consecutive runs of values, counts[i] >= 1 values for run i."""
+    return np.add.reduceat(values, np.cumsum(counts) - counts)
 
 
 def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
@@ -741,7 +747,7 @@ def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
 
     The closed form is E(G under the split stationary law) divided by
     delta pi(C). G acts elementwise on arrays of block-start states and
-    levels; it is applied to a whole slab of runs at once. Passing
+    levels; it is applied to a whole block of runs at once. Passing
     means agreement within 4 SE; the level indicator sums to exactly 1
     on every path, so its SE is zero and the comparison is exact.
     """
@@ -960,9 +966,13 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
                        *, threads: int = 1) -> TailCurve:
     """Empirical tail of max_k |S_k| for two-block-factor partial sums.
 
-    Replica r draws from substream (seed, TAG_TWO_BLOCK, 1 + r), so the
-    single-sample path of two_block_factor (path index 0) never
-    collides with the replicated ones.
+    Block b of BLOCK replicas (the last one possibly short) draws from
+    substream (seed, TAG_TWO_BLOCK, 1 + b), so the single-sample path of
+    two_block_factor (path index 0) never collides with the replicated
+    ones. A block draws its replicas' n + 1 noise values each, replica
+    by replica, in tiles of whole replicas; the built-in laws draw the
+    same values in one call as in several, so the tile size does not
+    change the result.
     """
     n = int(n)
     replicas = int(replicas)
@@ -974,13 +984,17 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
     h_fn, _ = _resolve_two_block_h(h)
     law_fn, _ = _resolve_xi_law(xi_law)
 
+    tile = max(1, _TWO_BLOCK_TILE_FLOATS // (n + 1))
+
     def sup_stats(lo, hi):
         out = np.empty(hi - lo, dtype=np.float64)
-        for i in range(hi - lo):
-            rng = substream(seed, TAG_TWO_BLOCK, 1 + lo + i)
-            xi = _draw_xi(law_fn, rng, n + 1)
-            x = np.asarray(h_fn(xi[:-1], xi[1:]), dtype=np.float64)
-            out[i] = np.abs(np.cumsum(x)).max()
+        for block, rows in _block_rows(lo, hi):
+            rng = substream(seed, TAG_TWO_BLOCK, 1 + block)
+            for first in range(rows.start, rows.stop, tile):
+                count = min(tile, rows.stop - first)
+                xi = _draw_xi(law_fn, rng, count * (n + 1)).reshape(count, -1)
+                x = np.asarray(h_fn(xi[:, :-1], xi[:, 1:]), dtype=np.float64)
+                out[first:first + count] = np.abs(np.cumsum(x, axis=1)).max(axis=1)
         return out
 
     return _replicated_tail(sup_stats, t, n, replicas, n + 1, 16, threads)
@@ -1211,7 +1225,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "seed": report.seed,
         "z": report.z,
         "p": report.p,
-        "rng": stream_description(report.seed),
+        "rng": stream_description(report.seed, replicated=True),
         "tail": tail_curve_to_dict(report.tail),
         "bounds": {
             name: {"values": [float(v) for v in curve.values],

@@ -14,6 +14,7 @@ from regen_bernstein import (TransitionKernel, chain_from_dict, load_chain,
                              stationary_distribution, tv_decay_curve,
                              validate_minorization)
 from regen_bernstein._rng import TAG_TV, substream
+from regen_bernstein.chain_models import resolve_point, resolve_start
 
 
 @st.composite
@@ -136,6 +137,18 @@ def test_tv_eigenvalue_formula():
     for x0 in (-1, 5):
         with pytest.raises(ValueError, match="initial state .* out of range"):
             tv_decay_curve(make_two_state(0.3, 0.6), x0, 2)
+
+
+def test_finite_point_starts_are_state_indices():
+    chain = make_two_state(0.5, 0.5)
+    for init in (1, np.int64(1), 1.0, np.float64(1.0), ("point", 1.0)):
+        assert resolve_start(chain, init).point == 1
+        assert resolve_point(chain, init) == 1
+    for init in (1.5, 0.9, np.float64(0.5), ("point", 1.7), float("nan")):
+        with pytest.raises(ValueError, match="not a state index"):
+            resolve_start(chain, init)
+        with pytest.raises(ValueError, match="not a state index"):
+            resolve_point(chain, init)
 
 
 def test_tv_sum_one_collapses_immediately():

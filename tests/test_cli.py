@@ -66,11 +66,34 @@ def test_validation_error_exits_1(capsys):
              "out of range"),
             (("simulate", "--chain", "singular-mod1", "--n", "8",
               "--init", "1.5"), "[0, 1)"),
+            (("simulate", "--chain", "two-state", "--n", "8", "--init", "1.7"),
+             "not a state index"),
+            (("oracle", "--chain", "two-state", "--n", "4", "--x0", "0.9"),
+             "not a state index"),
             (("variance", "--chain", "two-state", "--method", "batch",
               "--n", "16", "--x0", "-1"), "out of range")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert message in err, argv
+
+
+def test_integral_point_start_from_config(capsys, tmp_path):
+    # JSON configs may carry a state as a float: 1.0 is state 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chain": "two-state", "init": 1.0, "x0": 1.0}))
+
+    def both(command, flag):
+        return (run_json(capsys, command, "--config", str(cfg), "--n", "4"),
+                run_json(capsys, command, "--chain", "two-state", "--n", "4",
+                         flag, "1"))
+
+    got, want = both("simulate", "--init")
+    assert got["summary"].pop("init") == "point:1.0"  # labelled as given
+    assert want["summary"].pop("init") == "point:1"
+    assert got["summary"] == want["summary"]
+    got, want = both("oracle", "--x0")
+    assert got["x0"] == want["x0"] == 1
+    assert got["tail"] == want["tail"]
 
 
 def test_guard_error_exits_2(capsys):

@@ -52,7 +52,8 @@ from regen_bernstein import (
 )
 from regen_bernstein import split_regen
 from regen_bernstein._kernels import finite_split_path
-from regen_bernstein._rng import TAG_FIT_FIRST_BLOCK, TAG_PITMAN, substream
+from regen_bernstein._rng import (TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_TAIL,
+                                  TAG_TWO_BLOCK, substream)
 from regen_bernstein.chain_models import resolve_start
 
 
@@ -256,6 +257,103 @@ def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
         assert np.array_equal(whole.estimate, chunked.estimate)
         assert np.array_equal(whole.estimate, threaded.estimate)
         assert np.array_equal(whole.se, threaded.se)
+
+
+def _chunk_statistics(monkeypatch, run):
+    # the statistic of every replica, in replica order, read where the
+    # driver counts it, with one block per chunk
+    seen = []
+
+    def counts(stat, t):
+        seen.append(np.array(stat))
+        return tail_counts(stat, t)
+
+    tail_counts = verify_mod._tail_counts
+    monkeypatch.setattr(verify_mod, "_tail_counts", counts)
+    monkeypatch.setattr(verify_mod, "_replica_chunk", lambda *a, **k: 256)
+    run()
+    monkeypatch.undo()
+    return np.concatenate(seen)
+
+
+def test_one_block_reproduced_from_its_substream(monkeypatch):
+    # block b of 256 replicas (here the short last one, 232 replicas of
+    # 1000) follows from substream(seed, tag, b) alone, drawn block-major
+    seed, n, rows = 12, 9, 1000 - 768
+    two = make_two_state(0.3, 0.6)
+    mod1 = make_singular_mod1()
+    moves = mod1.mod1
+    finite = resolve_functional(two, "indicator_centered")
+    centred = resolve_functional(mod1, "identity_centered")
+
+    got = _chunk_statistics(monkeypatch, lambda: mc_tail(
+        two, finite, "pi", n, [1.0], 1000, seed))
+    rng = substream(seed, TAG_TAIL, 3)
+    x0 = [resolve_start(two, "pi").draw(rng) for _ in range(rows)]
+    want = []
+    for x in x0:
+        path = two.kernel.cumulative_rows(), x, rng.random(n - 1)
+        total = 0.0
+        for state in verify_mod._kernels.finite_chain_path(*path):
+            total += finite.values[state]
+        want.append(total)
+    assert np.array_equal(got[768:], want)
+
+    got = _chunk_statistics(monkeypatch, lambda: mc_tail(
+        mod1, centred, "pi", n, [1.0], 1000, seed))
+    rng = substream(seed, TAG_TAIL, 3)
+    x0 = [resolve_start(mod1, "pi").draw(rng) for _ in range(rows)]
+    eps, words = moves.draw_moves(rng, (rows, n - 1))
+    want = []
+    for x, e, w in zip(x0, eps, words):
+        total = 0.0
+        for value in centred.apply(moves.bits_to_float(moves.path(x, e, w))):
+            total += value
+        want.append(total)
+    assert np.array_equal(got[768:], want)
+
+    got = _chunk_statistics(monkeypatch, lambda: two_block_sup_tail(
+        "product", "normal", n, [1.0], 1000, seed))
+    rng = substream(seed, TAG_TWO_BLOCK, 1 + 3)
+    want = []
+    for _ in range(rows):
+        xi = rng.standard_normal(n + 1)
+        want.append(np.abs(np.cumsum(xi[:-1] * xi[1:])).max())
+    assert np.array_equal(got[768:], want)
+
+    for chain in (two, mod1):
+        blocks = list(verify_mod._first_blocks(chain, "nu", 1000, seed, 4, 1))
+        states, levels, sigma0 = blocks[3]
+        runs = _reference_split(chain, "nu", chain.m, substream(seed, 4, 1, 3),
+                                True, rows)
+        assert np.array_equal(states, np.concatenate([r.states for r in runs]))
+        assert np.array_equal(levels, np.concatenate([r.levels for r in runs]))
+        assert np.array_equal(sigma0, [r.sigma[0] for r in runs])
+
+
+def test_tails_do_not_depend_on_tiles(monkeypatch):
+    # the replica kernels' step tiles and the two-block statistic's row
+    # tiles change how the work is cut, never what is drawn
+    chain = make_two_state(0.3, 0.6)
+    mod1 = make_singular_mod1()
+    runs = [
+        lambda: mc_tail(chain, "indicator_centered", "pi", 300,
+                        np.linspace(0.0, 30.0, 31), 1000, seed=2),
+        lambda: mc_tail(mod1, "cos2pi", "pi", 40, np.linspace(0.0, 8.0, 17),
+                        1000, seed=2),
+    ] + [
+        lambda law=law: two_block_sup_tail(
+            "difference", law, 50, np.linspace(0.0, 4.0, 21), 1000, seed=2)
+        for law in ("uniform", "normal", "exponential", "rademacher")]
+    want = [run().estimate for run in runs]
+    for owner, name, value in ((verify_mod._kernels, "_TILE_FLOATS", 64),
+                               (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1),
+                               (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 150),
+                               (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1 << 30)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, value)
+            for run, estimate in zip(runs, want):
+                assert np.array_equal(run().estimate, estimate), (name, value)
 
 
 def test_mc_tail_mod1_curve():
@@ -496,6 +594,13 @@ def test_pitman_guards():
         check_pitman(chain, "one", replicas=50)
     with pytest.raises(ValueError, match="unknown G"):
         check_pitman(chain, "nope", replicas=200)
+    # a state indicator names a state index, as a point start does
+    with pytest.raises(ValueError, match="not a state index"):
+        check_pitman(chain, ("state", 0.5), replicas=200)
+    with pytest.raises(ValueError, match="out of range"):
+        check_pitman(chain, ("state", 2), replicas=200)
+    assert check_pitman(chain, ("state", 1.0), replicas=200, seed=3) == \
+        check_pitman(chain, ("state", 1), replicas=200, seed=3)
 
 
 def test_block_markov_identity_holds():
@@ -577,45 +682,65 @@ _LOCKSTEP_CHAINS = {
 }
 
 
-def _reference_split(chain, init, n, rng, extend):
-    # the split chain in plain Python, one request at a time: the start,
+def _reference_split(chain, init, n, rng, extend, rows=None):
+    # the split chain in plain Python, one request at a time for the rows
+    # still running, all drawing from rng: every row's start, then
     # ceil(n / m) blocks, then requests of max(128, 2 * previous) blocks
-    # (at most 65536) until a level-1 block starts at or after n - m
+    # (at most 65536) until a level-1 block starts at or after n - m. A
+    # request draws each running row's state uniforms, then each one's
+    # level uniforms (on the mod-1 chain all their coins, then all their
+    # words). rows=None is one run, returned as a trajectory; otherwise
+    # a list of rows runs
     m = chain.m
     mod1 = chain.mod1
     spec = chain.minorization
-    x = resolve_start(chain, init).draw(rng)
-    states, levels = [x], []
+    start = resolve_start(chain, init)
+    states = [[start.draw(rng)] for _ in range(rows or 1)]
+    levels = [[] for _ in states]
+    running = list(range(len(states)))
     blocks = -(-n // m)
-    while True:
+    while running:
         if mod1 is None:
-            path, block_levels = finite_split_path(
+            state_u = [rng.random(blocks * m) for _ in running]
+            level_u = [rng.random(blocks) for _ in running]
+            paths = [finite_split_path(
                 chain.kernel.cumulative_rows(),
                 np.asarray(spec.small_set, dtype=bool),
-                np.asarray(spec.r, dtype=np.float64), m, x,
-                rng.random(blocks * m), rng.random(blocks))
+                np.asarray(spec.r, dtype=np.float64), m, states[i][-1], su, lu)
+                for i, su, lu in zip(running, state_u, level_u)]
         else:
-            eps, words = mod1.draw_moves(rng, blocks * m)
-            path = mod1.path(x, eps, words)
-            block_levels = [eps[2 * k] != eps[2 * k + 1] for k in range(blocks)]
-        states += path[1:].tolist()
-        levels += [int(v) for v in block_levels]
-        x = states[-1]
-        hits = [k * m for k, v in enumerate(levels) if v and k * m >= n - m]
-        if hits or not extend:
+            eps, words = mod1.draw_moves(rng, (len(running), blocks * m))
+            paths = [(mod1.path(states[i][-1], e, w),
+                      [e[2 * k] != e[2 * k + 1] for k in range(blocks)])
+                     for i, e, w in zip(running, eps, words)]
+        for i, (path, block_levels) in zip(running, paths):
+            states[i] += path[1:].tolist()
+            levels[i] += [int(v) for v in block_levels]
+        if not extend:
             break
+        running = [i for i in running
+                   if not any(v and k * m >= n - m for k, v in enumerate(levels[i]))]
         blocks = min(max(128, 2 * blocks), 65536)
-    stop = hits[0] + m if extend else n
-    per_state = [v for v in levels for _ in range(m)]
-    states = (np.array(states[:stop], dtype=np.int64) if mod1 is None
-              else mod1.bits_to_float(np.array(states[:stop], dtype=np.uint64)))
-    return SplitTrajectory(states=states,
-                           levels=np.array(per_state[:stop], dtype=np.uint8), m=m)
+    runs = []
+    for run_states, run_levels in zip(states, levels):
+        hits = [k * m for k, v in enumerate(run_levels) if v and k * m >= n - m]
+        stop = hits[0] + m if extend else n
+        per_state = [v for v in run_levels for _ in range(m)]
+        run_states = (np.array(run_states[:stop], dtype=np.int64) if mod1 is None
+                      else mod1.bits_to_float(np.array(run_states[:stop],
+                                                       dtype=np.uint64)))
+        runs.append(SplitTrajectory(
+            states=run_states, levels=np.array(per_state[:stop], dtype=np.uint8),
+            m=m))
+    return runs if rows is not None else runs[0]
 
 
-def _per_replica_runs(chain, init, replicas, seed, *path):
-    return [_reference_split(chain, init, chain.m, substream(seed, *path, r),
-                             True) for r in range(replicas)]
+def _block_runs(chain, init, replicas, seed, *path):
+    # first-regeneration runs, one shared generator per block of 256
+    return [run for block, lo in enumerate(range(0, replicas, 256))
+            for run in _reference_split(chain, init, chain.m,
+                                        substream(seed, *path, block), True,
+                                        min(256, replicas - lo))]
 
 
 @pytest.mark.parametrize("extend", [False, True])
@@ -642,18 +767,18 @@ def test_simulate_split_matches_reference(name, extend):
 @pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
 def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
                                                   states_cap):
-    # first-regeneration runs (n = m) of many replicas in lockstep equal
-    # the reference's per-replica runs; a small states cap splits every
-    # request into many kernel calls
+    # first-regeneration runs (n = m) of a block of replicas in lockstep
+    # equal the reference's runs from the same generator, whatever the
+    # kernels' tile size
     monkeypatch.setattr(split_regen._kernels, "_TILE_FLOATS", states_cap)
     chain = _LOCKSTEP_CHAINS[name]()
     if init == "point":
         init = ("point", 0.3 if chain.mod1 is not None else 1)
-    replicas = 400 if name == "two-state-slow" else 150
-    want = _per_replica_runs(chain, init, replicas, 21, 5)
+    rows = 256 if name == "two-state-slow" else 150
+    rng, ref_rng = substream(21, 5, 0), substream(21, 5, 0)
+    want = _reference_split(chain, init, chain.m, ref_rng, True, rows)
     states, levels, lengths = split_regen._split_runs(
-        chain, resolve_start(chain, init),
-        [substream(21, 5, r) for r in range(replicas)], chain.m)
+        chain, resolve_start(chain, init), rng, rows, chain.m)
     want_states = np.concatenate([run.states for run in want])
     want_levels = np.concatenate([run.levels for run in want])
     assert states.dtype == want_states.dtype
@@ -661,6 +786,7 @@ def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
     assert np.array_equal(states, want_states)
     assert np.array_equal(levels, want_levels)
     assert np.array_equal(lengths, [len(run) for run in want])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
     if name == "two-state-slow":
         assert lengths.max() >= 130
 
@@ -670,12 +796,10 @@ def test_lockstep_runs_at_a_horizon_match_reference(name):
     # several replicas past a horizon of many blocks: in the first
     # request a level-1 block counts only from the one starting at n - m
     chain = _LOCKSTEP_CHAINS[name]()
-    n, replicas = 37, 60
-    want = [_reference_split(chain, "pi", n, substream(6, r), True)
-            for r in range(replicas)]
+    n, rows = 37, 60
+    want = _reference_split(chain, "pi", n, substream(6, 0), True, rows)
     states, levels, lengths = split_regen._split_runs(
-        chain, resolve_start(chain, "pi"),
-        [substream(6, r) for r in range(replicas)], n)
+        chain, resolve_start(chain, "pi"), substream(6, 0), rows, n)
     assert np.array_equal(states, np.concatenate([run.states for run in want]))
     assert np.array_equal(levels, np.concatenate([run.levels for run in want]))
     assert np.array_equal(lengths, [len(run) for run in want])
@@ -685,18 +809,17 @@ def test_lockstep_runs_at_a_horizon_match_reference(name):
 def test_first_regenerations_guard(monkeypatch):
     monkeypatch.setattr(split_regen, "_MAX_BLOCKS", 8)
     chain = make_two_state(0.5, 0.5, delta=0.01)
-    rngs = [substream(1, 2, r) for r in range(50)]
     with pytest.raises(GuardError,
                        match="no regeneration covering the horizon within 8 blocks"):
-        split_regen._split_runs(chain, resolve_start(chain, "pi"), rngs,
-                                chain.m)
+        split_regen._split_runs(chain, resolve_start(chain, "pi"),
+                                substream(1, 2, 0), 50, chain.m)
 
 
 def _pitman_by_replica(chain, g_spec, replicas, seed):
     g_fn, _ = verify_mod._pitman_g(chain, g_spec)
     totals = np.empty(replicas)
-    for r, run in enumerate(_per_replica_runs(chain, "nu", replicas, seed,
-                                              TAG_PITMAN)):
+    for r, run in enumerate(_block_runs(chain, "nu", replicas, seed,
+                                        TAG_PITMAN)):
         starts = np.arange(0, run.sigma[0] + 1, chain.m)
         totals[r] = np.asarray(g_fn(run.states[starts], run.levels[starts]),
                                dtype=np.float64).sum()
@@ -707,8 +830,8 @@ def _first_block_norms_by_replica(chain, f, x_star, replicas, seed):
     fspec = resolve_functional(chain, f)
     norms = []
     for offset, init in enumerate((("point", x_star), "pi")):
-        runs = _per_replica_runs(chain, init, replicas, seed,
-                                 TAG_FIT_FIRST_BLOCK, offset)
+        runs = _block_runs(chain, init, replicas, seed, TAG_FIT_FIRST_BLOCK,
+                           offset)
         totals = [float(np.abs(fspec.apply(run.states).reshape(-1, chain.m)
                                .sum(axis=1)).sum()) for run in runs]
         sigma0 = [float(run.sigma[0]) for run in runs]
@@ -718,9 +841,9 @@ def _first_block_norms_by_replica(chain, f, x_star, replicas, seed):
 
 
 @pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
-def test_pitman_and_fit_match_per_replica_runs(monkeypatch, name):
-    # several slabs per call; every figure equals the per-replica loop's
-    monkeypatch.setattr(verify_mod, "_FIRST_BLOCK_SLAB", 128)
+def test_pitman_and_fit_match_per_replica_runs(name):
+    # two blocks per call, the second one short; every figure equals the
+    # reference's block-by-block runs
     chain = _LOCKSTEP_CHAINS[name]()
     g_specs = ["one", "level"] + ([("state", 1)] if chain.is_finite else [])
     for g_spec in g_specs:
@@ -730,14 +853,16 @@ def test_pitman_and_fit_match_per_replica_runs(monkeypatch, name):
     fitted = fit_bernstein_params(chain, f, n_excursions=200,
                                   n_first_blocks=300, seed=9)
     raw = fitted.diagnostics["raw"]
+    # np.add.reduceat sums a run's block sums in another order than the
+    # reference's per-run sum: equal up to float64 rounding
     assert [raw["a"], raw["sigma0_xstar"], raw["b"], raw["sigma0_pi"]] == \
-        _first_block_norms_by_replica(chain, f, fitted.diagnostics["x_star"],
-                                      300, 9)
+        pytest.approx(_first_block_norms_by_replica(
+            chain, f, fitted.diagnostics["x_star"], 300, 9), rel=1e-12)
 
 
 def test_pitman_holds_one_slab_of_generators():
-    # 20000 generators held at once take about 23 MB; with one slab of
-    # them at a time the peak stays under 1 MB
+    # 20000 replicas run one block of 256 at a time, from one generator
+    # per block: the peak stays under 1 MB
     chain = make_two_state(0.5, 0.5)
     tracemalloc.start()
     try:
