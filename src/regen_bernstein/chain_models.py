@@ -22,6 +22,8 @@ from ._io import atomic_write_text
 from ._rng import TAG_TV, substream
 
 _U64_MAX = np.iinfo(np.uint64).max
+# Words drawn per call when mod-1 moves are written into given arrays
+_WORD_TILE = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +125,25 @@ class SingularMod1Chain:
 
     def draw_moves(self, rng: np.random.Generator, size):
         """(coins, words) for size moves: all coins first, then all words."""
-        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
-                             endpoint=True)
+        coins = np.empty(size, dtype=np.uint8)
+        words = np.empty(size, dtype=np.uint64)
+        self.fill_moves(rng, coins, words)
         return coins, words
+
+    def fill_moves(self, rng: np.random.Generator, coins, words) -> None:
+        """draw_moves written into coins and words (arrays of one shape).
+
+        Generator.integers has no out, so the words are drawn a few rows
+        (of the first axis) at a time, up to _WORD_TILE words a call.
+        Each full-range word is one 64-bit output, so the tiles draw the
+        words that one call would.
+        """
+        coins[...] = rng.integers(0, 2, size=coins.shape, dtype=np.uint8)
+        tile = max(1, _WORD_TILE // max(1, math.prod(words.shape[1:])))
+        for lo in range(0, len(words), tile):
+            part = words[lo:lo + tile]
+            part[...] = rng.integers(0, _U64_MAX, size=part.shape,
+                                     dtype=np.uint64, endpoint=True)
 
     def path(self, x0_bits, eps, words) -> np.ndarray:
         """Fixed-point states from x0_bits under the moves, along the last axis."""

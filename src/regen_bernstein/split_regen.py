@@ -34,6 +34,9 @@ _EXTEND_CHUNK_MIN = 128
 _EXTEND_CHUNK_CAP = 65536
 # Blocks one run may draw: a request past it raises GuardError undrawn
 _MAX_BLOCKS = 10_000_000
+# States one group of rows draws at a time within a request (part of
+# the stream: a group's rows draw their uniforms together)
+_GROUP_STATES = 1 << 17
 
 
 def _extension_chunk(blocks: int) -> int:
@@ -150,8 +153,9 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
     extension schedule's requests for the replicas still running: each
     runs until a level-1 block starts at or after n - m and stops at the
     end of that block. Without extension a run is the first request cut
-    to n states. Each request is one draw and one batched kernel call
-    over the replicas still running, and GuardError is raised before a
+    to n states. A request takes the running replicas in order, in
+    groups of max(1, _GROUP_STATES // (blocks * m)) rows; each group is
+    one draw and one batched kernel call. GuardError is raised before a
     request that would take the runs past _MAX_BLOCKS blocks. One row
     is simulate_split's run.
 
@@ -163,7 +167,7 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
     mod1 = chain.mod1
     x = np.empty(rows, dtype=np.int64 if mod1 is None else np.uint64)
     x[:] = start.draw(rng, rows)
-    requests = []  # (running rows, states each keeps, paths, levels)
+    pieces = []  # (rows of a group, states each keeps, their states, levels)
     lengths = np.zeros(rows, dtype=np.int64)
     active = np.arange(rows)
     done_blocks = 0
@@ -171,34 +175,44 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
     first = blocks - 1  # the first block that starts at or after n - m
     while active.size:
         _guard_blocks(done_blocks + blocks, _MAX_BLOCKS)
-        paths, levels = _split_request(chain, x[active], blocks, rng, first)
-        counted = levels[:, first:]
-        hit = np.where(counted.any(axis=1), first + counted.argmax(axis=1), -1)
-        if extend:
-            kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
-        else:
-            kept = np.full(active.size, n)
-        requests.append((active, kept, paths, levels))
-        lengths[active] += kept
+        group = max(1, _GROUP_STATES // (blocks * m))
+        running = []
+        for lo in range(0, active.size, group):
+            ids = active[lo:lo + group]
+            paths, levels = _split_request(chain, x[ids], blocks, rng, first)
+            counted = levels[:, first:]
+            hit = np.where(counted.any(axis=1),
+                           first + counted.argmax(axis=1), -1)
+            if extend:
+                kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
+            else:
+                kept = np.full(ids.size, n)
+            # a row keeps its start and then its path's first states
+            pieces.append((ids, kept, _prefixes(paths[:, :-1], kept),
+                           _prefixes(np.repeat(levels, m, axis=1), kept)))
+            lengths[ids] += kept
+            alive = hit < 0
+            x[ids[alive]] = paths[alive, -1]
+            running.append(ids[alive])
         if not extend:
             break
-        alive = hit < 0
-        x[active[alive]] = paths[alive, -1]
-        active = active[alive]
         done_blocks += blocks
+        active = np.concatenate(running)
         blocks = _extension_chunk(blocks)
         first = 0
-    # a row's kept states are its start and then its path's first states
-    states = np.concatenate([_prefixes(paths[:, :-1], kept)
-                             for _, kept, paths, _ in requests])
-    levels = np.concatenate([_prefixes(np.repeat(block_levels, m, axis=1), kept)
-                             for _, kept, _, block_levels in requests])
-    if rows > 1 and len(requests) > 1:
-        # stable: each replica's pieces stay in request order
-        order = np.argsort(np.concatenate([np.repeat(ids, kept)
-                                           for ids, kept, _, _ in requests]),
-                           kind="stable")
-        states, levels = states[order], levels[order]
+    if rows == 1 or len(pieces) == 1:
+        states = np.concatenate([piece[2] for piece in pieces])
+        levels = np.concatenate([piece[3] for piece in pieces])
+    else:
+        # each piece's rows go after what their replicas already hold
+        filled = np.cumsum(lengths) - lengths
+        states = np.empty(lengths.sum(), dtype=x.dtype)
+        levels = np.empty(lengths.sum(), dtype=np.uint8)
+        for ids, kept, piece_states, piece_levels in pieces:
+            at = (np.repeat(filled[ids] - (np.cumsum(kept) - kept), kept)
+                  + np.arange(kept.sum()))
+            states[at], levels[at] = piece_states, piece_levels
+            filled[ids] += kept
     if mod1 is not None:
         states = mod1.bits_to_float(states)
     return states, levels, lengths

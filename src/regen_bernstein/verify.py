@@ -223,8 +223,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
         shift, scale = mod1.float_params()
         state_type, move_types = np.uint64, (np.uint8, np.uint64)
 
-        def draw_moves(rng, eps, words):
-            eps[:], words[:] = mod1.draw_moves(rng, eps.shape)
+        draw_moves = mod1.fill_moves
 
         def kernel(x0, eps, words):
             return _kernels.mod1_chain_sums(
@@ -944,11 +943,20 @@ def _draw_xi(law_fn, rng, size: int) -> np.ndarray:
     return xi
 
 
+def _apply_h(h_fn, xi: np.ndarray) -> np.ndarray:
+    """h of each consecutive noise pair along the last axis, checked to
+    return one value per pair."""
+    x = np.asarray(h_fn(xi[..., :-1], xi[..., 1:]), dtype=np.float64)
+    if x.shape != xi[..., 1:].shape:
+        raise ValueError("two-block map must return one value per noise pair")
+    return x
+
+
 def two_block_factor(h, xi_law, length: int, seed: int) -> TwoBlockSample:
     """One realization of the canonical 1-dependent process.
 
-    h is "product", "difference", or a vectorized callable of (u, v);
-    xi_law is "uniform" (on (-1, 1)), "normal", "exponential",
+    h is "product", "difference", or a vectorized callable of (u, v)
+    returning one value per pair, elementwise; xi_law is "uniform" (on (-1, 1)), "normal", "exponential",
     "rademacher", or a callable (rng, size) -> array.
     """
     length = int(length)
@@ -958,7 +966,7 @@ def two_block_factor(h, xi_law, length: int, seed: int) -> TwoBlockSample:
     law_fn, law_name = _resolve_xi_law(xi_law)
     rng = substream(seed, TAG_TWO_BLOCK, 0)
     xi = _draw_xi(law_fn, rng, length + 1)
-    x = np.asarray(h_fn(xi[:-1], xi[1:]), dtype=np.float64)
+    x = _apply_h(h_fn, xi)
     return TwoBlockSample(x=x, xi=xi, h_name=h_name, law_name=law_name)
 
 
@@ -993,7 +1001,7 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
             for first in range(rows.start, rows.stop, tile):
                 count = min(tile, rows.stop - first)
                 xi = _draw_xi(law_fn, rng, count * (n + 1)).reshape(count, -1)
-                x = np.asarray(h_fn(xi[:, :-1], xi[:, 1:]), dtype=np.float64)
+                x = _apply_h(h_fn, xi)
                 out[first:first + count] = np.abs(np.cumsum(x, axis=1)).max(axis=1)
         return out
 

@@ -50,7 +50,7 @@ from regen_bernstein import (
     two_block_sup_tail,
     write_curves_csv,
 )
-from regen_bernstein import split_regen
+from regen_bernstein import chain_models, split_regen
 from regen_bernstein._kernels import finite_split_path
 from regen_bernstein._rng import (TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_TAIL,
                                   TAG_TWO_BLOCK, substream)
@@ -332,8 +332,9 @@ def test_one_block_reproduced_from_its_substream(monkeypatch):
 
 
 def test_tails_do_not_depend_on_tiles(monkeypatch):
-    # the replica kernels' step tiles and the two-block statistic's row
-    # tiles change how the work is cut, never what is drawn
+    # the replica kernels' step tiles, the mod-1 word tiles and the
+    # two-block statistic's row tiles change how the work is cut, never
+    # what is drawn
     chain = make_two_state(0.3, 0.6)
     mod1 = make_singular_mod1()
     runs = [
@@ -347,6 +348,8 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
         for law in ("uniform", "normal", "exponential", "rademacher")]
     want = [run().estimate for run in runs]
     for owner, name, value in ((verify_mod._kernels, "_TILE_FLOATS", 64),
+                               (chain_models, "_WORD_TILE", 1),
+                               (chain_models, "_WORD_TILE", 100),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 150),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1 << 30)):
@@ -687,10 +690,12 @@ def _reference_split(chain, init, n, rng, extend, rows=None):
     # still running, all drawing from rng: every row's start, then
     # ceil(n / m) blocks, then requests of max(128, 2 * previous) blocks
     # (at most 65536) until a level-1 block starts at or after n - m. A
-    # request draws each running row's state uniforms, then each one's
-    # level uniforms (on the mod-1 chain all their coins, then all their
-    # words). rows=None is one run, returned as a trajectory; otherwise
-    # a list of rows runs
+    # request takes the running rows in groups of split_regen's
+    # _GROUP_STATES // (blocks * m) rows (at least one); a group draws
+    # each of its rows' state uniforms, then each one's level uniforms
+    # (on the mod-1 chain all their coins, then all their words).
+    # rows=None is one run, returned as a trajectory; otherwise a list
+    # of rows runs
     m = chain.m
     mod1 = chain.mod1
     spec = chain.minorization
@@ -700,22 +705,26 @@ def _reference_split(chain, init, n, rng, extend, rows=None):
     running = list(range(len(states)))
     blocks = -(-n // m)
     while running:
-        if mod1 is None:
-            state_u = [rng.random(blocks * m) for _ in running]
-            level_u = [rng.random(blocks) for _ in running]
-            paths = [finite_split_path(
-                chain.kernel.cumulative_rows(),
-                np.asarray(spec.small_set, dtype=bool),
-                np.asarray(spec.r, dtype=np.float64), m, states[i][-1], su, lu)
-                for i, su, lu in zip(running, state_u, level_u)]
-        else:
-            eps, words = mod1.draw_moves(rng, (len(running), blocks * m))
-            paths = [(mod1.path(states[i][-1], e, w),
-                      [e[2 * k] != e[2 * k + 1] for k in range(blocks)])
-                     for i, e, w in zip(running, eps, words)]
-        for i, (path, block_levels) in zip(running, paths):
-            states[i] += path[1:].tolist()
-            levels[i] += [int(v) for v in block_levels]
+        size = max(1, split_regen._GROUP_STATES // (blocks * m))
+        for group in (running[lo:lo + size]
+                      for lo in range(0, len(running), size)):
+            if mod1 is None:
+                state_u = [rng.random(blocks * m) for _ in group]
+                level_u = [rng.random(blocks) for _ in group]
+                paths = [finite_split_path(
+                    chain.kernel.cumulative_rows(),
+                    np.asarray(spec.small_set, dtype=bool),
+                    np.asarray(spec.r, dtype=np.float64), m, states[i][-1],
+                    su, lu)
+                    for i, su, lu in zip(group, state_u, level_u)]
+            else:
+                eps, words = mod1.draw_moves(rng, (len(group), blocks * m))
+                paths = [(mod1.path(states[i][-1], e, w),
+                          [e[2 * k] != e[2 * k + 1] for k in range(blocks)])
+                         for i, e, w in zip(group, eps, words)]
+            for i, (path, block_levels) in zip(group, paths):
+                states[i] += path[1:].tolist()
+                levels[i] += [int(v) for v in block_levels]
         if not extend:
             break
         running = [i for i in running
@@ -762,15 +771,15 @@ def test_simulate_split_matches_reference(name, extend):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("states_cap", [1 << 17, 64])
+@pytest.mark.parametrize("group_states", [1 << 17, 64])
 @pytest.mark.parametrize("init", ["nu", "pi", "point"])
 @pytest.mark.parametrize("name", sorted(_LOCKSTEP_CHAINS))
 def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
-                                                  states_cap):
+                                                  group_states):
     # first-regeneration runs (n = m) of a block of replicas in lockstep
-    # equal the reference's runs from the same generator, whatever the
-    # kernels' tile size
-    monkeypatch.setattr(split_regen._kernels, "_TILE_FLOATS", states_cap)
+    # equal the reference's runs from the same generator, with every
+    # request in one group of rows or (64 states a group) in many
+    monkeypatch.setattr(split_regen, "_GROUP_STATES", group_states)
     chain = _LOCKSTEP_CHAINS[name]()
     if init == "point":
         init = ("point", 0.3 if chain.mod1 is not None else 1)
@@ -832,8 +841,9 @@ def _first_block_norms_by_replica(chain, f, x_star, replicas, seed):
     for offset, init in enumerate((("point", x_star), "pi")):
         runs = _block_runs(chain, init, replicas, seed, TAG_FIT_FIRST_BLOCK,
                            offset)
-        totals = [float(np.abs(fspec.apply(run.states).reshape(-1, chain.m)
-                               .sum(axis=1)).sum()) for run in runs]
+        # each run's block sums totalled by the reduction the fit uses
+        totals = [np.add.reduceat(np.abs(fspec.apply(run.states).reshape(
+            -1, chain.m).sum(axis=1)), [0])[0] for run in runs]
         sigma0 = [float(run.sigma[0]) for run in runs]
         norms += [psi_norm_empirical(np.array(totals), 1.0).value,
                   psi_norm_empirical(np.array(sigma0), 1.0).value]
@@ -853,11 +863,9 @@ def test_pitman_and_fit_match_per_replica_runs(name):
     fitted = fit_bernstein_params(chain, f, n_excursions=200,
                                   n_first_blocks=300, seed=9)
     raw = fitted.diagnostics["raw"]
-    # np.add.reduceat sums a run's block sums in another order than the
-    # reference's per-run sum: equal up to float64 rounding
     assert [raw["a"], raw["sigma0_xstar"], raw["b"], raw["sigma0_pi"]] == \
-        pytest.approx(_first_block_norms_by_replica(
-            chain, f, fitted.diagnostics["x_star"], 300, 9), rel=1e-12)
+        _first_block_norms_by_replica(chain, f, fitted.diagnostics["x_star"],
+                                      300, 9)
 
 
 def test_pitman_holds_one_slab_of_generators():
@@ -931,6 +939,20 @@ def test_two_block_noise_law_shape_checked(law):
         two_block_factor("product", law, 16, seed=0)
     with pytest.raises(ValueError, match="asked size"):
         two_block_sup_tail("product", law, 16, [0.5, 1.0], 1000, seed=0)
+
+
+@pytest.mark.parametrize("h", [
+    lambda u, v: (u * v)[:1],  # the first replica's row, which broadcasts
+    lambda u, v: np.sum(u * v),  # a scalar
+    lambda u, v: (u * v)[..., :-1],  # one value short
+])
+def test_two_block_map_shape_checked(h):
+    # a map that reduces or broadcasts its pairs is rejected, rather than
+    # giving every replica a wrong statistic
+    with pytest.raises(ValueError, match="one value per noise pair"):
+        two_block_sup_tail(h, "uniform", 16, [0.5, 1.0], 1000, seed=0)
+    with pytest.raises(ValueError, match="one value per noise pair"):
+        two_block_factor(h, "uniform", 16, seed=0)
 
 
 # ---------------------------------------------------------------------------
