@@ -8,7 +8,8 @@ draw block-major, so a run makes a few hundred of them at most.
 
 from __future__ import annotations
 
-import numpy as np
+# imported at load: numpy loads numpy.random lazily, on first use
+from numpy.random import Generator, SeedSequence, default_rng
 
 # Fixed derivation tags keep independent tasks on disjoint streams even
 # when they share a master seed.
@@ -30,7 +31,7 @@ BLOCK = 256
 _MASK64 = (1 << 64) - 1
 
 
-def substream(master_seed: int, *path: int) -> np.random.Generator:
+def substream(master_seed: int, *path: int) -> Generator:
     """Generator owned by the (master seed, derivation path) pair.
 
     Distinct paths give statistically independent streams. Replicated
@@ -39,7 +40,7 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     non-negative, as SeedSequence requires.
     """
     entropy = (int(master_seed) & _MASK64, *map(int, path))
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return default_rng(SeedSequence(entropy))
 
 
 def stream_description(master_seed: int, *, replicated: bool = False) -> str:

@@ -15,9 +15,9 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from . import _kernels
 from ._io import atomic_write_text, plain
@@ -126,9 +126,11 @@ def check_domination(tail: TailCurve, bound_values, *, z: float = 3.0
 
 
 def _validated_grid(t_grid) -> np.ndarray:
-    t = np.unique(np.asarray(t_grid, dtype=np.float64).ravel())
+    t = np.sort(np.asarray(t_grid, dtype=np.float64).ravel())
     if t.size == 0:
         raise ValueError("empty t grid")
+    # np.unique would import numpy.ma on the first grid
+    t = t[np.concatenate(([True], t[1:] != t[:-1]))]
     if not np.all(np.isfinite(t)):
         raise ValueError("t grid must be finite")
     if np.any(t < 0.0):
@@ -549,17 +551,48 @@ def _autocorr(values: np.ndarray, lag: int) -> float:
     return float(np.mean(centered[:-lag] * centered[lag:]) / var)
 
 
+def _ks_two_sample_equal(x: np.ndarray, y: np.ndarray) -> tuple:
+    """(D, p) of the two-sided two-sample KS test of equal-size samples.
+
+    D = h / n, h the largest gap between the samples' right-continuous
+    empirical counts, and p = P(D_nn >= h / n) exactly under the null,
+    by the Horner form of the alternating lattice-path sum
+    2 sum_k (-1)^(k+1) C(2n, n - kh) / C(2n, n). Ties are allowed. This
+    is the arithmetic of scipy.stats.ks_2samp(method="exact"), step for
+    step, so both values match it bitwise.
+    """
+    x = np.sort(x)
+    y = np.sort(y)
+    n = x.size
+    both = np.concatenate((x, y))
+    h = int(np.max(np.abs(np.searchsorted(x, both, side="right")
+                          - np.searchsorted(y, both, side="right"))))
+    if h == 0:
+        return 0.0, 1.0
+    p = 0.0
+    for k in range(n // h, -1, -1):
+        kh = k * h
+        p1 = 1.0
+        for j in range(h):
+            p1 = (n - kh - j) * p1 / (n + kh + j + 1)
+        p = p1 * (1.0 - p)
+    return h / n, min(max(2.0 * p, 0.0), 1.0)
+
+
 def block_structure_tests(gaps, excursions_by_name: dict, *, lags: int = 10,
                           level: float = 0.01, expected_mean_gap=None
                           ) -> BlockStructureReport:
     """Tests of i.i.d. gaps and 1-dependent excursions.
 
     Gap autocorrelations at lags 1..L sit in a Bonferroni-adjusted
-    normal band, the two halves of the gap sample pass a two-sample KS
-    test, and each excursion series has vanishing autocorrelation from
-    lag 2 on (lag 1 is reported but never tested; adjacent excursions
-    may share a block boundary). Excursion bands carry the lag-1
-    inflation factor sqrt(1 + 2 r1^2).
+    normal band (quantiles from the standard library's NormalDist), the
+    two equal halves of the gap sample pass an exact two-sided two-sample
+    KS test (a last gap of an odd count is left out of it), and each
+    excursion series has vanishing autocorrelation from lag 2 on (lag 1
+    is reported but never tested; adjacent excursions may share a block
+    boundary). Excursion bands carry the lag-1 inflation factor
+    sqrt(1 + 2 r1^2). L must lie below the number of gaps and below the
+    length of every excursion series.
     """
     gaps = np.asarray(gaps, dtype=np.float64)
     n_gaps = gaps.size
@@ -570,8 +603,10 @@ def block_structure_tests(gaps, excursions_by_name: dict, *, lags: int = 10,
     lags = int(lags)
     if lags < 1:
         raise ValueError("lags must be at least 1")
+    if lags >= n_gaps:
+        raise ValueError(f"lags must be below the number of gaps ({n_gaps})")
     results = []
-    z_gap = float(stats.norm.ppf(1.0 - 0.5 * level / lags))
+    z_gap = NormalDist().inv_cdf(1.0 - 0.5 * level / lags)
     band = z_gap / math.sqrt(n_gaps)
     for lag in range(1, lags + 1):
         r = _autocorr(gaps, lag)
@@ -579,11 +614,10 @@ def block_structure_tests(gaps, excursions_by_name: dict, *, lags: int = 10,
             name=f"gap_acf_lag{lag}", passed=abs(r) <= band, tested=True,
             statistic=r, threshold=band))
     half = n_gaps // 2
-    ks = stats.ks_2samp(gaps[:half], gaps[half:])
+    ks_d, ks_p = _ks_two_sample_equal(gaps[:half], gaps[half:2 * half])
     results.append(StructuralTestResult(
-        name="gap_ks_split", passed=bool(ks.pvalue >= level), tested=True,
-        statistic=float(ks.statistic), threshold=level,
-        detail={"pvalue": float(ks.pvalue)}))
+        name="gap_ks_split", passed=ks_p >= level, tested=True,
+        statistic=ks_d, threshold=level, detail={"pvalue": ks_p}))
     mean_gap = float(gaps.mean())
     mean_se = float(gaps.std(ddof=1) / math.sqrt(n_gaps))
     if expected_mean_gap is not None:
@@ -597,9 +631,12 @@ def block_structure_tests(gaps, excursions_by_name: dict, *, lags: int = 10,
         if chi.size < 1000:
             raise ValueError(
                 f"need at least 1000 excursions for {name}, got {chi.size}")
+        if lags >= chi.size:
+            raise ValueError(
+                f"lags must be below the length of {name} ({chi.size})")
         r1 = _autocorr(chi, 1)
         inflation = math.sqrt(1.0 + 2.0 * r1 * r1)
-        z_exc = float(stats.norm.ppf(1.0 - 0.5 * level / max(lags - 1, 1)))
+        z_exc = NormalDist().inv_cdf(1.0 - 0.5 * level / max(lags - 1, 1))
         band_exc = z_exc * inflation / math.sqrt(chi.size)
         results.append(StructuralTestResult(
             name=f"{name}_acf_lag1", passed=True, tested=False,

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import regen_bernstein
 from regen_bernstein import backend_choice, make_two_state, save_chain
 from regen_bernstein.cli import main
 
@@ -420,3 +421,47 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(
         0.616392731327227, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+# ---------------------------------------------------------------------------
+
+
+def _python(code, tmp_path):
+    # the child imports the package from where this process found it
+    src = os.path.dirname(os.path.dirname(regen_bernstein.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import regen_bernstein, regen_bernstein.cli
+from regen_bernstein import check_block_structure, make_two_state
+report = check_block_structure(make_two_state(0.5, 0.5, delta=0.5),
+                               n_blocks=4000, lags=5, seed=29)
+assert report.passed
+code = regen_bernstein.cli.main([
+    "verify", "--chain", "two-state", "--n", "40", "--replicas", "1000",
+    "--seed", "4", "--n-excursions", "400", "--n-first-blocks", "200",
+    "--structure", "--out", {str(tmp_path / "out")!r}])
+assert code == 0, code
+"""
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["structure"]["passed"]
+
+
+def test_package_import_leaves_scipy_unloaded(tmp_path):
+    proc = _python("import sys, regen_bernstein, regen_bernstein.cli; "
+                   "print('scipy' in sys.modules)", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

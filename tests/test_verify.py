@@ -551,6 +551,53 @@ def test_structure_tests_guards():
         block_structure_tests(full, {}, lags=0)
     with pytest.raises(ValueError, match="1000 excursions"):
         block_structure_tests(full, {"short": np.ones(10)})
+    # a lag at or past the sample length has no pairs to correlate
+    gaps = np.random.default_rng(25).geometric(0.5, size=2000)
+    for lags in (2000, 3000):
+        with pytest.raises(ValueError, match="lags must be below the number"):
+            block_structure_tests(gaps, {}, lags=lags)
+    with pytest.raises(ValueError, match="lags must be below the length"):
+        block_structure_tests(gaps, {"chi": np.ones(1500)}, lags=1500)
+    assert block_structure_tests(gaps, {}, lags=1999).lags == 1999
+
+
+@pytest.mark.parametrize("n", [500, 5000, 10000, 10452, 50000])
+def test_ks_two_sample_matches_scipy_exact_bitwise(n):
+    # geometric (tied) samples under the null and two alternatives, then
+    # identical samples (D = 0, p = 1) and separated ones (D = 1, p = 0)
+    rng = np.random.default_rng(n)
+    x = rng.geometric(0.5, size=n).astype(np.float64)
+    pairs = [(x, rng.geometric(q, size=n).astype(np.float64))
+             for q in (0.5, 0.49, 0.4)]
+    pairs += [(x, x.copy()), (x, x + x.max())]
+    for a, b in pairs:
+        got = verify_mod._ks_two_sample_equal(a, b)
+        want = stats.ks_2samp(a, b, method="exact")
+        assert got == (float(want.statistic), float(want.pvalue))
+    assert verify_mod._ks_two_sample_equal(x, x) == (0.0, 1.0)
+    # full separation: one lattice path in C(2n, n) on each side
+    d, p = verify_mod._ks_two_sample_equal(x, x + x.max())
+    assert d == 1.0
+    assert p == pytest.approx(2 / math.comb(2 * n, n), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("level", [0.01, 1e-5])
+@pytest.mark.parametrize("lags", [1, 4, 5, 9, 10])
+def test_structure_bands_match_normal_quantile(level, lags):
+    rng = np.random.default_rng(26)
+    n = 4000
+    report = block_structure_tests(rng.geometric(0.5, size=n),
+                                   {"chi": rng.standard_normal(n)},
+                                   lags=lags, level=level)
+    by_name = {r.name: r for r in report.results}
+    z_gap = stats.norm.ppf(1.0 - 0.5 * level / lags)
+    z_exc = stats.norm.ppf(1.0 - 0.5 * level / max(lags - 1, 1))
+    r1 = by_name["chi_acf_lag1"].statistic
+    for got, want in (
+            (by_name["gap_acf_lag1"].threshold, z_gap / math.sqrt(n)),
+            (by_name["chi_acf_lag1"].threshold,
+             z_exc * math.sqrt(1.0 + 2.0 * r1 * r1) / math.sqrt(n))):
+        assert abs(got - want) <= 4 * np.spacing(want)
 
 
 def test_check_block_structure_two_state():
