@@ -82,6 +82,10 @@ lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
   [0.125, 0.375, 0.5], [0.25, 0.5, 0.25]], 'small_set': [True, True, True],
   'm': 1, 'delta': 0.5, 'nu': [0.25, 0.5, 0.25]}), 'indicator_centered', 'pi',
   600, [0.5 * i for i in range(80)], 1000, seed=3).estimate.tolist()"
+# the long-horizon shape: five 768-replica chunks of 9999 steps and a
+# 160-replica one, as in verify at n = 10^4
+lib mc-long "mc_tail(make_two_state(0.25, 0.25), 'indicator_centered', 'pi',
+  10000, [0.5 * i for i in range(601)], 4000, seed=7).estimate.tolist()"
 # the exact tail's lattice DP past 2^26 paths
 run orc-long oracle --chain two-state --n 1000
 # the block kernel B0 = P^m - delta 1_C nu at m = 2 on a dyadic

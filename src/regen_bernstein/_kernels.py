@@ -53,7 +53,10 @@ _TWO_PI = 2.0 * math.pi
 # nondecreasing, so the scalar loops stop at the first miss). Every
 # kernel uses the same comparison, so paths agree bitwise. The numpy
 # replica sums walk the steps in tiles of at most 1 MB of uniforms, each
-# copied once to step-major order so that every step reads one row.
+# copied once to step-major order so that every step reads one row. A
+# numpy step makes one fancy-index gather and one compare per column,
+# the first written straight into the next state and the rest added to
+# it, then adds f of the new states by index.
 # ---------------------------------------------------------------------------
 
 
@@ -99,15 +102,15 @@ def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
 _TILE_FLOATS = 1 << 17
 
 
-def _finite_step(cols, states, u, nxt, thr, ge):
+def _finite_step(cols, states, u, nxt):
     """One step of many replicas: nxt[i] counts the columns c with
-    u[i] >= c[states[i]], the scalar loops' state update. thr and ge
-    are scratch arrays of the replicas' length."""
-    nxt.fill(0)
-    for col in cols:
-        np.take(col, states, out=thr)
-        np.greater_equal(u, thr, out=ge)
-        nxt += ge
+    u[i] >= c[states[i]], the scalar loops' state update."""
+    if not cols:
+        nxt.fill(0)
+        return
+    np.greater_equal(u, cols[0][states], out=nxt)
+    for col in cols[1:]:
+        nxt += u >= col[states]
 
 
 def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
@@ -118,19 +121,15 @@ def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
     tile = max(1, _TILE_FLOATS // max(1, nrep))
     states = x0.copy()
     nxt = np.empty_like(states)
-    thr = np.empty(nrep, dtype=np.float64)
-    hit = np.empty(nrep, dtype=np.bool_)
-    fx = np.empty(nrep, dtype=np.float64)
     acc = f_vals[states].astype(np.float64)
     block = np.empty((min(tile, ntrans), nrep), dtype=np.float64)
     for s in range(0, ntrans, tile):
         rows = block[:min(tile, ntrans - s)]
         np.copyto(rows, uniforms[:, s:s + tile].T)
         for u in rows:
-            _finite_step(cols, states, u, nxt, thr, hit)
+            _finite_step(cols, states, u, nxt)
             states, nxt = nxt, states
-            np.take(f_vals, states, out=fx)
-            acc += fx
+            acc += f_vals[states]
     out[:] = acc
 
 
@@ -192,11 +191,9 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
     states[0] = x0
     levels = np.zeros((blocks, rows), dtype=np.bool_)  # block-major
     hit = np.zeros(rows, dtype=np.bool_)
-    thr = np.empty(rows, dtype=np.float64)
-    ge = np.empty(rows, dtype=np.bool_)
     for k in range(blocks):
         for i in range(k * m, (k + 1) * m):
-            _finite_step(cols, states[i], state_u[:, i], states[i + 1], thr, ge)
+            _finite_step(cols, states[i], state_u[:, i], states[i + 1])
         start, end = states[k * m], states[(k + 1) * m]
         levels[k] = in_c[start] & (level_u[:, k] < r_mat[start, end])
         if k >= first:

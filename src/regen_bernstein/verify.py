@@ -167,6 +167,8 @@ def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
     whole blocks (the size is rounded down), so the counts do not depend
     on the chunk size or on the thread count.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     chunk = _replica_chunk(replicas, steps, bytes_per_step)
     chunk = max(BLOCK, chunk - chunk % BLOCK)
     pairs = [(lo, min(lo + chunk, replicas))

@@ -72,7 +72,11 @@ def test_validation_error_exits_1(capsys):
             (("oracle", "--chain", "two-state", "--n", "4", "--x0", "0.9"),
              "not a state index"),
             (("variance", "--chain", "two-state", "--method", "batch",
-              "--n", "16", "--x0", "-1"), "out of range")):
+              "--n", "16", "--x0", "-1"), "out of range"),
+            (("verify", "--chain", "two-state", "--n", "8", "--replicas",
+              "1000", "--threads", "0"), "threads must be at least 1"),
+            (("verify", "--chain", "two-state", "--n", "8", "--replicas",
+              "1000", "--threads", "-3"), "threads must be at least 1")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert message in err, argv

@@ -60,6 +60,7 @@ DYADIC_ROWS = {
     3: [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5], [0.0, 0.75, 0.25]],
     4: [[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.375, 0.125],
         [0.0, 0.0, 0.5, 0.5], [0.125, 0.625, 0.0, 0.25]],
+    1: [[1.0]],  # no threshold column
 }
 
 
@@ -77,7 +78,7 @@ def test_finite_sums_numpy_matches_scalar_loop(chain):
     u = rng.random((40, 300))
     x0 = rng.integers(0, 2, size=40).astype(np.int64)
     _check_finite_sums_parity(cum, np.array([0.7, -0.4]), x0, u)
-    # 3 and 4 states; step counts of 0, less than one tile and more than
+    # 1, 3 and 4 states; step counts of 0, less than one tile and more than
     # one tile but not a multiple of it
     for ns, rows in DYADIC_ROWS.items():
         cum = np.cumsum(np.array(rows), axis=1)
@@ -101,11 +102,14 @@ def test_finite_split_first_hits_matches_scalar_path(m):
         cum = np.cumsum(np.array(rows), axis=1)
         in_c = np.arange(ns) % 2 == 0
         r_mat = rng.choice([0.0, 0.125, 0.5, 1.0], size=(ns, ns))
+        # state 0 lies in C: its blocks reach level 1 on some draws and
+        # not on others, even on the one-state chain
+        r_mat[0, 0] = 0.5
         nrep, blocks = 60, 30
         state_u = rng.random((nrep, blocks * m))
         on_edge = rng.random(state_u.shape) < 0.25
-        state_u[on_edge] = rng.choice(np.unique(cum[:, :-1]),
-                                      size=int(on_edge.sum()))
+        ties = np.append(np.unique(cum[:, :-1]), 0.0)
+        state_u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
         level_u = rng.choice([0.0, 0.125, 0.3, 0.5, 0.9], size=(nrep, blocks))
         level_u[:3] = 1.0  # rows without a level-1 block
         x0 = rng.integers(0, ns, size=nrep).astype(np.int64)

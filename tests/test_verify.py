@@ -377,6 +377,21 @@ def test_mc_tail_guards():
         mc_tail(chain, "indicator_centered", 7, 8, [1.0], 1000, seed=0)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_replicated_tail_rejects_threads_below_one(monkeypatch, threads):
+    # rejected before any replica is drawn, not run serially
+    def no_draw(*args):
+        raise AssertionError("drew a substream")
+
+    monkeypatch.setattr(verify_mod, "substream", no_draw)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        mc_tail(make_two_state(0.5, 0.5), "indicator_centered", "pi", 8,
+                [1.0], 1000, seed=0, threads=threads)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        two_block_sup_tail("product", "uniform", 8, [1.0], 1000, seed=0,
+                           threads=threads)
+
+
 # ---------------------------------------------------------------------------
 # exact regeneration counts and the gap law
 # ---------------------------------------------------------------------------
