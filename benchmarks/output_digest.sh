@@ -86,6 +86,15 @@ lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
 # 160-replica one, as in verify at n = 10^4
 lib mc-long "mc_tail(make_two_state(0.25, 0.25), 'indicator_centered', 'pi',
   10000, [0.5 * i for i in range(601)], 4000, seed=7).estimate.tolist()"
+# mod-1 tails at n = 2000: 16 replicas per tile of the mod-1 replica
+# sums, so each 1000-replica chunk spans many tiles; every functional,
+# and B = 32 from a point start
+for F in cos2pi identity_centered indicator_centered; do
+  lib mc-mod1-$F "mc_tail(make_singular_mod1(), '$F', 'pi', 2000,
+  [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
+done
+lib mc-mod1-b32 "mc_tail(make_singular_mod1(32), 'cos2pi', 0.3, 2000,
+  [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
 # the exact tail's lattice DP past 2^26 paths
 run orc-long oracle --chain two-state --n 1000
 # the block kernel B0 = P^m - delta 1_C nu at m = 2 on a dyadic

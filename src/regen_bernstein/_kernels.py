@@ -2,19 +2,18 @@
 
 No kernel draws randomness of its own. Callers pass arrays of uniforms
 (or raw 64-bit words) and every kernel consumes them in a fixed
-per-replica order. The scalar loops are compiled when numba imports
-(see ``_backend``) and run as plain Python otherwise. The replica sums
-have a second, numpy implementation that loops over steps and
-vectorizes across replicas; it is used when numba is absent and must
-match its scalar loop bitwise. The finite one reads its uniforms
-step-major, in tiles of at most 1 MB, and makes one comparison per
-replica against each of the first ns - 1 cumulative columns. A split
-path (finite_split_path) is the finite path loop plus a vectorized
-read-off of the block levels from the drawn path. The replica-batched
-split paths (finite_split_first_hits) are numpy on both backends, with
-finite_split_path as their scalar reference; split_regen._split_runs
-takes the scalar loop for one replica, which is much faster than
-stepping a single row through numpy, and the batched one for several.
+per-replica order. The finite scalar loops are compiled when numba
+imports (see ``_backend``) and run as plain Python otherwise. The finite
+replica sums have a second, numpy implementation, used when numba is
+absent, that reads its uniforms step-major in tiles of at most 1 MB and
+matches its scalar loop bitwise. A split path (finite_split_path) is the
+finite path loop plus a vectorized read-off of the block levels from the
+drawn path. The replica-batched split paths (finite_split_first_hits)
+are numpy on both backends, with finite_split_path as their scalar
+reference; split_regen._split_runs takes the scalar loop for one
+replica, which is much faster than stepping a single row through numpy,
+and the batched one for several. The mod-1 kernels are numpy on both
+backends, and the replica sums read f off the one mod-1 path kernel.
 """
 
 from __future__ import annotations
@@ -28,13 +27,8 @@ from ._backend import HAVE_NUMBA, backend_choice
 if HAVE_NUMBA:
     from numba import njit
 else:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+    def njit(**options):  # every use is @njit(...): a no-op decorator
+        return lambda fn: fn
 
 
 # Functional codes understood by the mod-1 kernels.
@@ -208,9 +202,14 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
 #
 # The state is a B-bit fixed-point fraction held in a uint64. Each step
 # masks a fresh 64-bit word down to the odd or even bit positions
-# (picked by eps) and adds it with wraparound. Converting to a float for
-# f uses at most 53 of the leading bits, which is exact.
+# (picked by eps) and adds it with wraparound; mod1_chain_path is that
+# step, and the replica sums read f off its paths a tile at a time.
+# Converting to a float for f uses at most 53 of the leading bits, which
+# is exact.
 # ---------------------------------------------------------------------------
+
+# mod-1 states per tile of the replica sums (256 KB of uint64)
+_MOD1_TILE_STATES = 1 << 15
 
 
 def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
@@ -235,60 +234,23 @@ def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
     return out
 
 
-@njit(cache=True, nogil=True)
-def _mod1_f_nb(bits, shift, scale, f_code):
-    x = (bits >> shift) * scale
-    if f_code == 0:
-        return math.cos(_TWO_PI * x)
-    if f_code == 1:
-        return x - 0.5
-    if x < 0.5:
-        return 0.5
-    return -0.5
-
-
-@njit(cache=True, nogil=True)
-def _mod1_sums_nb(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
-                  x0_bits, eps, words, out):
-    for r in range(eps.shape[0]):
-        x = x0_bits[r]
-        acc = _mod1_f_nb(x, shift, scale, f_code)
-        for i in range(eps.shape[1]):
-            if eps[r, i] == 1:
-                inc = words[r, i] & odd_mask
-            else:
-                inc = words[r, i] & even_mask
-            x = (x + inc) & wrap_mask
-            acc += _mod1_f_nb(x, shift, scale, f_code)
-        out[r] = acc
+# the replica sums' own name for the path kernel, so that a wrapper put
+# on the module attribute mod1_chain_path sees only the path callers
+_mod1_path = mod1_chain_path
 
 
 def mod1_f(x, f_code):
-    """A coded mod-1 functional on float states x in [0, 1)."""
+    """A coded mod-1 functional on float states x in [0, 1).
+
+    Raises ValueError on a code other than the F_* codes.
+    """
     if f_code == F_COS2PI:
         return np.cos(_TWO_PI * x)
     if f_code == F_IDENTITY_CENTERED:
         return x - 0.5
-    return np.where(x < 0.5, 0.5, -0.5)
-
-
-def _mod1_sums_np(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
-                  x0_bits, eps, words, out):
-    nrep, nsteps = eps.shape
-    odd = np.uint64(odd_mask)
-    even = np.uint64(even_mask)
-    wrap = np.uint64(wrap_mask)
-    x = x0_bits.copy()
-    acc = np.empty(nrep, dtype=np.float64)
-    acc[:] = mod1_f((x >> shift) * scale, f_code)
-    for i in range(nsteps):
-        sel = np.where(eps[:, i] == 1, odd, even)
-        x = (x + (words[:, i] & sel)) & wrap
-        acc += mod1_f((x >> shift) * scale, f_code)
-    out[:] = acc
-
-
-_mod1_sums = _mod1_sums_nb if HAVE_NUMBA else _mod1_sums_np
+    if f_code == F_INDICATOR_CENTERED:
+        return np.where(x < 0.5, 0.5, -0.5)
+    raise ValueError(f"unknown mod-1 functional code {f_code!r}")
 
 
 def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
@@ -296,18 +258,23 @@ def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
     """Per-replica sums of a coded functional over a mod-1 path.
 
     eps and words have shape (replicas, steps) and x0_bits one initial
-    state per replica; each replica visits steps + 1 states. shift and
-    scale define the exact bits-to-float conversion
-    x = (bits >> shift) * scale.
+    state per replica; each replica visits steps + 1 states and the sum
+    covers all of them, accumulated in visit order. shift and scale
+    define the exact bits-to-float conversion x = (bits >> shift) * scale.
     """
-    eps = np.ascontiguousarray(eps, dtype=np.uint8)
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    x0_bits = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(x0_bits, dtype=np.uint64), (eps.shape[0],)))
-    out = np.empty(eps.shape[0], dtype=np.float64)
-    _mod1_sums(np.uint64(odd_mask), np.uint64(even_mask), np.uint64(wrap_mask),
-               np.uint64(shift), np.float64(scale), np.int64(f_code),
-               x0_bits, eps, words, out)
+    eps = np.asarray(eps, dtype=np.uint8)
+    nrep, nsteps = eps.shape
+    x0_bits = np.broadcast_to(np.asarray(x0_bits, dtype=np.uint64), (nrep,))
+    out = np.empty(nrep, dtype=np.float64)
+    tile = max(1, _MOD1_TILE_STATES // (nsteps + 1))
+    for lo in range(0, nrep, tile):
+        rows = slice(lo, lo + tile)
+        bits = _mod1_path(odd_mask, even_mask, wrap_mask, x0_bits[rows],
+                          eps[rows], words[rows])
+        vals = mod1_f((bits >> np.uint64(shift)) * scale, f_code)
+        # accumulate adds left to right, as the visits come; sum would
+        # add pairwise
+        out[rows] = np.add.accumulate(vals, axis=1)[:, -1]
     return out
 
 
@@ -325,8 +292,8 @@ def mod1_float_params(precision):
 
 
 def warm_up():
-    """Trigger compilation of every kernel on tiny inputs; returns the
-    backend name."""
+    """Run every kernel once on tiny inputs, which compiles the finite
+    loops under numba; returns the backend name."""
     cum = np.array([[0.5, 1.0], [0.5, 1.0]])
     f_vals = np.array([0.5, -0.5])
     in_c = np.array([True, False])

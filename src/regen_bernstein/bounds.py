@@ -438,8 +438,7 @@ def thm_bi2(params: BernsteinParams, n: float, p: float, t: float) -> BoundValue
     """
     _check_horizon(n, params.m)
     _check_nonneg(t=t)
-    if not float(p) > 0.0:
-        raise ValueError("p must be positive")
+    _check_pos(p=p)
     al = params.alpha
     inv_dpc = 1.0 / (params.delta * params.pi_C)
     m_trunc = m_cutoff(params.c, al, n, "main")

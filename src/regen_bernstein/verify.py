@@ -10,6 +10,7 @@ conditional block-Markov identity.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +25,8 @@ from ._io import atomic_write_text, plain
 from ._rng import (BLOCK, TAG_COLLECT, TAG_FIT_EXCURSION,
                    TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_STRUCTURE, TAG_TAIL,
                    TAG_TWO_BLOCK, stream_description, substream)
-from .bounds import BernsteinParams, thm_bi, thm_bi2, thm_sbi
+from .bounds import (BernsteinParams, _check_alpha, _check_horizon, _check_pos,
+                     thm_bi, thm_bi2, thm_sbi)
 from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
 from .errors import GuardError
@@ -111,8 +113,7 @@ def check_domination(tail: TailCurve, bound_values, *, z: float = 3.0
     bounds = np.asarray([float(b) for b in bound_values], dtype=np.float64)
     if bounds.shape != tail.t.shape:
         raise ValueError("grid mismatch between tail and bound curves")
-    if z < 0.0:
-        raise ValueError("z must be non-negative")
+    _check_z(z)
     se = tail.se if tail.se is not None else np.zeros_like(tail.estimate)
     margins = bounds - (tail.estimate - z * se)
     worst = int(np.argmin(margins))
@@ -123,6 +124,11 @@ def check_domination(tail: TailCurve, bound_values, *, z: float = 3.0
         n_points=int(tail.t.size),
         z=float(z),
     )
+
+
+def _check_z(z: float) -> None:
+    if z < 0.0:
+        raise ValueError("z must be non-negative")
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -224,6 +230,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
             return _kernels.finite_chain_sums(cum_rows, fspec.values, x0,
                                               uniforms)
     else:
+        _kernels.mod1_f(0.0, fspec.code)  # an unknown code fails before any draw
         shift, scale = mod1.float_params()
         state_type, move_types = np.uint64, (np.uint8, np.uint64)
 
@@ -1060,6 +1067,14 @@ class FittedParams:
     diagnostics: dict
 
 
+def _check_fit_options(alpha, safety, n_excursions, n_first_blocks, **_):
+    _check_alpha(alpha)
+    if safety < 1.0:
+        raise ValueError("safety must be at least 1")
+    if n_excursions < 100 or n_first_blocks < 100:
+        raise ValueError("need at least 100 excursions and first blocks")
+
+
 def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
                          x_star=None, n_excursions: int = 4000,
                          n_first_blocks: int = 2000, seed: int = 0,
@@ -1074,10 +1089,7 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     multiplicative safety factor; sigma2 defaults to the exact value on
     finite chains and to the regenerative estimate otherwise.
     """
-    if safety < 1.0:
-        raise ValueError("safety must be at least 1")
-    if n_excursions < 100 or n_first_blocks < 100:
-        raise ValueError("need at least 100 excursions and first blocks")
+    _check_fit_options(alpha, safety, n_excursions, n_first_blocks)
     fspec = resolve_functional(chain, f)
     m = chain.m
     if x_star is None:
@@ -1179,24 +1191,30 @@ class VerificationReport:
 _FORMULA_CHOICES = ("thm_bi", "thm_bi2", "thm_sbi")
 
 
+def _check_formulas(formulas) -> None:
+    for name in formulas:
+        if name not in _FORMULA_CHOICES:
+            raise ValueError(
+                f"unknown formula {name!r}; choose from {_FORMULA_CHOICES}")
+
+
 def _eval_formula(name: str, params: BernsteinParams, n: int, t: float,
                   p: float):
+    """One bound at t; name is one of _FORMULA_CHOICES."""
     if name == "thm_bi":
         return thm_bi(params, n, t)
     if name == "thm_bi2":
         return thm_bi2(params, n, p, t)
-    if name == "thm_sbi":
-        if params.f_sup is None or params.D is None:
-            raise ValueError("thm_sbi needs f_sup and D in the parameters")
-        return thm_sbi(n, t, params.sigma2_mrv, params.f_sup, params.D,
-                       params.delta, params.pi_C)
-    raise ValueError(
-        f"unknown formula {name!r}; choose from {_FORMULA_CHOICES}")
+    if params.f_sup is None or params.D is None:
+        raise ValueError("thm_sbi needs f_sup and D in the parameters")
+    return thm_sbi(n, t, params.sigma2_mrv, params.f_sup, params.D,
+                   params.delta, params.pi_C)
 
 
 def bound_curves(params: BernsteinParams, n: int, t_grid, *,
                  formulas=_FORMULA_CHOICES, p: float = 2.0 / 3.0) -> dict:
     """Evaluate each named bound along the grid, collecting flags."""
+    _check_formulas(formulas)
     t = _validated_grid(t_grid)
     out = {}
     for name in formulas:
@@ -1224,8 +1242,23 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
     (default: the first small-set state); otherwise from replicas
     Monte Carlo runs started from init. Bound parameters are fitted
     from (seed-derived) simulation unless a FittedParams is supplied.
+    Arguments that the bounds, the verdicts or the fit would reject are
+    rejected before anything is drawn.
     """
     fspec = resolve_functional(chain, f)
+    formulas = tuple(formulas)
+    _check_formulas(formulas)
+    if formulas:
+        _check_z(z)
+    if "thm_bi2" in formulas:
+        _check_pos(p=p)
+    if "thm_bi" in formulas or "thm_bi2" in formulas:
+        _check_horizon(n, (chain if fitted is None else fitted.params).m)
+    if fitted is None:
+        fit = inspect.signature(fit_bernstein_params).bind(
+            chain, fspec, alpha=alpha, seed=seed, **(fit_options or {}))
+        fit.apply_defaults()
+        _check_fit_options(**fit.arguments)
     if exact:
         if x0 is None:
             x0 = chain.first_small_set_state()

@@ -76,7 +76,18 @@ def test_validation_error_exits_1(capsys):
             (("verify", "--chain", "two-state", "--n", "8", "--replicas",
               "1000", "--threads", "0"), "threads must be at least 1"),
             (("verify", "--chain", "two-state", "--n", "8", "--replicas",
-              "1000", "--threads", "-3"), "threads must be at least 1")):
+              "1000", "--threads", "-3"), "threads must be at least 1"),
+            # checked before the tail and the fit run
+            (("verify", "--chain", "two-state", "--n", "8", "--formulas",
+              "bogus"), "unknown formula"),
+            (("verify", "--chain", "two-state", "--n", "8", "--z", "-1"),
+             "z must be non-negative"),
+            (("verify", "--chain", "two-state", "--n", "8", "--alpha", "2"),
+             "alpha must lie in (0, 1]"),
+            (("verify", "--chain", "two-state", "--n", "8", "--safety",
+              "0.5"), "safety must be at least 1"),
+            (("verify", "--chain", "singular-mod1", "--n", "4001"),
+             "m | n required")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert message in err, argv

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,16 +10,16 @@ import pytest
 
 from regen_bernstein import (backend_choice, make_singular_mod1,
                              make_two_state, numba_available)
+from regen_bernstein import _kernels
 from regen_bernstein._kernels import (_TILE_FLOATS, F_COS2PI,
                                       F_IDENTITY_CENTERED,
                                       F_INDICATOR_CENTERED, _finite_sums_nb,
-                                      _finite_sums_np, _mod1_sums_nb,
-                                      _mod1_sums_np, finite_chain_path,
+                                      _finite_sums_np, finite_chain_path,
                                       finite_chain_sums,
                                       finite_split_first_hits,
                                       finite_split_path, mod1_bits_to_float,
-                                      mod1_chain_path, mod1_float_params,
-                                      warm_up)
+                                      mod1_chain_path, mod1_chain_sums,
+                                      mod1_f, mod1_float_params, warm_up)
 from regen_bernstein._rng import substream
 
 U64_MAX = np.iinfo(np.uint64).max
@@ -27,11 +28,6 @@ U64_MAX = np.iinfo(np.uint64).max
 @pytest.fixture(scope="module")
 def chain():
     return make_two_state(0.3, 0.6)
-
-
-@pytest.fixture(scope="module")
-def mod1():
-    return make_singular_mod1().mod1
 
 
 def test_backend_choice_env():
@@ -156,24 +152,54 @@ def test_finite_sums_numpy_memory_is_one_tile(chain, shape):
     assert peak < 4 << 20, peak
 
 
+def _mod1_sums_loop(mod1, code, x0, eps, words):
+    """Scalar reference for mod1_chain_sums: one state and one f value
+    per step, added in visit order."""
+    shift, scale = mod1_float_params(mod1.precision)
+    f = {F_COS2PI: lambda x: np.cos(2.0 * math.pi * x),  # numpy's cos
+         F_IDENTITY_CENTERED: lambda x: x - 0.5,
+         F_INDICATOR_CENTERED: lambda x: 0.5 if x < 0.5 else -0.5}[code]
+    out = []
+    for r in range(eps.shape[0]):
+        x = int(x0[r])
+        acc = f((x >> shift) * scale)
+        for i in range(eps.shape[1]):
+            mask = mod1.odd_mask if eps[r, i] == 1 else mod1.even_mask
+            x = (x + (int(words[r, i]) & mask)) & mod1.wrap_mask
+            acc += f((x >> shift) * scale)
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("precision", [64, 40, 16])
 @pytest.mark.parametrize("code", [F_COS2PI, F_IDENTITY_CENTERED,
                                   F_INDICATOR_CENTERED])
-def test_mod1_sums_numpy_matches_scalar_loop(mod1, code):
-    shift, scale = mod1_float_params(64)
-    rng = substream(4, 1, code)
-    eps = rng.integers(0, 2, size=(30, 128), dtype=np.uint8)
-    words = rng.integers(0, U64_MAX, size=(30, 128), dtype=np.uint64,
-                         endpoint=True)
-    x0 = words[:, 0].copy()
-    args = (np.uint64(mod1.odd_mask), np.uint64(mod1.even_mask),
-            np.uint64(mod1.wrap_mask), np.uint64(shift), np.float64(scale),
-            np.int64(code), x0, eps, words)
-    a = np.empty(30)
-    b = np.empty(30)
-    with np.errstate(over="ignore"):  # the scalar loop wraps uint64 sums
-        _mod1_sums_nb(*args, a)
-    _mod1_sums_np(*args, b)
-    assert np.array_equal(a, b)
+def test_mod1_sums_match_scalar_loop(monkeypatch, code, precision):
+    mod1 = make_singular_mod1(precision).mod1
+    shift, scale = mod1_float_params(precision)
+    rng = substream(4, precision, code)
+    # 0 steps, 1 step and an odd count, each in one tile and then in
+    # 8-state tiles (8, 4 and 1 rows), so the 30 rows span many tiles
+    for steps, tile in itertools.product((0, 1, 37),
+                                         (_kernels._MOD1_TILE_STATES, 8)):
+        eps = rng.integers(0, 2, size=(30, steps), dtype=np.uint8)
+        words = rng.integers(0, U64_MAX, size=(30, steps), dtype=np.uint64,
+                             endpoint=True)
+        x0 = rng.integers(0, U64_MAX, size=30, dtype=np.uint64,
+                          endpoint=True) & np.uint64(mod1.wrap_mask)
+        monkeypatch.setattr(_kernels, "_MOD1_TILE_STATES", tile)
+        got = mod1_chain_sums(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
+                              shift, scale, code, x0, eps, words)
+        want = _mod1_sums_loop(mod1, code, x0, eps, words)
+        assert got.tobytes() == want.tobytes(), (steps, tile)
+
+
+def test_mod1_f_rejects_unknown_codes():
+    x = np.array([0.25, 0.75])
+    assert np.array_equal(mod1_f(x, F_INDICATOR_CENTERED), [0.5, -0.5])
+    for code in (3, 7, -1, None):
+        with pytest.raises(ValueError, match="unknown mod-1 functional"):
+            mod1_f(x, code)
 
 
 @pytest.mark.parametrize("precision", [64, 40, 16])

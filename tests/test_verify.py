@@ -18,6 +18,7 @@ import regen_bernstein.verify as verify_mod
 from regen_bernstein import (
     BernsteinParams,
     ChainInstance,
+    Functional,
     GuardError,
     MinorizationSpec,
     SplitTrajectory,
@@ -348,6 +349,8 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
         for law in ("uniform", "normal", "exponential", "rademacher")]
     want = [run().estimate for run in runs]
     for owner, name, value in ((verify_mod._kernels, "_TILE_FLOATS", 64),
+                               (verify_mod._kernels, "_MOD1_TILE_STATES", 1),
+                               (verify_mod._kernels, "_MOD1_TILE_STATES", 123),
                                (chain_models, "_WORD_TILE", 1),
                                (chain_models, "_WORD_TILE", 100),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1),
@@ -377,19 +380,30 @@ def test_mc_tail_guards():
         mc_tail(chain, "indicator_centered", 7, 8, [1.0], 1000, seed=0)
 
 
+def _no_draw(*args):
+    raise AssertionError("drew a substream")
+
+
 @pytest.mark.parametrize("threads", [0, -3])
 def test_replicated_tail_rejects_threads_below_one(monkeypatch, threads):
     # rejected before any replica is drawn, not run serially
-    def no_draw(*args):
-        raise AssertionError("drew a substream")
-
-    monkeypatch.setattr(verify_mod, "substream", no_draw)
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
     with pytest.raises(ValueError, match="threads must be at least 1"):
         mc_tail(make_two_state(0.5, 0.5), "indicator_centered", "pi", 8,
                 [1.0], 1000, seed=0, threads=threads)
     with pytest.raises(ValueError, match="threads must be at least 1"):
         two_block_sup_tail("product", "uniform", 8, [1.0], 1000, seed=0,
                            threads=threads)
+
+
+@pytest.mark.parametrize("code", [7, None])
+def test_mc_tail_mod1_rejects_unknown_codes(monkeypatch, code):
+    # an unknown code is an error before any replica is drawn, never the
+    # indicator's tail
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
+    f = Functional(name="custom", code=code, fn=np.cos)
+    with pytest.raises(ValueError, match="unknown mod-1 functional"):
+        mc_tail(make_singular_mod1(), f, "pi", 8, [1.0, 3.0], 1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1088,49 @@ def test_run_verification_exact_report():
     assert set(report.verdicts) == {"thm_bi", "thm_bi2", "thm_sbi"}
     assert report.tail.provenance == "enumeration"
     assert report.functional == "indicator_centered"
+
+
+@pytest.mark.parametrize("chain, kwargs, message", [
+    (make_two_state(0.5, 0.5), {"formulas": ("thm_bi", "bogus")},
+     "unknown formula"),
+    (make_two_state(0.5, 0.5), {"z": -1.0}, "z must be non-negative"),
+    (make_two_state(0.5, 0.5), {"p": 0.0}, "p must be positive"),
+    (make_two_state(0.5, 0.5), {"alpha": 2.0}, "alpha must lie in"),
+    (make_two_state(0.5, 0.5), {"alpha": 0.0}, "alpha must lie in"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"safety": 0.5}},
+     "safety must be at least 1"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"n_excursions": 10}},
+     "at least 100 excursions"),
+    (make_singular_mod1(), {"n": 41}, "m | n"),
+    (make_singular_mod1(), {"n": 41, "formulas": ("thm_bi2",)}, "m | n"),
+])
+def test_run_verification_checks_arguments_before_drawing(
+        monkeypatch, chain, kwargs, message):
+    # rejected before the tail (Monte Carlo or exact) and the fit run
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
+    f = "cos2pi" if chain.mod1 else "indicator_centered"
+    args = dict(n=40, t_grid=[1.0, 2.0], seed=0, replicas=1000)
+    args.update(kwargs)
+    for exact in {False, chain.is_finite}:
+        with pytest.raises(ValueError, match=message):
+            run_verification(chain, f, exact=exact, **args)
+
+
+def test_run_verification_checks_only_what_is_used():
+    # thm_sbi needs neither p nor m | n, and a given fit needs no fit
+    # options: these runs succeed as before
+    chain = make_singular_mod1()
+    fitted = fit_bernstein_params(chain, "cos2pi", n_excursions=400,
+                                  n_first_blocks=200, seed=1)
+    report = run_verification(
+        chain, "cos2pi", n=41, t_grid=[4.0, 8.0], seed=1, replicas=1000,
+        formulas=("thm_sbi",), p=-1.0, alpha=2.0, fitted=fitted,
+        fit_options={"safety": 0.5})
+    assert set(report.verdicts) == {"thm_sbi"}
+    report = run_verification(
+        chain, "cos2pi", n=41, t_grid=[4.0, 8.0], seed=1, replicas=1000,
+        formulas=(), z=-1.0, fitted=fitted)
+    assert report.verdicts == {}
 
 
 def test_run_verification_monte_carlo_with_structure(tmp_path):
