@@ -76,16 +76,21 @@ lib pitman-mod1 "check_pitman(make_singular_mod1(), 'one', replicas=2000, seed=1
 lib regen-count-half "exact_regeneration_count_tail(make_two_state(0.5, 0.5), 10, 2)"
 lib regen-count-float "exact_regeneration_count_tail(make_two_state(0.3, 0.6), 10, 2)"
 # a three-state chain: the replica kernel's comparisons against more than
-# one cumulative column, in 1000-replica chunks of 599 steps that span
-# several step tiles
+# one cumulative column, in one 1000-replica chunk of 599 steps
 lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
   [0.125, 0.375, 0.5], [0.25, 0.5, 0.25]], 'small_set': [True, True, True],
   'm': 1, 'delta': 0.5, 'nu': [0.25, 0.5, 0.25]}), 'indicator_centered', 'pi',
   600, [0.5 * i for i in range(80)], 1000, seed=3).estimate.tolist()"
-# the long-horizon shape: five 768-replica chunks of 9999 steps and a
-# 160-replica one, as in verify at n = 10^4
+# the long-horizon shape, as in verify at n = 10^4: one 4000-replica
+# chunk stepped through 39 tiles of 262 steps (the last one 43), its
+# last block of 160 replicas short
 lib mc-long "mc_tail(make_two_state(0.25, 0.25), 'indicator_centered', 'pi',
   10000, [0.5 * i for i in range(601)], 4000, seed=7).estimate.tolist()"
+# two threads: chunks of 4608 and 4392 replicas (the last block 40
+# replicas) through tiles of 227 and 238 steps, from the nu start
+lib mc-long-threads "mc_tail(make_two_state(0.3, 0.6), 'identity_centered',
+  'nu', 10000, [0.5 * i for i in range(401)], 9000, seed=11,
+  threads=2).estimate.tolist()"
 # mod-1 tails at n = 2000: 16 replicas per tile of the mod-1 replica
 # sums, so each 1000-replica chunk spans many tiles; every functional,
 # and B = 32 from a point start

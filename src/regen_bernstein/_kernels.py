@@ -1,19 +1,19 @@
 """Hot simulation loops, one implementation each.
 
 No kernel draws randomness of its own. Callers pass arrays of uniforms
-(or raw 64-bit words) and every kernel consumes them in a fixed
-per-replica order. The finite scalar loops are compiled when numba
-imports (see ``_backend``) and run as plain Python otherwise. The finite
-replica sums have a second, numpy implementation, used when numba is
-absent, that reads its uniforms step-major in tiles of at most 1 MB and
-matches its scalar loop bitwise. A split path (finite_split_path) is the
-finite path loop plus a vectorized read-off of the block levels from the
-drawn path. The replica-batched split paths (finite_split_first_hits)
-are numpy on both backends, with finite_split_path as their scalar
-reference; split_regen._split_runs takes the scalar loop for one
-replica, which is much faster than stepping a single row through numpy,
-and the batched one for several. The mod-1 kernels are numpy on both
-backends, and the replica sums read f off the one mod-1 path kernel.
+(or raw 64-bit words) and every kernel consumes them in a fixed order.
+The finite path loop is compiled when numba imports (see ``_backend``)
+and runs as plain Python otherwise. The finite replica sums are numpy:
+they step every replica at once through step-major uniforms, one row
+per step, and a caller may feed them one tile of steps at a time. A
+split path (finite_split_path) is the finite path loop plus a
+vectorized read-off of the block levels from the drawn path. The
+replica-batched split paths (finite_split_first_hits) are numpy, with
+finite_split_path as their scalar reference; split_regen._split_runs
+takes the scalar loop for one replica, which is much faster than
+stepping a single row through numpy, and the batched one for several.
+The mod-1 kernels are numpy, and the replica sums read f off the one
+mod-1 path kernel.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ _TWO_PI = 2.0 * math.pi
 # State update: with u uniform on [0, 1), the next state is the count of
 # cumulative-row entries <= u among the first ns - 1 columns (rows are
 # nondecreasing, so the scalar loops stop at the first miss). Every
-# kernel uses the same comparison, so paths agree bitwise. The numpy
-# replica sums walk the steps in tiles of at most 1 MB of uniforms, each
-# copied once to step-major order so that every step reads one row. A
-# numpy step makes one fancy-index gather and one compare per column,
-# the first written straight into the next state and the rest added to
-# it, then adds f of the new states by index.
+# kernel uses the same comparison, so paths agree bitwise. A numpy step
+# (_finite_step) makes one fancy-index gather and one compare per
+# column, the first written straight into the next state and the rest
+# added to it; the replica sums then add f of the new states by index.
 # ---------------------------------------------------------------------------
 
 
@@ -76,26 +74,6 @@ def finite_chain_path(cum_rows, x0, uniforms):
     return out
 
 
-@njit(cache=True, nogil=True)
-def _finite_sums_nb(cum_rows, f_vals, x0, uniforms, out):
-    ns = cum_rows.shape[1]
-    for r in range(uniforms.shape[0]):
-        x = x0[r]
-        acc = f_vals[x]
-        for i in range(uniforms.shape[1]):
-            u = uniforms[r, i]
-            j = 0
-            while j < ns - 1 and u >= cum_rows[x, j]:
-                j += 1
-            x = j
-            acc += f_vals[x]
-        out[r] = acc
-
-
-# 1 MB of float64 uniforms per step-major tile
-_TILE_FLOATS = 1 << 17
-
-
 def _finite_step(cols, states, u, nxt):
     """One step of many replicas: nxt[i] counts the columns c with
     u[i] >= c[states[i]], the scalar loops' state update."""
@@ -107,42 +85,25 @@ def _finite_step(cols, states, u, nxt):
         nxt += u >= col[states]
 
 
-def _finite_sums_np(cum_rows, f_vals, x0, uniforms, out):
-    # one gather and one compare per column for each step, in visit order
-    nrep, ntrans = uniforms.shape
+def finite_chain_sums(cum_rows, f_vals, states, uniforms, sums):
+    """Step replicas through step-major uniforms, summing f as they go.
+
+    Row i of uniforms (shape (steps, replicas)) moves every replica one
+    step, column r driving replica r. states (int64) and sums (float64)
+    hold one entry per replica and are updated in place: states to the
+    last state visited, sums by f of every state visited after the
+    start, added in visit order. With sums started at f_vals[x0], one
+    call per tile of steps gives each replica's sum of f over its path.
+    """
     cols = [np.ascontiguousarray(cum_rows[:, j])
             for j in range(cum_rows.shape[1] - 1)]
-    tile = max(1, _TILE_FLOATS // max(1, nrep))
-    states = x0.copy()
-    nxt = np.empty_like(states)
-    acc = f_vals[states].astype(np.float64)
-    block = np.empty((min(tile, ntrans), nrep), dtype=np.float64)
-    for s in range(0, ntrans, tile):
-        rows = block[:min(tile, ntrans - s)]
-        np.copyto(rows, uniforms[:, s:s + tile].T)
-        for u in rows:
-            _finite_step(cols, states, u, nxt)
-            states, nxt = nxt, states
-            acc += f_vals[states]
-    out[:] = acc
-
-
-_finite_sums = _finite_sums_nb if HAVE_NUMBA else _finite_sums_np
-
-
-def finite_chain_sums(cum_rows, f_vals, x0, uniforms):
-    """Per-replica sums of f over the visited states.
-
-    uniforms has shape (replicas, transitions) and x0 holds one initial
-    state per replica; each replica visits transitions + 1 states and
-    the sum covers all of them, accumulated in visit order.
-    """
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    x0 = np.ascontiguousarray(
-        np.broadcast_to(np.asarray(x0, dtype=np.int64), (uniforms.shape[0],)))
-    out = np.empty(uniforms.shape[0], dtype=np.float64)
-    _finite_sums(cum_rows, f_vals, x0, uniforms, out)
-    return out
+    cur, nxt = states, np.empty_like(states)
+    for u in uniforms:
+        _finite_step(cols, cur, u, nxt)
+        cur, nxt = nxt, cur
+        sums += f_vals[cur]
+    if cur is not states:
+        states[:] = cur
 
 
 def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
@@ -293,7 +254,7 @@ def mod1_float_params(precision):
 
 def warm_up():
     """Run every kernel once on tiny inputs, which compiles the finite
-    loops under numba; returns the backend name."""
+    path loop under numba; returns the backend name."""
     cum = np.array([[0.5, 1.0], [0.5, 1.0]])
     f_vals = np.array([0.5, -0.5])
     in_c = np.array([True, False])
@@ -301,7 +262,8 @@ def warm_up():
     u1 = np.array([0.3, 0.7])
     u2 = np.array([[0.3, 0.7], [0.6, 0.1]])
     finite_chain_path(cum, 0, u1)
-    finite_chain_sums(cum, f_vals, 0, u2)
+    finite_chain_sums(cum, f_vals, np.zeros(2, dtype=np.int64), u2,
+                      np.zeros(2))
     finite_split_path(cum, in_c, r_mat, 1, 0, u1, u1)
     eps1 = np.array([0, 1], dtype=np.uint8)
     w1 = np.array([123456789, 987654321], dtype=np.uint64)

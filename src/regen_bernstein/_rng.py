@@ -43,16 +43,20 @@ def substream(master_seed: int, *path: int) -> Generator:
     return default_rng(SeedSequence(entropy))
 
 
-def stream_description(master_seed: int, *, replicated: bool = False) -> str:
+def stream_description(master_seed: int, *, replicated: bool = False,
+                       step_major: bool = False) -> str:
     """One-line account of the derivation, for run metadata.
 
     Single runs (simulate, variance) draw from substreams of their own;
     replicated tasks (verify) draw block-major from one substream per
-    block of BLOCK replicas.
+    block of BLOCK replicas. step_major marks a run whose Monte Carlo
+    tail drew each block's moves step-major (mc_tail on a finite chain).
     """
     if replicated:
         return (f"numpy SeedSequence with entropy ({int(master_seed)}, "
                 f"task_tag, block_index), one per block of {BLOCK} "
-                "replicas, drawn block-major")
+                "replicas, drawn block-major"
+                + (", the tail's moves step-major in each block"
+                   if step_major else ""))
     return ("per-replica numpy SeedSequence with entropy "
             f"({int(master_seed)}, task_tag, replica_index)")

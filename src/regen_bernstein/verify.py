@@ -42,6 +42,12 @@ _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
 # noise values per tile of the two-block statistic (256 KB)
 _TWO_BLOCK_TILE_FLOATS = 1 << 15
+# uniforms per step tile of the finite replica sums (8 MB)
+_STEP_TILE_FLOATS = 1 << 20
+# replicas per chunk of a replicated tail, at most: 32 blocks
+_CHUNK_ROWS = 8192
+# bytes of replica-major move buffers per chunk (mod-1 tails), at most
+_CHUNK_BYTES = 64_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +155,22 @@ def _validated_grid(t_grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _replica_chunk(replicas: int, n: int, bytes_per_step: int = 8) -> int:
-    per = max(1, n) * bytes_per_step
-    return int(min(replicas, 65536, max(256, 64_000_000 // per)))
+def _chunk_rows(replicas: int, threads: int, row_bytes: int = 0) -> int:
+    """Replicas per chunk, whole blocks: at most _CHUNK_ROWS, at most a
+    thread's share ceil(replicas / threads) rounded up to whole blocks,
+    and, with row_bytes of buffers per replica, at most _CHUNK_BYTES of
+    them (one block at least)."""
+    share = -(-replicas // threads)
+    cap = _CHUNK_ROWS
+    if row_bytes:
+        cap = min(cap, _CHUNK_BYTES // row_bytes)
+    return min(share + -share % BLOCK, max(BLOCK, cap - cap % BLOCK))
+
+
+def _step_tile(rows: int, steps: int) -> int:
+    """Steps per tile of the finite replica sums over rows replicas: at
+    most _STEP_TILE_FLOATS uniforms and steps steps, one at least."""
+    return max(1, min(steps, _STEP_TILE_FLOATS // rows))
 
 
 def _block_rows(lo: int, hi: int):
@@ -165,18 +184,17 @@ def _block_rows(lo: int, hi: int):
 
 
 def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
-                     steps: int, bytes_per_step: int, threads: int) -> TailCurve:
+                     threads: int, row_bytes: int = 0) -> TailCurve:
     """Monte Carlo TailCurve of |statistic| over replicas 0..replicas-1.
 
     statistics(lo, hi) returns the statistic of replicas lo..hi-1, each
     block of BLOCK replicas drawn from its own substream. Chunks are
-    whole blocks (the size is rounded down), so the counts do not depend
-    on the chunk size or on the thread count.
+    whole blocks (_chunk_rows), so the counts do not depend on the
+    chunk size or on the thread count.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    chunk = _replica_chunk(replicas, steps, bytes_per_step)
-    chunk = max(BLOCK, chunk - chunk % BLOCK)
+    chunk = _chunk_rows(replicas, threads, row_bytes)
     pairs = [(lo, min(lo + chunk, replicas))
              for lo in range(0, replicas, chunk)]
 
@@ -200,12 +218,17 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     """Empirical tail of |sum of f over n states| across replicas.
 
     Block b of BLOCK replicas (the last one possibly short) owns the
-    substream (seed, TAG_TAIL, b) and draws block-major: the starts of
-    its replicas, then their n - 1 moves each, replica by replica (on
-    the mod-1 chain all the block's coins, then all its words). So the
-    result is bit-identical for a fixed (seed, replicas) no matter how
-    the work is chunked or threaded. init is anything resolve_start
-    accepts: a point state, "nu", or "pi".
+    substream (seed, TAG_TAIL, b) and draws its replicas' starts first.
+    On a finite chain it then draws its moves step-major: for each of
+    the n - 1 steps in turn, one uniform per replica. A chunk's blocks
+    fill one tile of at most _STEP_TILE_FLOATS uniforms (whole steps)
+    in turn, and the kernel steps every replica of the chunk through
+    it, so memory does not grow with n. On the
+    mod-1 chain a block draws its moves replica-major, all its coins and
+    then all its words. Either way the result is bit-identical for a
+    fixed (seed, replicas) no matter how the work is chunked, tiled or
+    threaded. init is anything resolve_start accepts: a point state,
+    "nu", or "pi".
     """
     n = int(n)
     replicas = int(replicas)
@@ -219,40 +242,52 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     steps = n - 1
     mod1 = chain.mod1
 
-    if mod1 is None:
-        cum_rows = chain.kernel.cumulative_rows()
-        state_type, move_types = np.int64, (np.float64,)
-
-        def draw_moves(rng, uniforms):
-            rng.random(out=uniforms)
-
-        def kernel(x0, uniforms):
-            return _kernels.finite_chain_sums(cum_rows, fspec.values, x0,
-                                              uniforms)
-    else:
-        _kernels.mod1_f(0.0, fspec.code)  # an unknown code fails before any draw
-        shift, scale = mod1.float_params()
-        state_type, move_types = np.uint64, (np.uint8, np.uint64)
-
-        draw_moves = mod1.fill_moves
-
-        def kernel(x0, eps, words):
-            return _kernels.mod1_chain_sums(
-                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-                fspec.code, x0, eps, words)
-
-    def sums(lo, hi):
-        x0 = np.empty(hi - lo, dtype=state_type)
-        moves = [np.empty((hi - lo, steps), dtype=dtype) for dtype in move_types]
+    def block_starts(lo, hi, dtype):
+        # each block's generator and rows, once it has drawn its starts
+        x0 = np.empty(hi - lo, dtype=dtype)
+        blocks = []
         for block, rows in _block_rows(lo, hi):
             rng = substream(seed, TAG_TAIL, block)
             x0[rows] = start.draw(rng, rows.stop - rows.start)
-            draw_moves(rng, *(buf[rows] for buf in moves))
-        return kernel(x0, *moves)
+            blocks.append((rng, rows))
+        return x0, blocks
 
-    bytes_per_step = sum(np.dtype(dtype).itemsize for dtype in move_types)
-    return _replicated_tail(sums, t, n, replicas, steps, bytes_per_step,
-                            threads)
+    if mod1 is None:
+        cum_rows = chain.kernel.cumulative_rows()
+        f_vals = np.asarray(fspec.values, dtype=np.float64)
+
+        def sums(lo, hi):
+            states, blocks = block_starts(lo, hi, np.int64)
+            total = f_vals[states]
+            tile = np.empty((_step_tile(hi - lo, steps), hi - lo))
+            drawn = np.empty(len(tile) * BLOCK)  # a block's share of a tile
+            for s in range(0, steps, len(tile)):
+                part = tile[:steps - s]
+                for rng, rows in blocks:
+                    own = drawn[:len(part) * (rows.stop - rows.start)]
+                    rng.random(out=own)
+                    part[:, rows] = own.reshape(len(part), -1)
+                _kernels.finite_chain_sums(cum_rows, f_vals, states, part,
+                                           total)
+            return total
+
+        return _replicated_tail(sums, t, n, replicas, threads)
+
+    _kernels.mod1_f(0.0, fspec.code)  # an unknown code fails before any draw
+    shift, scale = mod1.float_params()
+
+    def sums(lo, hi):
+        x0, blocks = block_starts(lo, hi, np.uint64)
+        eps = np.empty((hi - lo, steps), dtype=np.uint8)
+        words = np.empty((hi - lo, steps), dtype=np.uint64)
+        for rng, rows in blocks:
+            mod1.fill_moves(rng, eps[rows], words[rows])
+        return _kernels.mod1_chain_sums(
+            mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
+            fspec.code, x0, eps, words)
+
+    return _replicated_tail(sums, t, n, replicas, threads,
+                            max(1, steps) * 9)  # a coin and a word per move
 
 
 def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1051,7 +1086,7 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
                 out[first:first + count] = np.abs(np.cumsum(x, axis=1)).max(axis=1)
         return out
 
-    return _replicated_tail(sup_stats, t, n, replicas, n + 1, 16, threads)
+    return _replicated_tail(sup_stats, t, n, replicas, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -1178,6 +1213,7 @@ class VerificationReport:
     params: BernsteinParams
     diagnostics: dict
     p: float
+    rng: str
     structure: BlockStructureReport | None = None
 
     @property
@@ -1254,6 +1290,10 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
         _check_pos(p=p)
     if "thm_bi" in formulas or "thm_bi2" in formulas:
         _check_horizon(n, (chain if fitted is None else fitted.params).m)
+    if "thm_sbi" in formulas and (
+            fspec.sup_bound is None if fitted is None
+            else fitted.params.f_sup is None or fitted.params.D is None):
+        raise ValueError("thm_sbi needs f_sup and D in the parameters")
     if fitted is None:
         fit = inspect.signature(fit_bernstein_params).bind(
             chain, fspec, alpha=alpha, seed=seed, **(fit_options or {}))
@@ -1280,6 +1320,8 @@ def run_verification(chain: ChainInstance, f, *, n: int, t_grid, seed: int,
         seed=int(seed), z=float(z), tail=tail, curves=curves,
         verdicts=verdicts, params=fitted.params,
         diagnostics=fitted.diagnostics, p=float(p),
+        rng=stream_description(seed, replicated=True,
+                               step_major=chain.is_finite and not exact),
         structure=structure_report)
 
 
@@ -1305,7 +1347,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "seed": report.seed,
         "z": report.z,
         "p": report.p,
-        "rng": stream_description(report.seed, replicated=True),
+        "rng": report.rng,
         "tail": tail_curve_to_dict(report.tail),
         "bounds": {
             name: {"values": [float(v) for v in curve.values],

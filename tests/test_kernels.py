@@ -3,7 +3,6 @@
 import importlib.util
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +10,8 @@ import pytest
 from regen_bernstein import (backend_choice, make_singular_mod1,
                              make_two_state, numba_available)
 from regen_bernstein import _kernels
-from regen_bernstein._kernels import (_TILE_FLOATS, F_COS2PI,
-                                      F_IDENTITY_CENTERED,
-                                      F_INDICATOR_CENTERED, _finite_sums_nb,
-                                      _finite_sums_np, finite_chain_path,
+from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
+                                      F_INDICATOR_CENTERED, finite_chain_path,
                                       finite_chain_sums,
                                       finite_split_first_hits,
                                       finite_split_path, mod1_bits_to_float,
@@ -60,35 +57,62 @@ DYADIC_ROWS = {
 }
 
 
+def _finite_sums_loop(cum_rows, f_vals, x0, uniforms):
+    """Scalar reference for finite_chain_sums: replica r moves by
+    uniforms[i, r] at step i (step-major), stopping at the first
+    cumulative entry above u, and adds f in visit order."""
+    ns = cum_rows.shape[1]
+    out = []
+    for r in range(uniforms.shape[1]):
+        x = int(x0[r])
+        acc = f_vals[x]
+        for u in uniforms[:, r]:
+            j = 0
+            while j < ns - 1 and u >= cum_rows[x, j]:
+                j += 1
+            x = j
+            acc += f_vals[x]
+        out.append(acc)
+    return np.array(out)
+
+
+def _finite_sums_tiled(cum, f, x0, u, tile):
+    """finite_chain_sums fed tile steps at a time, sums from f[x0]."""
+    states = x0.copy()
+    sums = f[x0]
+    for s in range(0, u.shape[0], tile):
+        finite_chain_sums(cum, f, states, u[s:s + tile], sums)
+    return sums, states
+
+
 def _check_finite_sums_parity(cum, f, x0, u):
-    a = np.empty(x0.size)
-    b = np.empty(x0.size)
-    _finite_sums_nb(cum, f, x0, u, a)
-    _finite_sums_np(cum, f, x0, u, b)
-    assert np.array_equal(a, b), (cum.shape, u.shape)
+    want = _finite_sums_loop(cum, f, x0, u)
+    last = [finite_chain_path(cum, x0[r], u[:, r])[-1]
+            for r in range(x0.size)]
+    for tile in (1, 7, max(1, u.shape[0])):
+        sums, states = _finite_sums_tiled(cum, f, x0, u, tile)
+        assert sums.tobytes() == want.tobytes(), (cum.shape, u.shape, tile)
+        assert np.array_equal(states, last), (cum.shape, u.shape, tile)
 
 
 def test_finite_sums_numpy_matches_scalar_loop(chain):
     cum = chain.kernel.cumulative_rows()
     rng = substream(2, 1, 0)
-    u = rng.random((40, 300))
+    u = rng.random((300, 40))
     x0 = rng.integers(0, 2, size=40).astype(np.int64)
     _check_finite_sums_parity(cum, np.array([0.7, -0.4]), x0, u)
-    # 1, 3 and 4 states; step counts of 0, less than one tile and more than
-    # one tile but not a multiple of it
+    # 1, 3 and 4 states; step counts of 0, 1 and odd ones, fed whole and
+    # in tiles of 1 and 7 steps
     for ns, rows in DYADIC_ROWS.items():
         cum = np.cumsum(np.array(rows), axis=1)
         f = rng.standard_normal(ns)
         ties = np.append(np.unique(cum[:, :-1]), 0.0)
-        for nrep in (1, 7, 1000):
-            # a single replica would take 2^17 steps to cross a tile
-            crossing = (_TILE_FLOATS // nrep + 97,) if nrep > 1 else ()
-            for steps in (0, 97) + crossing:
-                u = rng.random((nrep, steps))
-                on_edge = rng.random((nrep, steps)) < 0.25
-                u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
-                x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
-                _check_finite_sums_parity(cum, f, x0, u)
+        for nrep, steps in itertools.product((1, 7, 300), (0, 1, 97)):
+            u = rng.random((steps, nrep))
+            on_edge = rng.random((steps, nrep)) < 0.25
+            u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
+            x0 = rng.integers(0, ns, size=nrep).astype(np.int64)
+            _check_finite_sums_parity(cum, f, x0, u)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -133,23 +157,6 @@ def test_finite_split_first_hits_matches_scalar_path(m):
         assert min(hits) < 0 and max(hits) > first
         if first:  # some row has a level-1 block before first
             assert any(levels[i, :first].any() for i in range(nrep))
-
-
-@pytest.mark.parametrize("shape", [(800, 9999), (32768, 99)])
-def test_finite_sums_numpy_memory_is_one_tile(chain, shape):
-    # the numpy kernel holds one tile of at most 1 MB of uniforms; a whole
-    # transposed copy would take 64 MB and 26 MB at these shapes
-    cum = chain.kernel.cumulative_rows()
-    u = substream(3, 1, 0).random(shape)
-    x0 = np.zeros(shape[0], dtype=np.int64)
-    out = np.empty(shape[0])
-    tracemalloc.start()
-    try:
-        _finite_sums_np(cum, np.array([0.7, -0.4]), x0, u, out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, peak
 
 
 def _mod1_sums_loop(mod1, code, x0, eps, words):
@@ -248,10 +255,11 @@ def test_bits_to_float_range():
 
 
 def test_finite_sums_counts_first_state(chain):
-    # a one-step trajectory is just the start state, so the sum is f(x0)
+    # with no steps the replicas stay at their starts and the sums at
+    # f(x0)
     cum = chain.kernel.cumulative_rows()
     f = np.array([2.0, -3.0])
     x0 = np.array([0, 1], dtype=np.int64)
-    u = substream(6, 1, 0).random((2, 0))
-    sums = finite_chain_sums(cum, f, x0, u)
+    sums, states = _finite_sums_tiled(cum, f, x0, np.empty((0, 2)), 1)
     assert np.array_equal(sums, f[x0])
+    assert np.array_equal(states, x0)

@@ -231,7 +231,7 @@ def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
     one = mc_tail(chain, "indicator_centered", "pi", 8, grid, 1200, seed=7)
     two = mc_tail(chain, "indicator_centered", "pi", 8, grid, 1200, seed=7)
     assert np.array_equal(one.estimate, two.estimate)
-    monkeypatch.setattr(verify_mod, "_replica_chunk", lambda *a, **k: 300)
+    monkeypatch.setattr(verify_mod, "_CHUNK_ROWS", 300)
     chunked = mc_tail(chain, "indicator_centered", "pi", 8, grid, 1200,
                       seed=7)
     threaded = mc_tail(chain, "indicator_centered", "pi", 8, grid, 1200,
@@ -251,13 +251,51 @@ def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
     for run in runs:
         chunked = run()
         threaded = run(threads=3)
-        monkeypatch.setattr(verify_mod, "_replica_chunk",
-                            lambda *a, **k: 1200)
+        monkeypatch.setattr(verify_mod, "_CHUNK_ROWS", 8192)
         whole = run()
-        monkeypatch.setattr(verify_mod, "_replica_chunk", lambda *a, **k: 300)
+        monkeypatch.setattr(verify_mod, "_CHUNK_ROWS", 300)
         assert np.array_equal(whole.estimate, chunked.estimate)
         assert np.array_equal(whole.estimate, threaded.estimate)
         assert np.array_equal(whole.se, threaded.se)
+
+
+def test_chunk_rows_rule():
+    # whole blocks, at most 8192 rows, a thread's share rounded up to
+    # whole blocks, and the mod-1 byte budget with one block at least
+    rule = verify_mod._chunk_rows
+    assert rule(4000, 1) == 4096
+    assert rule(4000, 2) == 2048  # two chunks, one per thread
+    assert rule(4000, 3) == 1536
+    assert rule(100000, 1) == 8192
+    assert rule(100000, 1, 9 * 9999) == 512
+    assert rule(100000, 1, 10 ** 9) == 256
+    assert rule(1000, 7) == 256
+
+
+def test_tail_counts_do_not_depend_on_threads_chunks_or_tiles(monkeypatch):
+    # threads 1, 2 and 3, chunks of 256, 300 (cut to 256) and 8192 rows
+    # and step tiles of 1 and 7 steps and the default: the same counts
+    two = make_two_state(0.3, 0.6)
+    mod1 = make_singular_mod1()
+    runs = (
+        lambda threads: mc_tail(two, "indicator_centered", "pi", 40,
+                                np.linspace(0.0, 8.0, 17), 1000, seed=5,
+                                threads=threads),
+        lambda threads: mc_tail(mod1, "cos2pi", "pi", 40,
+                                np.linspace(0.0, 8.0, 17), 1000, seed=5,
+                                threads=threads),
+    )
+    want = [run(1).estimate for run in runs]
+    tiles = (lambda rows, steps: 1, lambda rows, steps: 7,
+             verify_mod._step_tile)
+    for threads, rows, tile in itertools.product((1, 2, 3), (256, 300, 8192),
+                                                 tiles):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_mod, "_CHUNK_ROWS", rows)
+            patch.setattr(verify_mod, "_step_tile", tile)
+            for run, estimate in zip(runs, want):
+                assert np.array_equal(run(threads).estimate, estimate), \
+                    (threads, rows, tile)
 
 
 def _chunk_statistics(monkeypatch, run):
@@ -271,7 +309,7 @@ def _chunk_statistics(monkeypatch, run):
 
     tail_counts = verify_mod._tail_counts
     monkeypatch.setattr(verify_mod, "_tail_counts", counts)
-    monkeypatch.setattr(verify_mod, "_replica_chunk", lambda *a, **k: 256)
+    monkeypatch.setattr(verify_mod, "_CHUNK_ROWS", 256)
     run()
     monkeypatch.undo()
     return np.concatenate(seen)
@@ -279,7 +317,9 @@ def _chunk_statistics(monkeypatch, run):
 
 def test_one_block_reproduced_from_its_substream(monkeypatch):
     # block b of 256 replicas (here the short last one, 232 replicas of
-    # 1000) follows from substream(seed, tag, b) alone, drawn block-major
+    # 1000) follows from substream(seed, tag, b) alone: its starts, then
+    # its moves (finite chains: step-major, one uniform per replica for
+    # each step in turn; mod-1: replica-major)
     seed, n, rows = 12, 9, 1000 - 768
     two = make_two_state(0.3, 0.6)
     mod1 = make_singular_mod1()
@@ -291,9 +331,10 @@ def test_one_block_reproduced_from_its_substream(monkeypatch):
         two, finite, "pi", n, [1.0], 1000, seed))
     rng = substream(seed, TAG_TAIL, 3)
     x0 = [resolve_start(two, "pi").draw(rng) for _ in range(rows)]
+    steps = [rng.random(rows) for _ in range(n - 1)]
     want = []
-    for x in x0:
-        path = two.kernel.cumulative_rows(), x, rng.random(n - 1)
+    for r, x in enumerate(x0):
+        path = two.kernel.cumulative_rows(), x, [u[r] for u in steps]
         total = 0.0
         for state in verify_mod._kernels.finite_chain_path(*path):
             total += finite.values[state]
@@ -348,7 +389,8 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
             "difference", law, 50, np.linspace(0.0, 4.0, 21), 1000, seed=2)
         for law in ("uniform", "normal", "exponential", "rademacher")]
     want = [run().estimate for run in runs]
-    for owner, name, value in ((verify_mod._kernels, "_TILE_FLOATS", 64),
+    for owner, name, value in ((verify_mod, "_STEP_TILE_FLOATS", 1),
+                               (verify_mod, "_STEP_TILE_FLOATS", 700),
                                (verify_mod._kernels, "_MOD1_TILE_STATES", 1),
                                (verify_mod._kernels, "_MOD1_TILE_STATES", 123),
                                (chain_models, "_WORD_TILE", 1),
@@ -360,6 +402,22 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
             patch.setattr(owner, name, value)
             for run, estimate in zip(runs, want):
                 assert np.array_equal(run().estimate, estimate), (name, value)
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_mc_tail_finite_memory_is_one_tile(n):
+    # a finite chunk holds one step tile of _STEP_TILE_FLOATS uniforms
+    # (8 MB) and a block's share of it, whatever n is; replica-major
+    # buffers would take 16 MB and 160 MB at these n
+    chain = make_two_state(0.3, 0.6)
+    tracemalloc.start()
+    try:
+        mc_tail(chain, "indicator_centered", "pi", n, [1.0], 1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tile = 8 * verify_mod._STEP_TILE_FLOATS
+    assert peak < tile + tile // 2, peak
 
 
 def test_mc_tail_mod1_curve():
@@ -1114,6 +1172,23 @@ def test_run_verification_checks_arguments_before_drawing(
     for exact in {False, chain.is_finite}:
         with pytest.raises(ValueError, match=message):
             run_verification(chain, f, exact=exact, **args)
+
+
+def test_run_verification_needs_f_sup_for_thm_sbi_before_drawing(
+        monkeypatch):
+    # a functional without sup_bound, or a given fit without f_sup, has
+    # no thm_sbi curve: rejected before the tail and the fit run
+    chain = make_two_state(0.5, 0.5)
+    bare = Functional(name="bare", values=np.array([0.5, -0.5]))
+    params = BernsteinParams(a=1.0, b=1.0, c=1.0, d=2.0, alpha=1.0,
+                             sigma2_mrv=0.25, delta=1.0, pi_C=0.5, m=1, D=2.0)
+    fitted = verify_mod.FittedParams(params=params, diagnostics={})
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
+    args = dict(n=40, t_grid=[1.0, 2.0], seed=0, replicas=1000)
+    for f, fit in ((bare, None), ("indicator_centered", fitted)):
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="thm_sbi needs f_sup"):
+                run_verification(chain, f, exact=exact, fitted=fit, **args)
 
 
 def test_run_verification_checks_only_what_is_used():
