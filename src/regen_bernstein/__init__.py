@@ -6,7 +6,6 @@ Bernstein-type tail bounds, and verifies those bounds against Monte
 Carlo and exact enumerated tails on small chains.
 """
 
-from ._backend import backend_choice, numba_available
 from .bounds import (EVALUATORS, BernsteinParams, BoundValue, bbi_constants,
                      classical_bernstein, iid_unbounded, kp_constant,
                      m_cutoff, one_dep_bounded, one_dep_stopped, one_dep_sup,

@@ -1,25 +1,19 @@
-"""Kernel backend, fixed when this module loads.
+"""Kernel backend name, recorded in run metadata.
 
-The hot simulation loops are compiled with numba when numba imports and
-run as numpy code otherwise; nothing else chooses. Both consume
-pre-drawn random arrays under the same contract, so the backend affects
-speed only.
+Every kernel is numpy or plain Python, so the name is fixed.
 """
 
 from __future__ import annotations
 
-try:
-    import numba  # noqa: F401
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+import importlib.util
 
 
 def numba_available() -> bool:
-    return HAVE_NUMBA
+    """Whether numba is installed (found, not imported). The package does
+    not use numba; this only reports the environment."""
+    return importlib.util.find_spec("numba") is not None
 
 
 def backend_choice() -> str:
-    """Name of the backend in use: "numba" or "numpy"."""
-    return "numba" if HAVE_NUMBA else "numpy"
+    """Name of the kernel backend: always "numpy"."""
+    return "numpy"

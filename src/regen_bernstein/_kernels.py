@@ -2,8 +2,7 @@
 
 No kernel draws randomness of its own. Callers pass arrays of uniforms
 (or raw 64-bit words) and every kernel consumes them in a fixed order.
-The finite path loop is compiled when numba imports (see ``_backend``)
-and runs as plain Python otherwise. The finite replica sums are numpy:
+The finite path loop is plain Python. The finite replica sums are numpy:
 they step every replica at once through step-major uniforms, one row
 per step, and a caller may feed them one tile of steps at a time. A
 split path (finite_split_path) is the finite path loop plus a
@@ -22,13 +21,7 @@ import math
 
 import numpy as np
 
-from ._backend import HAVE_NUMBA, backend_choice
-
-if HAVE_NUMBA:
-    from numba import njit
-else:
-    def njit(**options):  # every use is @njit(...): a no-op decorator
-        return lambda fn: fn
+from ._backend import backend_choice
 
 
 # Functional codes understood by the mod-1 kernels.
@@ -52,25 +45,18 @@ _TWO_PI = 2.0 * math.pi
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _finite_path_nb(cum_rows, x0, uniforms, out):
+def finite_chain_path(cum_rows, x0, uniforms):
+    """One finite-chain path; returns len(uniforms) + 1 state indices."""
+    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+    out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
     ns = cum_rows.shape[1]
-    x = x0
-    out[0] = x
+    x = out[0] = int(x0)
     for i in range(uniforms.shape[0]):
         u = uniforms[i]
         j = 0
         while j < ns - 1 and u >= cum_rows[x, j]:
             j += 1
-        x = j
-        out[i + 1] = x
-
-
-def finite_chain_path(cum_rows, x0, uniforms):
-    """One finite-chain path; returns len(uniforms) + 1 state indices."""
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
-    _finite_path_nb(cum_rows, int(x0), uniforms, out)
+        x = out[i + 1] = j
     return out
 
 
@@ -132,7 +118,7 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
 
     Row i of state_u (blocks * m uniforms) and level_u (blocks uniforms)
     drives replica i from x0[i] with finite_split_path's comparisons,
-    one step for all replicas at a time (numpy on either backend).
+    one step for all replicas at a time, in numpy.
     Returns (states, levels) of shapes (rows, blocks * m + 1) and
     (rows, blocks), levels as uint8. The steps stop after the block in
     which every row has a level-1 block at or after block first, so a
@@ -253,8 +239,8 @@ def mod1_float_params(precision):
 
 
 def warm_up():
-    """Run every kernel once on tiny inputs, which compiles the finite
-    path loop under numba; returns the backend name."""
+    """Run every kernel once on tiny inputs, paying first-call costs
+    before the timed work; returns the backend name."""
     cum = np.array([[0.5, 1.0], [0.5, 1.0]])
     f_vals = np.array([0.5, -0.5])
     in_c = np.array([True, False])

@@ -141,7 +141,7 @@ def _base_metadata(command: str, seed: int) -> dict:
     return {
         "command": command,
         "seed": int(seed),
-        "rng": stream_description(seed, replicated=command == "verify"),
+        "rng": stream_description(seed),
         "backend": backend_choice(),
     }
 
@@ -483,7 +483,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if csv_text is not None:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import regen_bernstein
-from regen_bernstein import backend_choice, make_two_state, save_chain
+from regen_bernstein import make_two_state, save_chain
 from regen_bernstein.cli import main
 
 
@@ -54,7 +54,9 @@ def test_no_command_exits_1(capsys):
     assert "usage" in err
 
 
-def test_validation_error_exits_1(capsys):
+def test_validation_error_exits_1(capsys, tmp_path):
+    a_file = tmp_path / "not_a_dir"
+    a_file.write_text("")
     code, _, err = run_cli(capsys, "simulate", "--chain", "singular-mod1",
                            "--n", "1")
     assert code == 1
@@ -87,7 +89,14 @@ def test_validation_error_exits_1(capsys):
             (("verify", "--chain", "two-state", "--n", "8", "--safety",
               "0.5"), "safety must be at least 1"),
             (("verify", "--chain", "singular-mod1", "--n", "4001"),
-             "m | n required")):
+             "m | n required"),
+            # unusable paths: an error line, not a traceback
+            (("simulate", "--chain", "two-state", "--n", "8", "--config",
+              str(tmp_path)), "Is a directory"),
+            (("simulate", "--chain-file", str(tmp_path), "--n", "8"),
+             "Is a directory"),
+            (("simulate", "--chain", "two-state", "--n", "8", "--out",
+              str(a_file)), "File exists")):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
         assert message in err, argv
@@ -420,11 +429,14 @@ def test_unknown_backend_rejected(capsys):
 
 
 def test_backend_flag_recorded(capsys):
-    # the backend is fixed at import; every report names it
+    # every report names the one backend; benchmark checks read the field
     for argv in (("simulate", "--chain", "two-state", "--n", "16"),
-                 ("variance", "--chain", "two-state")):
+                 ("variance", "--chain", "two-state"),
+                 ("verify", "--chain", "two-state", "--n", "8",
+                  "--replicas", "1000", "--n-excursions", "200",
+                  "--n-first-blocks", "100")):
         payload = run_json(capsys, *argv)
-        assert payload["backend"] == backend_choice()
+        assert payload["backend"] == "numpy"
         assert "backend_env" not in payload
 
 

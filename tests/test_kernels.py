@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from regen_bernstein import (backend_choice, make_singular_mod1,
-                             make_two_state, numba_available)
+from regen_bernstein import make_singular_mod1, make_two_state
+from regen_bernstein._backend import numba_available
 from regen_bernstein import _kernels
 from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
                                       F_INDICATOR_CENTERED, finite_chain_path,
@@ -28,24 +28,10 @@ def chain():
 
 
 def test_backend_choice_env():
-    # the environment decides the backend once, at import: numba if it
-    # imports, numpy otherwise
-    has_numba = importlib.util.find_spec("numba") is not None
-    assert numba_available() is has_numba
-    assert backend_choice() == ("numba" if has_numba else "numpy")
-    assert warm_up() == backend_choice()
-
-
-def test_numpy_path_reproduces_searchsorted(chain):
-    cum = chain.kernel.cumulative_rows()
-    u = substream(0, 1, 0).random(64)
-    path = finite_chain_path(cum, 0, u)
-    x = 0
-    for i, ui in enumerate(u):
-        x = int(np.searchsorted(cum[x], ui, side="right"))
-        x = min(x, cum.shape[0] - 1)
-        assert path[i + 1] == x
-    assert path[0] == 0
+    # one backend whatever is installed; numba is only reported
+    assert numba_available() is (importlib.util.find_spec("numba")
+                                 is not None)
+    assert warm_up() == "numpy"
 
 
 # dyadic rows, so uniforms can sit exactly on cumulative boundaries
@@ -55,6 +41,26 @@ DYADIC_ROWS = {
         [0.0, 0.0, 0.5, 0.5], [0.125, 0.625, 0.0, 0.25]],
     1: [[1.0]],  # no threshold column
 }
+
+
+@pytest.mark.parametrize("ns", sorted(DYADIC_ROWS))
+def test_path_loop_reproduces_searchsorted(ns):
+    cum = np.cumsum(np.array(DYADIC_ROWS[ns]), axis=1)
+    ties = np.append(np.unique(cum[:, :-1]), 0.0)
+    rng = substream(0, 1, ns)
+    u = rng.random(256)
+    on_edge = rng.random(256) < 0.25
+    u[on_edge] = rng.choice(ties, size=int(on_edge.sum()))
+    # a first move on every boundary from every state (zero-probability
+    # columns repeat a boundary), then a mix of boundaries and randoms
+    for x0, tie in itertools.product(range(ns), ties):
+        moves = np.append(tie, u)
+        path = finite_chain_path(cum, x0, moves)
+        assert path[0] == x0
+        x = x0
+        for i, ui in enumerate(moves):
+            x = min(int(np.searchsorted(cum[x], ui, side="right")), ns - 1)
+            assert path[i + 1] == x, (ns, x0, tie, i)
 
 
 def _finite_sums_loop(cum_rows, f_vals, x0, uniforms):
