@@ -100,6 +100,10 @@ for F in cos2pi identity_centered indicator_centered; do
 done
 lib mc-mod1-b32 "mc_tail(make_singular_mod1(32), 'cos2pi', 0.3, 2000,
   [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
+# two threads on the mod-1 chain: chunks of 1280 and 1220 replicas, the
+# last block of 196 replicas short
+lib mc-mod1-threads "mc_tail(make_singular_mod1(), 'cos2pi', 'pi', 3001,
+  [0.5 * i for i in range(201)], 2500, seed=13, threads=2).estimate.tolist()"
 # the exact tail's lattice DP past 2^26 paths
 run orc-long oracle --chain two-state --n 1000
 # the block kernel B0 = P^m - delta 1_C nu at m = 2 on a dyadic

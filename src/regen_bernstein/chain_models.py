@@ -22,8 +22,6 @@ from ._io import atomic_write_text
 from ._rng import TAG_TV, substream
 
 _U64_MAX = np.iinfo(np.uint64).max
-# Words drawn per call when mod-1 moves are written into given arrays
-_WORD_TILE = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,25 +123,10 @@ class SingularMod1Chain:
 
     def draw_moves(self, rng: np.random.Generator, size):
         """(coins, words) for size moves: all coins first, then all words."""
-        coins = np.empty(size, dtype=np.uint8)
-        words = np.empty(size, dtype=np.uint64)
-        self.fill_moves(rng, coins, words)
+        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
+        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
+                             endpoint=True)
         return coins, words
-
-    def fill_moves(self, rng: np.random.Generator, coins, words) -> None:
-        """draw_moves written into coins and words (arrays of one shape).
-
-        Generator.integers has no out, so the words are drawn a few rows
-        (of the first axis) at a time, up to _WORD_TILE words a call.
-        Each full-range word is one 64-bit output, so the tiles draw the
-        words that one call would.
-        """
-        coins[...] = rng.integers(0, 2, size=coins.shape, dtype=np.uint8)
-        tile = max(1, _WORD_TILE // max(1, math.prod(words.shape[1:])))
-        for lo in range(0, len(words), tile):
-            part = words[lo:lo + tile]
-            part[...] = rng.integers(0, _U64_MAX, size=part.shape,
-                                     dtype=np.uint64, endpoint=True)
 
     def path(self, x0_bits, eps, words) -> np.ndarray:
         """Fixed-point states from x0_bits under the moves, along the last axis."""
@@ -635,10 +618,15 @@ def resolve_start(chain: ChainInstance, init) -> Start:
     "pi-approx" is accepted as "pi", and the mod-1 chain also accepts
     "lebesgue". Finite point starts must be state indices in range (an
     integral float such as 1.0 counts); mod-1 point starts must lie in
-    [0, 1).
+    [0, 1). Booleans are not states, and ("point", x) needs x a state,
+    not a start token.
     """
     if isinstance(init, tuple) and len(init) == 2 and init[0] == "point":
         init = init[1]
+        if isinstance(init, str):
+            raise ValueError(f"need a point start, got {init!r}")
+    if isinstance(init, (bool, np.bool_)):
+        raise ValueError(f"initial state {init!r} is not a state index")
     if isinstance(init, str):
         token = init.lower()
         if chain.mod1 is not None and token in ("nu", "pi", "pi-approx", "lebesgue"):

@@ -46,8 +46,6 @@ _TWO_BLOCK_TILE_FLOATS = 1 << 15
 _STEP_TILE_FLOATS = 1 << 20
 # replicas per chunk of a replicated tail, at most: 32 blocks
 _CHUNK_ROWS = 8192
-# bytes of replica-major move buffers per chunk (mod-1 tails), at most
-_CHUNK_BYTES = 64_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +131,8 @@ def check_domination(tail: TailCurve, bound_values, *, z: float = 3.0
 
 
 def _check_z(z: float) -> None:
-    if z < 0.0:
-        raise ValueError("z must be non-negative")
+    if not (0.0 <= z < math.inf):
+        raise ValueError("z must be non-negative and finite")
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -155,16 +153,13 @@ def _validated_grid(t_grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_rows(replicas: int, threads: int, row_bytes: int = 0) -> int:
-    """Replicas per chunk, whole blocks: at most _CHUNK_ROWS, at most a
-    thread's share ceil(replicas / threads) rounded up to whole blocks,
-    and, with row_bytes of buffers per replica, at most _CHUNK_BYTES of
-    them (one block at least)."""
+def _chunk_rows(replicas: int, threads: int) -> int:
+    """Replicas per chunk, in whole blocks: the smaller of _CHUNK_ROWS
+    rounded down to whole blocks (one block at least) and a thread's
+    share ceil(replicas / threads) rounded up to whole blocks."""
     share = -(-replicas // threads)
-    cap = _CHUNK_ROWS
-    if row_bytes:
-        cap = min(cap, _CHUNK_BYTES // row_bytes)
-    return min(share + -share % BLOCK, max(BLOCK, cap - cap % BLOCK))
+    return min(share + -share % BLOCK,
+               max(BLOCK, _CHUNK_ROWS - _CHUNK_ROWS % BLOCK))
 
 
 def _step_tile(rows: int, steps: int) -> int:
@@ -184,7 +179,7 @@ def _block_rows(lo: int, hi: int):
 
 
 def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
-                     threads: int, row_bytes: int = 0) -> TailCurve:
+                     threads: int) -> TailCurve:
     """Monte Carlo TailCurve of |statistic| over replicas 0..replicas-1.
 
     statistics(lo, hi) returns the statistic of replicas lo..hi-1, each
@@ -194,7 +189,7 @@ def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    chunk = _chunk_rows(replicas, threads, row_bytes)
+    chunk = _chunk_rows(replicas, threads)
     pairs = [(lo, min(lo + chunk, replicas))
              for lo in range(0, replicas, chunk)]
 
@@ -223,12 +218,13 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     the n - 1 steps in turn, one uniform per replica. A chunk's blocks
     fill one tile of at most _STEP_TILE_FLOATS uniforms (whole steps)
     in turn, and the kernel steps every replica of the chunk through
-    it, so memory does not grow with n. On the
-    mod-1 chain a block draws its moves replica-major, all its coins and
-    then all its words. Either way the result is bit-identical for a
-    fixed (seed, replicas) no matter how the work is chunked, tiled or
-    threaded. init is anything resolve_start accepts: a point state,
-    "nu", or "pi".
+    it, so memory does not grow with n. On the mod-1 chain a block
+    draws its moves replica-major, all its coins and then all its
+    words, and sums its replicas before the next block draws, so a
+    chunk holds one block's moves at a time. Either way the result is
+    bit-identical for a fixed (seed, replicas) no matter how the work
+    is chunked, tiled or threaded. init is anything resolve_start
+    accepts: a point state, "nu", or "pi".
     """
     n = int(n)
     replicas = int(replicas)
@@ -242,22 +238,18 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     steps = n - 1
     mod1 = chain.mod1
 
-    def block_starts(lo, hi, dtype):
-        # each block's generator and rows, once it has drawn its starts
-        x0 = np.empty(hi - lo, dtype=dtype)
-        blocks = []
-        for block, rows in _block_rows(lo, hi):
-            rng = substream(seed, TAG_TAIL, block)
-            x0[rows] = start.draw(rng, rows.stop - rows.start)
-            blocks.append((rng, rows))
-        return x0, blocks
-
     if mod1 is None:
         cum_rows = chain.kernel.cumulative_rows()
         f_vals = np.asarray(fspec.values, dtype=np.float64)
 
         def sums(lo, hi):
-            states, blocks = block_starts(lo, hi, np.int64)
+            # each block's generator and rows, once it has drawn its starts
+            states = np.empty(hi - lo, dtype=np.int64)
+            blocks = []
+            for block, rows in _block_rows(lo, hi):
+                rng = substream(seed, TAG_TAIL, block)
+                states[rows] = start.draw(rng, rows.stop - rows.start)
+                blocks.append((rng, rows))
             total = f_vals[states]
             tile = np.empty((_step_tile(hi - lo, steps), hi - lo))
             drawn = np.empty(len(tile) * BLOCK)  # a block's share of a tile
@@ -277,17 +269,18 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     shift, scale = mod1.float_params()
 
     def sums(lo, hi):
-        x0, blocks = block_starts(lo, hi, np.uint64)
-        eps = np.empty((hi - lo, steps), dtype=np.uint8)
-        words = np.empty((hi - lo, steps), dtype=np.uint64)
-        for rng, rows in blocks:
-            mod1.fill_moves(rng, eps[rows], words[rows])
-        return _kernels.mod1_chain_sums(
-            mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-            fspec.code, x0, eps, words)
+        out = np.empty(hi - lo)
+        for block, rows in _block_rows(lo, hi):
+            rng = substream(seed, TAG_TAIL, block)
+            count = rows.stop - rows.start
+            x0 = start.draw(rng, count)
+            # the moves die with the call, before the next block draws
+            out[rows] = _kernels.mod1_chain_sums(
+                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
+                fspec.code, x0, *mod1.draw_moves(rng, (count, steps)))
+        return out
 
-    return _replicated_tail(sums, t, n, replicas, threads,
-                            max(1, steps) * 9)  # a coin and a word per move
+    return _replicated_tail(sums, t, n, replicas, threads)
 
 
 def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -1104,8 +1097,8 @@ class FittedParams:
 
 def _check_fit_options(alpha, safety, n_excursions, n_first_blocks, **_):
     _check_alpha(alpha)
-    if safety < 1.0:
-        raise ValueError("safety must be at least 1")
+    if not (1.0 <= safety < math.inf):
+        raise ValueError("safety must be at least 1 and finite")
     if n_excursions < 100 or n_first_blocks < 100:
         raise ValueError("need at least 100 excursions and first blocks")
 

@@ -144,11 +144,23 @@ def test_finite_point_starts_are_state_indices():
     for init in (1, np.int64(1), 1.0, np.float64(1.0), ("point", 1.0)):
         assert resolve_start(chain, init).point == 1
         assert resolve_point(chain, init) == 1
-    for init in (1.5, 0.9, np.float64(0.5), ("point", 1.7), float("nan")):
+    mod1 = make_singular_mod1()
+    # booleans are not states, on either chain
+    bools = (True, False, np.True_, np.False_, ("point", True))
+    for ch, init in ([(chain, init) for init in (1.5, 0.9, np.float64(0.5),
+                                                 ("point", 1.7), float("nan"))]
+                     + [(ch, init) for ch in (chain, mod1) for init in bools]):
         with pytest.raises(ValueError, match="not a state index"):
-            resolve_start(chain, init)
+            resolve_start(ch, init)
         with pytest.raises(ValueError, match="not a state index"):
-            resolve_point(chain, init)
+            resolve_point(ch, init)
+    # a ("point", x) start takes a state, never a start token
+    for ch in (chain, mod1):
+        for token in ("pi", "nu", "lebesgue"):
+            with pytest.raises(ValueError, match="need a point start"):
+                resolve_start(ch, ("point", token))
+            with pytest.raises(ValueError, match="need a point start"):
+                resolve_point(ch, ("point", token))
 
 
 def test_tv_sum_one_collapses_immediately():

@@ -71,6 +71,10 @@ def test_validation_error_exits_1(capsys, tmp_path):
               "--init", "1.5"), "[0, 1)"),
             (("simulate", "--chain", "two-state", "--n", "8", "--init", "1.7"),
              "not a state index"),
+            (("simulate", "--chain", "two-state", "--n", "4", "--init",
+              "true"), "not a state index"),
+            (("oracle", "--chain", "two-state", "--n", "4", "--x0", "false"),
+             "not a state index"),
             (("oracle", "--chain", "two-state", "--n", "4", "--x0", "0.9"),
              "not a state index"),
             (("variance", "--chain", "two-state", "--method", "batch",
@@ -84,10 +88,18 @@ def test_validation_error_exits_1(capsys, tmp_path):
               "bogus"), "unknown formula"),
             (("verify", "--chain", "two-state", "--n", "8", "--z", "-1"),
              "z must be non-negative"),
+            (("verify", "--chain", "two-state", "--n", "8", "--z", "nan"),
+             "z must be non-negative and finite"),
+            (("verify", "--chain", "two-state", "--n", "8", "--z", "inf"),
+             "z must be non-negative and finite"),
             (("verify", "--chain", "two-state", "--n", "8", "--alpha", "2"),
              "alpha must lie in (0, 1]"),
             (("verify", "--chain", "two-state", "--n", "8", "--safety",
               "0.5"), "safety must be at least 1"),
+            (("verify", "--chain", "two-state", "--n", "8", "--safety",
+              "nan"), "safety must be at least 1 and finite"),
+            (("verify", "--chain", "two-state", "--n", "8", "--safety",
+              "inf"), "safety must be at least 1 and finite"),
             (("verify", "--chain", "singular-mod1", "--n", "4001"),
              "m | n required"),
             # unusable paths: an error line, not a traceback

@@ -51,7 +51,7 @@ from regen_bernstein import (
     two_block_sup_tail,
     write_curves_csv,
 )
-from regen_bernstein import chain_models, split_regen
+from regen_bernstein import split_regen
 from regen_bernstein._kernels import finite_split_path
 from regen_bernstein._rng import (TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_TAIL,
                                   TAG_TWO_BLOCK, substream)
@@ -260,15 +260,13 @@ def test_mc_tail_deterministic_and_chunk_invariant(monkeypatch):
 
 
 def test_chunk_rows_rule():
-    # whole blocks, at most 8192 rows, a thread's share rounded up to
-    # whole blocks, and the mod-1 byte budget with one block at least
+    # whole blocks, at most 8192 rows and a thread's share rounded up
+    # to whole blocks
     rule = verify_mod._chunk_rows
     assert rule(4000, 1) == 4096
     assert rule(4000, 2) == 2048  # two chunks, one per thread
     assert rule(4000, 3) == 1536
     assert rule(100000, 1) == 8192
-    assert rule(100000, 1, 9 * 9999) == 512
-    assert rule(100000, 1, 10 ** 9) == 256
     assert rule(1000, 7) == 256
 
 
@@ -374,9 +372,8 @@ def test_one_block_reproduced_from_its_substream(monkeypatch):
 
 
 def test_tails_do_not_depend_on_tiles(monkeypatch):
-    # the replica kernels' step tiles, the mod-1 word tiles and the
-    # two-block statistic's row tiles change how the work is cut, never
-    # what is drawn
+    # the replica kernels' step tiles and the two-block statistic's row
+    # tiles change how the work is cut, never what is drawn
     chain = make_two_state(0.3, 0.6)
     mod1 = make_singular_mod1()
     runs = [
@@ -393,8 +390,6 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
                                (verify_mod, "_STEP_TILE_FLOATS", 700),
                                (verify_mod._kernels, "_MOD1_TILE_STATES", 1),
                                (verify_mod._kernels, "_MOD1_TILE_STATES", 123),
-                               (chain_models, "_WORD_TILE", 1),
-                               (chain_models, "_WORD_TILE", 100),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 150),
                                (verify_mod, "_TWO_BLOCK_TILE_FLOATS", 1 << 30)):
@@ -418,6 +413,22 @@ def test_mc_tail_finite_memory_is_one_tile(n):
         tracemalloc.stop()
     tile = 8 * verify_mod._STEP_TILE_FLOATS
     assert peak < tile + tile // 2, peak
+
+
+def test_mc_tail_mod1_memory_is_one_block():
+    # a mod-1 chunk draws and sums one block of 256 replicas at a time:
+    # one block's moves (a coin and a word per move) bound the peak,
+    # not a chunk's (1000 replicas, 18 MB here)
+    chain = make_singular_mod1()
+    n = 2000
+    tracemalloc.start()
+    try:
+        mc_tail(chain, "cos2pi", "pi", n, [1.0], 1000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    moves = 256 * (n - 1) * 9
+    assert peak < moves + moves // 2, peak
 
 
 def test_mc_tail_mod1_curve():
@@ -1161,6 +1172,12 @@ def test_run_verification_exact_report():
      "at least 100 excursions"),
     (make_singular_mod1(), {"n": 41}, "m | n"),
     (make_singular_mod1(), {"n": 41, "formulas": ("thm_bi2",)}, "m | n"),
+    (make_two_state(0.5, 0.5), {"z": math.nan}, "z must be non-negative"),
+    (make_two_state(0.5, 0.5), {"z": math.inf}, "z must be non-negative"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"safety": math.nan}},
+     "safety must be at least 1"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"safety": math.inf}},
+     "safety must be at least 1"),
 ])
 def test_run_verification_checks_arguments_before_drawing(
         monkeypatch, chain, kwargs, message):
