@@ -82,12 +82,12 @@ lib mc-three-state "mc_tail(chain_from_dict({'matrix': [[0.5, 0.25, 0.25],
   'm': 1, 'delta': 0.5, 'nu': [0.25, 0.5, 0.25]}), 'indicator_centered', 'pi',
   600, [0.5 * i for i in range(80)], 1000, seed=3).estimate.tolist()"
 # the long-horizon shape, as in verify at n = 10^4: one 4000-replica
-# chunk stepped through 39 tiles of 262 steps (the last one 43), its
+# chunk stepped through 313 tiles of 32 steps (the last one 15), its
 # last block of 160 replicas short
 lib mc-long "mc_tail(make_two_state(0.25, 0.25), 'indicator_centered', 'pi',
   10000, [0.5 * i for i in range(601)], 4000, seed=7).estimate.tolist()"
 # two threads: chunks of 4608 and 4392 replicas (the last block 40
-# replicas) through tiles of 227 and 238 steps, from the nu start
+# replicas) through tiles of 28 and 29 steps, from the nu start
 lib mc-long-threads "mc_tail(make_two_state(0.3, 0.6), 'identity_centered',
   'nu', 10000, [0.5 * i for i in range(401)], 9000, seed=11,
   threads=2).estimate.tolist()"

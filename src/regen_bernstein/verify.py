@@ -42,8 +42,8 @@ _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
 # noise values per tile of the two-block statistic (256 KB)
 _TWO_BLOCK_TILE_FLOATS = 1 << 15
-# uniforms per step tile of the finite replica sums (8 MB)
-_STEP_TILE_FLOATS = 1 << 20
+# uniforms per step tile of the finite replica sums (1 MB, cache-sized)
+_STEP_TILE_FLOATS = 1 << 17
 # replicas per chunk of a replicated tail, at most: 32 blocks
 _CHUNK_ROWS = 8192
 
@@ -1095,12 +1095,15 @@ class FittedParams:
     diagnostics: dict
 
 
-def _check_fit_options(alpha, safety, n_excursions, n_first_blocks, **_):
+def _check_fit_options(chain, alpha, safety, n_excursions, n_first_blocks,
+                       x_star, **_):
     _check_alpha(alpha)
     if not (1.0 <= safety < math.inf):
         raise ValueError("safety must be at least 1 and finite")
     if n_excursions < 100 or n_first_blocks < 100:
         raise ValueError("need at least 100 excursions and first blocks")
+    if x_star is not None:
+        resolve_point(chain, ("point", x_star))
 
 
 def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
@@ -1117,7 +1120,8 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     multiplicative safety factor; sigma2 defaults to the exact value on
     finite chains and to the regenerative estimate otherwise.
     """
-    _check_fit_options(alpha, safety, n_excursions, n_first_blocks)
+    _check_fit_options(chain, alpha, safety, n_excursions, n_first_blocks,
+                       x_star)
     fspec = resolve_functional(chain, f)
     m = chain.m
     if x_star is None:

@@ -402,7 +402,7 @@ def test_tails_do_not_depend_on_tiles(monkeypatch):
 @pytest.mark.parametrize("n", [2000, 20000])
 def test_mc_tail_finite_memory_is_one_tile(n):
     # a finite chunk holds one step tile of _STEP_TILE_FLOATS uniforms
-    # (8 MB) and a block's share of it, whatever n is; replica-major
+    # (1 MB) and a block's share of it, whatever n is; replica-major
     # buffers would take 16 MB and 160 MB at these n
     chain = make_two_state(0.3, 0.6)
     tracemalloc.start()
@@ -413,6 +413,22 @@ def test_mc_tail_finite_memory_is_one_tile(n):
         tracemalloc.stop()
     tile = 8 * verify_mod._STEP_TILE_FLOATS
     assert peak < tile + tile // 2, peak
+
+
+@pytest.mark.parametrize("chain, n, replicas", [
+    (make_two_state(0.25, 0.25, delta=1.0), 10000, 4000),
+    (make_two_state(0.5, 0.5), 100, 32768),
+])
+def test_mc_tail_finite_memory_is_cache_sized(chain, n, replicas):
+    # the verify-long and verify-wide shapes stay under 2 MB: a 1 MB
+    # step tile, the chunk's states and sums, and the tail counts
+    tracemalloc.start()
+    try:
+        mc_tail(chain, "indicator_centered", "pi", n, [1.0], replicas, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
 
 
 def test_mc_tail_mod1_memory_is_one_block():
@@ -1178,6 +1194,14 @@ def test_run_verification_exact_report():
      "safety must be at least 1"),
     (make_two_state(0.5, 0.5), {"fit_options": {"safety": math.inf}},
      "safety must be at least 1"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"x_star": 7}},
+     "initial state 7 out of range"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"x_star": "pi"}},
+     "need a point start"),
+    (make_two_state(0.5, 0.5), {"fit_options": {"x_star": True}},
+     "not a state index"),
+    (make_singular_mod1(), {"n": 40, "fit_options": {"x_star": "nu"}},
+     "need a point start"),
 ])
 def test_run_verification_checks_arguments_before_drawing(
         monkeypatch, chain, kwargs, message):
