@@ -35,17 +35,17 @@ from .variance import (VarianceEstimate, mean_excursion_value,
                        sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,
                        sigma_mrv_regenerative, two_state_sigma_mrv)
-from .verify import (BlockMarkovCheck, BlockStructureReport, BoundCurve,
-                     DominationVerdict, FittedParams, PitmanCheck,
-                     StructuralTestResult, TailCurve, TwoBlockSample,
-                     VerificationReport, block_structure_tests,
-                     bound_curves, check_block_markov, check_block_structure,
-                     check_domination, check_pitman, collect_excursions,
-                     exact_gap_distribution, exact_gap_psi1,
-                     exact_regeneration_count_tail, exact_tail,
-                     fit_bernstein_params, mc_tail, report_to_dict,
-                     run_verification, structure_report_to_dict,
-                     tail_curve_to_dict, two_block_factor,
-                     two_block_sup_tail, write_curves_csv)
+from .exact import (BlockMarkovCheck, TailCurve, check_block_markov,
+                    exact_gap_distribution, exact_gap_psi1,
+                    exact_regeneration_count_tail, exact_tail)
+from .verify import (BlockStructureReport, BoundCurve, DominationVerdict,
+                     FittedParams, PitmanCheck, StructuralTestResult,
+                     TwoBlockSample, VerificationReport,
+                     block_structure_tests, bound_curves,
+                     check_block_structure, check_domination, check_pitman,
+                     collect_excursions, fit_bernstein_params, mc_tail,
+                     report_to_dict, run_verification,
+                     structure_report_to_dict, tail_curve_to_dict,
+                     two_block_factor, two_block_sup_tail, write_curves_csv)
 
 __version__ = "0.1.0"

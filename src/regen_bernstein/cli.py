@@ -30,9 +30,10 @@ from .split_regen import (simulate_split, trajectory_summary,
 from .variance import (sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,
                        sigma_mrv_regenerative)
+from .exact import exact_tail
 from .verify import (_FORMULA_CHOICES, collect_excursions, curves_csv_text,
-                     exact_tail, report_to_dict, run_verification,
-                     tail_curve_to_dict, write_curves_csv)
+                     report_to_dict, run_verification, tail_curve_to_dict,
+                     write_curves_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,17 @@ def _build_grid(args, cfg, n: int) -> np.ndarray:
     if t_max <= 0.0 or points < 1:
         raise ValueError("t grid needs t_max > 0 and at least one point")
     return np.linspace(0.0, t_max, points)
+
+
+def _tail_inputs(args, cfg):
+    """(chain, f, n, seed, t grid) of a tail command, verify or oracle."""
+    chain = _build_chain(args, cfg)
+    f_spec = _functional_spec(args, cfg)
+    n = _opt(args, cfg, "n")
+    if n is None:
+        raise ValueError(f"{args.command} needs a horizon: pass --n")
+    n = int(n)
+    return chain, f_spec, n, _resolve_seed(args, cfg), _build_grid(args, cfg, n)
 
 
 def _out_path(out_dir: str, name: str) -> str:
@@ -297,14 +309,7 @@ def cmd_variance(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    chain = _build_chain(args, cfg)
-    f_spec = _functional_spec(args, cfg)
-    n = _opt(args, cfg, "n")
-    if n is None:
-        raise ValueError("verify needs a horizon: pass --n")
-    n = int(n)
-    seed = _resolve_seed(args, cfg)
-    grid = _build_grid(args, cfg, n)
+    chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
     formulas = _opt(args, cfg, "formulas", None)
     if formulas is None:
         formulas = _FORMULA_CHOICES
@@ -343,14 +348,7 @@ def cmd_verify(args, cfg):
 
 
 def cmd_oracle(args, cfg):
-    chain = _build_chain(args, cfg)
-    f_spec = _functional_spec(args, cfg)
-    n = _opt(args, cfg, "n")
-    if n is None:
-        raise ValueError("oracle needs a horizon: pass --n")
-    n = int(n)
-    seed = _resolve_seed(args, cfg)
-    grid = _build_grid(args, cfg, n)
+    chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
     x0 = _opt(args, cfg, "x0")
     if x0 is None:
         x0 = chain.first_small_set_state()
@@ -387,8 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int,
                         help="master seed (fallback: config, then "
                              "REGEN_BERNSTEIN_SEED, then 0)")
-    common.add_argument("--replicas", type=int)
-    common.add_argument("--threads", type=int)
     common.add_argument("--out", help="output directory for report files")
     common.add_argument("--format", choices=("json", "csv"))
 
@@ -436,6 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common, chain_opts, grid_opts],
                               help="tail estimation and bound domination")
     p_verify.add_argument("--n", type=int)
+    p_verify.add_argument("--replicas", type=int)
+    p_verify.add_argument("--threads", type=int)
     p_verify.add_argument("--init", type=_parse_value)
     p_verify.add_argument("--exact", action="store_true",
                           help="exact enumeration instead of Monte Carlo")

@@ -1,21 +1,18 @@
 """Verification harness: tail estimation, domination checks, structure tests.
 
-Everything here either estimates a tail probability (Monte Carlo over
-independent replica substreams, or exact dynamic programming on small
-finite chains), fits the norm parameters the bound evaluators consume,
-or tests a structural claim of the regeneration construction: i.i.d.
-gaps, 1-dependent excursions, the occupation-measure identity, and the
-conditional block-Markov identity.
+Everything here either estimates a tail probability by Monte Carlo over
+independent replica substreams (the exact references are in exact),
+fits the norm parameters the bound evaluators consume, or tests a
+structural claim of the regeneration construction: i.i.d. gaps,
+1-dependent excursions and the occupation-measure identity.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -30,70 +27,26 @@ from .bounds import (BernsteinParams, _check_alpha, _check_horizon, _check_pos,
 from .chain_models import (ChainInstance, resolve_functional, resolve_point,
                            resolve_start)
 from .errors import GuardError
-from .orlicz import _psi_root, psi_norm_empirical
+from .exact import TailCurve, _validated_grid, exact_tail
+from .orlicz import psi_norm_empirical
 from .split_regen import (_split_runs, excursions, gap_lengths,
                           simulate_split, split_measure)
 from .variance import sigma_mrv_exact, sigma_mrv_regenerative
 
-_ENUM_GUARD = 1e8
-_FRACTION_GUARD = 2_000_000
-_LATTICE_WIDTH_CAP = 5_000_000
-_LATTICE_COST_GUARD = 2e9
-_COUNT_DP_GUARD = 1e9
 # noise values per tile of the two-block statistic (256 KB)
 _TWO_BLOCK_TILE_FLOATS = 1 << 15
 # uniforms per step tile of the finite replica sums (1 MB, cache-sized)
 _STEP_TILE_FLOATS = 1 << 17
 # replicas per chunk of a replicated tail, at most: 32 blocks
 _CHUNK_ROWS = 8192
+# bytes of one block's mod-1 moves (a coin and a word each) that a
+# thread holds, at most: n <= 116,509
+_MOD1_MOVE_BYTES = 1 << 28
 
 
 # ---------------------------------------------------------------------------
 # curves and verdicts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class TailCurve:
-    """P(|sum| > t) on a grid, estimated or exact.
-
-    se is None exactly when the curve comes from enumeration. The grid
-    is strictly increasing and the estimates non-increasing along it.
-    """
-
-    t: np.ndarray
-    estimate: np.ndarray
-    se: np.ndarray | None
-    provenance: str
-    n: int
-    replicas: int | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        est = np.asarray(self.estimate, dtype=np.float64)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("empty t grid")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("t grid must be strictly increasing")
-        if t.shape != est.shape:
-            raise ValueError("t grid and estimates must align")
-        if np.any(est < -1e-12) or np.any(est > 1.0 + 1e-12):
-            raise ValueError("tail estimates must lie in [0, 1]")
-        if np.any(np.diff(est) > 1e-12):
-            raise ValueError("tail estimates must be non-increasing in t")
-        if self.provenance not in ("monte_carlo", "enumeration"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        se = self.se
-        if se is not None:
-            se = np.asarray(se, dtype=np.float64)
-            if se.shape != t.shape or np.any(se < 0.0):
-                raise ValueError("se must be a non-negative array on the grid")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "estimate", np.clip(est, 0.0, 1.0))
-        object.__setattr__(self, "se", se)
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -135,19 +88,6 @@ def _check_z(z: float) -> None:
         raise ValueError("z must be non-negative and finite")
 
 
-def _validated_grid(t_grid) -> np.ndarray:
-    t = np.sort(np.asarray(t_grid, dtype=np.float64).ravel())
-    if t.size == 0:
-        raise ValueError("empty t grid")
-    # np.unique would import numpy.ma on the first grid
-    t = t[np.concatenate(([True], t[1:] != t[:-1]))]
-    if not np.all(np.isfinite(t)):
-        raise ValueError("t grid must be finite")
-    if np.any(t < 0.0):
-        raise ValueError("t grid must be non-negative")
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo tails
 # ---------------------------------------------------------------------------
@@ -176,6 +116,16 @@ def _block_rows(lo: int, hi: int):
     """
     for first in range(lo, hi, BLOCK):
         yield first // BLOCK, slice(first - lo, min(first + BLOCK, hi) - lo)
+
+
+def _replica_args(n, replicas, t_grid):
+    """(n, replicas, t) of a replicated tail, checked."""
+    n, replicas = int(n), int(replicas)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if replicas < 1000:
+        raise ValueError("need at least 1000 replicas")
+    return n, replicas, _validated_grid(t_grid)
 
 
 def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
@@ -221,18 +171,14 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
     it, so memory does not grow with n. On the mod-1 chain a block
     draws its moves replica-major, all its coins and then all its
     words, and sums its replicas before the next block draws, so a
-    chunk holds one block's moves at a time. Either way the result is
+    chunk holds one block's moves at a time, 9 * BLOCK * (n - 1) bytes;
+    above _MOD1_MOVE_BYTES it raises GuardError before drawing. Either
+    way the result is
     bit-identical for a fixed (seed, replicas) no matter how the work
     is chunked, tiled or threaded. init is anything resolve_start
     accepts: a point state, "nu", or "pi".
     """
-    n = int(n)
-    replicas = int(replicas)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if replicas < 1000:
-        raise ValueError("need at least 1000 replicas")
-    t = _validated_grid(t_grid)
+    n, replicas, t = _replica_args(n, replicas, t_grid)
     fspec = resolve_functional(chain, f)
     start = resolve_start(chain, init)
     steps = n - 1
@@ -266,6 +212,11 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
         return _replicated_tail(sums, t, n, replicas, threads)
 
     _kernels.mod1_f(0.0, fspec.code)  # an unknown code fails before any draw
+    moves = 9 * BLOCK * steps
+    if moves > _MOD1_MOVE_BYTES:
+        raise GuardError(
+            f"a block's moves take {moves} bytes (9 * {BLOCK} * (n - 1)), "
+            f"above the {_MOD1_MOVE_BYTES} byte mod-1 move guard")
     shift, scale = mod1.float_params()
 
     def sums(lo, hi):
@@ -288,265 +239,6 @@ def _tail_counts(sums: np.ndarray, t: np.ndarray) -> np.ndarray:
     ordered = np.sort(np.abs(sums))
     return (ordered.size - np.searchsorted(ordered, t, side="right")
             ).astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# exact tails on small finite chains
-# ---------------------------------------------------------------------------
-
-
-def _strict_cutoff(t: float, lcm_den: int) -> int:
-    """Smallest integer M with M / lcm_den > t, exactly."""
-    thr = Fraction(t) * lcm_den
-    return thr.numerator // thr.denominator + 1
-
-
-def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
-    """Exact P_x(|sum of f over n states| > t) by dynamic programming.
-
-    Sums are tracked exactly: on an integer lattice after clearing the
-    (binary-rational) denominators of f when that lattice is small
-    enough, otherwise as exact rationals keyed per (state, sum) pair.
-    Strictness at the threshold is decided in exact arithmetic.
-
-    The lattice route holds the probabilities in float64. Its terms are
-    non-negative, so a tail value carries a relative rounding error of
-    about ((n - 1)(k + 1) + width) * 2^-53 at most, with width the span
-    of the lattice of sums (below 1e-12 at n = 1000 on two states); it
-    raises RuntimeError if the total mass ends more than 1e-9 from 1.
-    The rational route is exact up to the final rounding to float.
-
-    Each route is guarded on what it costs. The lattice DP makes
-    (n - 1) * k^2 * width multiply-adds; above _LATTICE_COST_GUARD (2e9)
-    it raises GuardError before allocating anything. The rational
-    route's big integers grow with every step, so it keeps the k^n
-    enumeration guard, and _FRACTION_GUARD bounds its (state, sum) pairs.
-    """
-    if not chain.is_finite:
-        raise ValueError("exact tails need a finite chain")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    k = chain.kernel.n_states
-    x0 = resolve_point(chain, x0)
-    t = _validated_grid(t_grid)
-    fspec = resolve_functional(chain, f)
-    fracs = [Fraction(*float(v).as_integer_ratio()) for v in fspec.values]
-    lcm_den = math.lcm(*(fr.denominator for fr in fracs))
-    f_int = [int(fr * lcm_den) for fr in fracs]
-    lo, hi = min(f_int), max(f_int)
-    base = min(lo, n * lo)
-    top = max(hi, n * hi)
-    width = top - base + 1
-    matrix = chain.kernel.matrix
-    if lcm_den <= 2 ** 40 and width <= _LATTICE_WIDTH_CAP \
-            and max(abs(base), abs(top)) < 2 ** 62:
-        cost = (n - 1) * k * k * width
-        if cost > _LATTICE_COST_GUARD:
-            raise GuardError(
-                f"lattice DP cost {cost:.1e} ((n - 1) * k^2 * width) exceeds "
-                f"the {_LATTICE_COST_GUARD:.0e} lattice cost guard")
-        probs = _exact_tail_lattice(matrix, f_int, x0, n, base, width,
-                                    lcm_den, t)
-    else:
-        if k > 1 and n * math.log(k) > math.log(_ENUM_GUARD):
-            raise GuardError(f"path space {k}^{n} exceeds the "
-                             f"{_ENUM_GUARD:.0e} enumeration guard")
-        probs = _exact_tail_fractions(matrix, fracs, x0, n, t)
-    return TailCurve(t=t, estimate=probs, se=None, provenance="enumeration",
-                     n=n)
-
-
-def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
-    k = matrix.shape[0]
-    dp = np.zeros((k, width), dtype=np.float64)
-    dp[x0, f_int[x0] - base] = 1.0
-    for _ in range(n - 1):
-        new = np.zeros_like(dp)
-        for y in range(k):
-            vec = matrix[:, y] @ dp
-            # n >= 2 here, so width > |shift|: base <= min(lo, 2 lo)
-            # and top >= max(hi, 2 hi)
-            shift = f_int[y]
-            if shift >= 0:
-                new[y, shift:] += vec[:width - shift]
-            else:
-                new[y, :width + shift] += vec[-shift:]
-        dp = new
-    total = float(dp.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"lattice DP lost probability mass: total {total!r}")
-    weight = dp.sum(axis=0)
-    sums_int = base + np.arange(width, dtype=np.int64)
-    order = np.argsort(np.abs(sums_int), kind="stable")
-    abs_sorted = np.abs(sums_int)[order]
-    suffix = np.concatenate([np.cumsum(weight[order][::-1])[::-1], [0.0]])
-    cuts = np.array([_strict_cutoff(tj, lcm_den) for tj in t], dtype=np.int64)
-    idx = np.searchsorted(abs_sorted, cuts, side="left")
-    return np.clip(suffix[idx], 0.0, 1.0)
-
-
-def _exact_tail_fractions(matrix, fracs, x0, n, t):
-    p_frac = _fraction_rows(matrix)
-    dp = {(x0, fracs[x0]): Fraction(1)}
-    for _ in range(n - 1):
-        new = defaultdict(Fraction)
-        for (x, total), p in dp.items():
-            for y, p_xy in enumerate(p_frac[x]):
-                if p_xy:
-                    new[(y, total + fracs[y])] += p * p_xy
-        if len(new) > _FRACTION_GUARD:
-            raise GuardError(
-                f"exact sum enumeration grew past {_FRACTION_GUARD} "
-                "(state, sum) pairs")
-        dp = dict(new)
-    if sum(dp.values()) != 1:
-        raise RuntimeError("fraction DP lost probability mass")
-    probs = []
-    for tj in t:
-        thr = Fraction(tj)
-        probs.append(float(sum(p for (_, total), p in dp.items()
-                               if abs(total) > thr)))
-    return np.asarray(probs, dtype=np.float64)
-
-
-# ---------------------------------------------------------------------------
-# the block kernel, exact regeneration-count tails and gap law
-# ---------------------------------------------------------------------------
-
-
-def _fraction_vector(weights) -> list:
-    vec = [Fraction(*float(w).as_integer_ratio()) for w in weights]
-    total = sum(vec)
-    if total <= 0:
-        raise ValueError("weights must have positive total mass")
-    return [w / total for w in vec]
-
-
-def _fraction_rows(matrix) -> np.ndarray:
-    # float rows such as 0.7 + 0.3 do not sum to exactly 1 as rationals,
-    # so each row is divided by its exact sum (a no-op on dyadic rows)
-    return np.array([_fraction_vector(row) for row in matrix], dtype=object)
-
-
-def _block_kernel(rows, small_set, m, delta, nu):
-    """(B0, u): the m-step block kernel B0 = P^m - u nu with u = delta 1_C.
-
-    rows, delta and nu are all floats or all exact Fractions (rows and
-    nu as object arrays); the same numpy operations serve both.
-    """
-    u = np.where(np.asarray(small_set, dtype=bool), delta, 0 * delta)
-    b0 = np.linalg.matrix_power(rows, m) - u[:, None] * nu[None, :]
-    return b0, u
-
-
-def _block_transition_fractions(chain: ChainInstance):
-    """Exact (B0, u, nu), rows and nu normalized exactly, B0 >= 0 checked."""
-    spec = chain.minorization
-    nu = np.array(_fraction_vector(spec.nu), dtype=object)
-    b0, u = _block_kernel(_fraction_rows(chain.kernel.matrix), spec.small_set,
-                          chain.m, Fraction(spec.delta), nu)
-    negative = np.argwhere(b0 < 0)
-    if negative.size:
-        x, y = negative[0]
-        raise ValueError(
-            "minorization fails in exact arithmetic at "
-            f"({x}, {y}): P^m - delta nu = {float(b0[x, y]):.3e}")
-    return b0, u, nu
-
-
-def exact_regeneration_count_tail(chain: ChainInstance, n: int,
-                                  threshold: int, init=0) -> float:
-    """Exact P(N > threshold) where N counts regenerations before n - m.
-
-    N is the number of level-1 block starts sigma_i < n - m, matching
-    the block-decomposition count. Exact rational dynamic programming
-    over (state, capped count) across the m-step block transitions.
-    init is anything resolve_start accepts: a state index, "pi", or "nu".
-    """
-    if not chain.is_finite:
-        raise ValueError("exact regeneration counts need a finite chain")
-    n = int(n)
-    m = chain.m
-    if n < m:
-        raise ValueError("horizon n must be at least m")
-    threshold = int(threshold)
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    blocks = -((n - m) // -m) if n > m else 0
-    b0, u, nu = _block_transition_fractions(chain)
-    plan = resolve_start(chain, init)
-    cap = threshold + 1
-    # dp[y, c]: mass at state y after min(count, cap) regenerations
-    dp = np.full((chain.kernel.n_states, cap + 1), Fraction(0), dtype=object)
-    if plan.point is None:
-        dp[:, 0] = _fraction_vector(plan.weights)
-    else:
-        dp[plan.point, 0] = Fraction(1)
-    for _ in range(blocks):
-        regen = nu[:, None] * (u @ dp)[None, :]
-        dp = b0.T @ dp
-        dp[:, 1:] += regen[:, :-1]
-        dp[:, cap] += regen[:, cap]
-    return float(dp[:, cap].sum())
-
-
-def exact_gap_distribution(chain: ChainInstance, *, gmax: int = 4096,
-                           tol: float = 1e-15):
-    """(gap lengths in steps, probabilities, remaining mass), from nu.
-
-    P(gap = g m) = nu B0^(g-1) u with u = delta 1_C, evaluated
-    iteratively until the unregenerated mass drops below tol or gmax
-    block steps are reached.
-    """
-    if not chain.is_finite:
-        raise ValueError("exact gap laws need a finite chain")
-    spec = chain.minorization
-    nu = np.asarray(spec.nu, dtype=np.float64)
-    b0, u = _block_kernel(chain.kernel.matrix, spec.small_set, chain.m,
-                          spec.delta, nu)
-    w = nu.copy()
-    probs = []
-    for _ in range(int(gmax)):
-        probs.append(float(w @ u))
-        w = w @ b0
-        if float(w.sum()) < tol:
-            break
-    gaps = chain.m * np.arange(1, len(probs) + 1, dtype=np.int64)
-    return gaps, np.asarray(probs), float(w.sum())
-
-
-def exact_gap_psi1(chain: ChainInstance, *, tol: float = 1e-12) -> float:
-    """Exact psi_1 norm of the regeneration gap via its closed-form MGF.
-
-    E exp(gap / c) = z nu (I - z B0)^{-1} u with z = exp(m / c) and
-    u = delta 1_C, finite exactly when z rho(B0) < 1. Bisection to
-    relative tolerance tol on the root of E = 2.
-    """
-    if not chain.is_finite:
-        raise ValueError("exact gap norms need a finite chain")
-    spec = chain.minorization
-    k = chain.kernel.n_states
-    nu = np.asarray(spec.nu, dtype=np.float64)
-    b0, u = _block_kernel(chain.kernel.matrix, spec.small_set, chain.m,
-                          spec.delta, nu)
-    rho = float(np.max(np.abs(np.linalg.eigvals(b0))))
-    m = float(chain.m)
-
-    def mgf(c):
-        z = math.exp(m / c)
-        if z * rho >= 1.0 - 1e-13:
-            return math.inf
-        sol = np.linalg.solve(np.eye(k) - z * b0, u)
-        return z * float(nu @ sol)
-
-    lo = m / math.log(1.0 / rho) if rho > 0.0 else 1e-12
-    hi = max(2.0 * lo, m / math.log(2.0), 1.0)
-    while mgf(hi) > 2.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("gap MGF root exceeds 1e12")
-    return _psi_root(mgf, lo, hi, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -843,129 +535,6 @@ def check_pitman(chain: ChainInstance, g_spec, replicas: int = 20000,
 
 
 # ---------------------------------------------------------------------------
-# conditional block-Markov identity
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class BlockMarkovCheck:
-    """All-histories conditional excursion means vs the regeneration value."""
-
-    passed: bool
-    constant: float
-    max_deviation: float
-    per_state: dict
-    n_contexts: int
-    n_histories: int
-    routes_agree: bool
-    route_gap: float
-
-
-def check_block_markov(chain: ChainInstance, n: int = 8,
-                       f="indicator_centered", *, tol: float = 1e-10,
-                       corruption: float = 0.0) -> BlockMarkovCheck:
-    """Exact check that every regeneration history gives the same
-    conditional excursion mean.
-
-    For a one-step minorization the post-regeneration state has law nu
-    regardless of the history, so E(chi | whole past) must equal the
-    single number nu . h with h the excursion-sum potential solving
-    h = f + B0 h. The routine enumerates every attainable history of
-    length <= n ending in a regeneration (counted exactly), evaluates
-    the conditional through the law the split simulator gives the state
-    after a regeneration at x, P(x, .) r(x, .) normalized, and compares.
-    A residual ratio r that does not split off delta nu makes that law
-    differ from nu, and the check fails. h is computed twice, by direct
-    solve and by Neumann summation, so the reference value is not a
-    single-route artifact. corruption > 0 tilts the next-state law
-    away from nu; the check must then fail.
-    """
-    if not chain.is_finite:
-        raise ValueError("the conditional identity check needs a finite chain")
-    if chain.m != 1:
-        raise ValueError(
-            "the all-histories conditional check is defined for one-step "
-            "minorizations; higher m conditions on within-block states")
-    n = int(n)
-    if n < 2:
-        raise ValueError("horizon n must be at least 2")
-    k = chain.kernel.n_states
-    # counts stay below (2k)^(n-1): (n - 1) k^2 additions of integers
-    # of at most this many 64-bit words
-    words = math.ceil((n - 1) * math.log2(2 * k) / 64)
-    cost = (n - 1) * k * k * words
-    if cost > _COUNT_DP_GUARD:
-        raise GuardError(
-            f"history count cost {cost:.1e} ((n - 1) * k^2 additions of "
-            f"{words}-word integers) exceeds the {_COUNT_DP_GUARD:.0e} "
-            "count guard")
-    spec = chain.minorization
-    fspec = resolve_functional(chain, f)
-    f_vec = fspec.values
-    in_c = np.asarray(spec.small_set, dtype=bool)
-    nu = np.asarray(spec.nu, dtype=np.float64)
-    matrix = chain.kernel.matrix
-    b0, _ = _block_kernel(matrix, in_c, chain.m, spec.delta, nu)
-    h = np.linalg.solve(np.eye(k) - b0, f_vec)
-    # second route: Neumann series sum of B0^j f
-    h_series = f_vec.copy()
-    term = f_vec.copy()
-    for _ in range(100000):
-        term = b0 @ term
-        h_series = h_series + term
-        if float(np.abs(term).max()) < 1e-16 * max(1.0, float(np.abs(h_series).max())):
-            break
-    else:
-        raise GuardError("Neumann series for the potential did not converge")
-    route_gap = float(np.abs(h - h_series).max())
-    routes_agree = route_gap <= 1e-10
-
-    r_mat = np.asarray(spec.r, dtype=np.float64)
-    constant = float(nu @ h)
-    support = matrix > 0.0
-    capable = in_c & np.any(support & (r_mat > 0.0), axis=1)
-    # the simulator's law of the state after a regeneration at x:
-    # P(x, .) r(x, .), normalized; it is nu when r is the minorization's
-    next_laws = {}
-    for x in np.flatnonzero(capable).tolist():
-        law = matrix[x] * r_mat[x]
-        law /= law.sum()
-        if corruption:
-            tilt = np.zeros(k)
-            tilt[(x + 1) % k] += corruption
-            tilt[x] -= corruption
-            law = np.clip(law + tilt, 0.0, None)
-            law /= law.sum()
-        next_laws[x] = law
-
-    # exact big-integer count of attainable (states, levels) histories
-    # ending in a regeneration, and of regeneration contexts: a step
-    # x -> y branches on the level when x is in C and 0 < r(x, y) < 1
-    split = (r_mat > 0.0).astype(np.int64) + (r_mat < 1.0)
-    branches = np.where(support, np.where(in_c[:, None], split, 1), 0)
-    branches = branches.astype(object)  # Python ints: exact products
-    counts = np.ones(k, dtype=object)
-    n_contexts = 0
-    n_histories = 0
-    for _ in range(n - 1):
-        live = counts[capable]
-        n_contexts += int(np.count_nonzero(live))
-        n_histories += int(live.sum())
-        counts = counts @ branches
-
-    # every capable state is seen at step 0, where each count is 1
-    per_state = {x: float(law @ h) for x, law in next_laws.items()}
-    if not per_state:
-        raise ValueError("no attainable regeneration context at this horizon")
-    max_dev = max(abs(v - constant) for v in per_state.values())
-    passed = routes_agree and max_dev <= tol
-    return BlockMarkovCheck(
-        passed=passed, constant=constant, max_deviation=float(max_dev),
-        per_state=per_state, n_contexts=n_contexts, n_histories=n_histories,
-        routes_agree=routes_agree, route_gap=route_gap)
-
-
-# ---------------------------------------------------------------------------
 # two-block factors
 # ---------------------------------------------------------------------------
 
@@ -984,29 +553,22 @@ _TWO_BLOCK_H = {
     "product": lambda u, v: u * v,
     "difference": lambda u, v: v - u,
 }
+_XI_LAWS = {
+    "uniform": lambda rng, size: rng.uniform(-1.0, 1.0, size),
+    "normal": lambda rng, size: rng.standard_normal(size),
+    "exponential": lambda rng, size: rng.exponential(1.0, size),
+    "rademacher": lambda rng, size: (
+        rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0),
+}
 
 
-def _resolve_two_block_h(h):
-    if callable(h):
-        return h, "callable"
-    if h in _TWO_BLOCK_H:
-        return _TWO_BLOCK_H[h], h
-    raise ValueError(f"unknown two-block map {h!r}")
-
-
-def _resolve_xi_law(xi_law):
-    if callable(xi_law):
-        return xi_law, "callable"
-    table = {
-        "uniform": lambda rng, size: rng.uniform(-1.0, 1.0, size),
-        "normal": lambda rng, size: rng.standard_normal(size),
-        "exponential": lambda rng, size: rng.exponential(1.0, size),
-        "rademacher": lambda rng, size: (
-            rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0),
-    }
-    if xi_law in table:
-        return table[xi_law], xi_law
-    raise ValueError(f"unknown noise law {xi_law!r}")
+def _resolve_named(spec, table: dict, what: str):
+    """(callable, name): spec itself if callable, else its table entry."""
+    if callable(spec):
+        return spec, "callable"
+    if spec in table:
+        return table[spec], spec
+    raise ValueError(f"unknown {what} {spec!r}")
 
 
 def _draw_xi(law_fn, rng, size: int) -> np.ndarray:
@@ -1036,8 +598,8 @@ def two_block_factor(h, xi_law, length: int, seed: int) -> TwoBlockSample:
     length = int(length)
     if length < 1:
         raise ValueError("length must be positive")
-    h_fn, h_name = _resolve_two_block_h(h)
-    law_fn, law_name = _resolve_xi_law(xi_law)
+    h_fn, h_name = _resolve_named(h, _TWO_BLOCK_H, "two-block map")
+    law_fn, law_name = _resolve_named(xi_law, _XI_LAWS, "noise law")
     rng = substream(seed, TAG_TWO_BLOCK, 0)
     xi = _draw_xi(law_fn, rng, length + 1)
     x = _apply_h(h_fn, xi)
@@ -1056,15 +618,9 @@ def two_block_sup_tail(h, xi_law, n: int, t_grid, replicas: int, seed: int,
     same values in one call as in several, so the tile size does not
     change the result.
     """
-    n = int(n)
-    replicas = int(replicas)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if replicas < 1000:
-        raise ValueError("need at least 1000 replicas")
-    t = _validated_grid(t_grid)
-    h_fn, _ = _resolve_two_block_h(h)
-    law_fn, _ = _resolve_xi_law(xi_law)
+    n, replicas, t = _replica_args(n, replicas, t_grid)
+    h_fn, _ = _resolve_named(h, _TWO_BLOCK_H, "two-block map")
+    law_fn, _ = _resolve_named(xi_law, _XI_LAWS, "noise law")
 
     tile = max(1, _TWO_BLOCK_TILE_FLOATS // (n + 1))
 

@@ -440,6 +440,17 @@ def test_unknown_backend_rejected(capsys):
         assert "unrecognized arguments: --backend" in err
 
 
+def test_replica_flags_belong_to_verify(capsys):
+    # only verify reads --replicas and --threads; elsewhere they are
+    # unknown arguments, not accepted and ignored
+    for cmd, flag in (("simulate", "--replicas"), ("variance", "--threads"),
+                      ("oracle", "--replicas")):
+        code, _, err = run_cli(capsys, cmd, "--chain", "two-state",
+                               "--n", "16", flag, "10")
+        assert code == 1
+        assert f"unrecognized arguments: {flag} 10" in err
+
+
 def test_backend_flag_recorded(capsys):
     # every report names the one backend; benchmark checks read the field
     for argv in (("simulate", "--chain", "two-state", "--n", "16"),

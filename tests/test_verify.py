@@ -8,12 +8,14 @@ its psi_1 gap norm 1 / log(4/3).
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import regen_bernstein.exact as exact_mod
 import regen_bernstein.verify as verify_mod
 from regen_bernstein import (
     BernsteinParams,
@@ -491,6 +493,15 @@ def test_mc_tail_mod1_rejects_unknown_codes(monkeypatch, code):
         mc_tail(make_singular_mod1(), f, "pi", 8, [1.0, 3.0], 1000, seed=0)
 
 
+def test_mc_tail_mod1_guards_a_blocks_moves(monkeypatch):
+    # a block's moves take 9 * 256 * (n - 1) bytes, 2.3 GB at n = 10^6:
+    # rejected before any replica is drawn
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
+    with pytest.raises(GuardError, match="mod-1 move guard"):
+        mc_tail(make_singular_mod1(), "cos2pi", "pi", 10 ** 6, [1.0], 1000,
+                seed=0)
+
+
 # ---------------------------------------------------------------------------
 # exact regeneration counts and the gap law
 # ---------------------------------------------------------------------------
@@ -560,9 +571,8 @@ def _three_state(m):
 def test_block_kernel_exact_matches_float(m):
     chain = _three_state(m)
     spec = chain.minorization
-    b0, u = verify_mod._block_kernel(chain.kernel.matrix, spec.small_set, m,
-                                     spec.delta, np.asarray(spec.nu))
-    b0_exact, u_exact, _ = verify_mod._block_transition_fractions(chain)
+    b0, u, _ = exact_mod._block_kernel(chain)
+    b0_exact, u_exact, _ = exact_mod._block_kernel(chain, exact=True)
     assert b0_exact.dtype == object and np.all(b0_exact >= 0)
     assert np.max(np.abs(b0 - b0_exact.astype(np.float64))) <= 1e-15
     assert np.array_equal(u, u_exact.astype(np.float64))
@@ -593,6 +603,16 @@ def test_regen_count_tail_guards():
         exact_regeneration_count_tail(chain, 4, 1, init="maybe")
     with pytest.raises(ValueError, match="finite"):
         exact_regeneration_count_tail(make_singular_mod1(), 4, 1)
+
+
+def test_regen_count_tail_cost_guard():
+    # on non-dyadic rows the rationals grow by about 107 bits a block:
+    # 399 blocks of 2^2 * 122 operations on 668-word integers
+    chain = make_two_state(0.3, 0.6, delta=0.5)
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="count guard"):
+        exact_regeneration_count_tail(chain, 400, 120)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_gap_distribution_geometric():
