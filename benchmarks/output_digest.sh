@@ -167,3 +167,21 @@ run bnd-bi bounds thm_bi a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 \
   pi_C=0.5 m=1 n=100 t=40 D=3 f_sup=0.5
 run bnd-miss bounds thm_bi a=1 b=1 c=1
 run bnd-cb bounds classical_bernstein n=100 sigma2=0.25 M=1 t=10
+# every --format csv form: four bounds (two of them bundle theorems),
+# the two estimate-and-se variance methods, and simulate, which has no
+# CSV form and prints its JSON
+BI="a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 pi_C=0.5 m=1 n=100 t=40 D=3 f_sup=0.5"
+run bnd-cb-csv bounds classical_bernstein n=100 sigma2=0.25 M=1 t=10 --format csv
+run bnd-bi-csv bounds thm_bi $BI --format csv
+run bnd-bi2-csv bounds thm_bi2 $BI p=0.5 --format csv
+run bnd-kp-csv bounds kp_constant p=0.5 --format csv
+run varr-csv variance --chain two-state --method regenerative --n-regen 2000 \
+  --seed 2 --format csv
+run varb-csv variance --chain two-state --method batch --n 500 --seed 2 --format csv
+run sim-csv simulate --chain two-state --n 37 --seed 3 --format csv
+# verify with its numeric fit and tail options read from a config file
+CFG=$WORK/verify-config.json
+echo '{"chain": "two-state", "f": "indicator_centered", "n": 40, "replicas": 1000,
+  "threads": 2, "z": 2, "p": 0.5, "alpha": 1, "safety": 2, "n_excursions": 400,
+  "n_first_blocks": 200, "seed": 4}' > "$CFG"
+run ver-cfg verify --config "$CFG"

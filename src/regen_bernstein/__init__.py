@@ -21,6 +21,7 @@ from .chain_models import (ChainInstance, Functional, MinorizationSpec,
                            resolve_functional, sample_path, save_chain,
                            stationary_distribution, tv_decay_curve,
                            validate_minorization)
+from ._io import write_json
 from .errors import GuardError
 from .orlicz import (OrliczEstimate, conditional_mean_norm_factor,
                      lemma_bp_bridge, moment_bound, product_norm_bound,
@@ -30,7 +31,7 @@ from .split_regen import (BlockDecomposition, SplitMeasure, SplitTrajectory,
                           block_decompose, count_regenerations, excursions,
                           extract_blocks, functional_values, gap_lengths,
                           regeneration_times, simulate_split, split_measure,
-                          trajectory_summary, trajectory_to_csv, write_json)
+                          trajectory_summary, trajectory_to_csv)
 from .variance import (VarianceEstimate, mean_excursion_value,
                        sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,

@@ -1,9 +1,11 @@
-"""Atomic text output shared by every file the package writes, and the
-plain-data form of the records written into it."""
+"""Atomic text output shared by every file the package writes, the one
+JSON text of its reports, and the plain-data form of the records
+written into them."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -47,3 +49,14 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def json_text(obj) -> str:
+    """obj as the package's JSON text: sorted keys, two-space indent and
+    a final newline, so equal data give equal bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(payload: dict, path: str) -> None:
+    """Deterministic JSON dump (sorted keys, no timestamps), atomic."""
+    atomic_write_text(path, json_text(payload))

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_write_text
+from ._io import write_json
 from ._rng import TAG_TV, substream
 
 _U64_MAX = np.iinfo(np.uint64).max
@@ -310,42 +310,26 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
 # ---------------------------------------------------------------------------
 
 
-def _support_graph_strongly_connected(mat) -> bool:
-    support = mat > 0.0
-    k = mat.shape[0]
-
-    def reach(adj):
-        seen = np.zeros(k, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in np.flatnonzero(adj[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return seen
-
-    return bool(reach(support).all() and reach(support.T).all())
-
-
-def _period(mat) -> int:
-    # gcd of (level(u) + 1 - level(v)) over support edges, levels from a BFS
-    support = mat > 0.0
-    k = mat.shape[0]
-    level = np.full(k, -1, dtype=np.int64)
+def _bfs_levels(adj) -> np.ndarray:
+    """Edge distance of each state from state 0 along adj, -1 if unreached."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
     level[0] = 0
     frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in np.flatnonzero(support[u]):
+            for v in np.flatnonzero(adj[u]):
                 if level[v] < 0:
                     level[v] = level[u] + 1
                     nxt.append(int(v))
         frontier = nxt
+    return level
+
+
+def _period(support, level) -> int:
+    # gcd of (level(u) + 1 - level(v)) over support edges
     g = 0
-    for u in range(k):
+    for u in range(support.shape[0]):
         for v in np.flatnonzero(support[u]):
             g = math.gcd(g, int(level[u] + 1 - level[v]))
     return g if g > 0 else 1
@@ -356,9 +340,11 @@ def stationary_distribution(kernel) -> np.ndarray:
     if isinstance(kernel, np.ndarray):
         kernel = TransitionKernel(matrix=kernel)
     mat = kernel.matrix
-    if not _support_graph_strongly_connected(mat):
+    support = mat > 0.0
+    level = _bfs_levels(support)
+    if level.min() < 0 or _bfs_levels(support.T).min() < 0:
         raise ValueError("reducible transition matrix, the stationary law is not unique")
-    if _period(mat) > 1:
+    if _period(support, level) > 1:
         raise ValueError("periodic transition matrix")
     k = mat.shape[0]
     a = np.vstack([mat.T - np.eye(k), np.ones((1, k))])
@@ -739,5 +725,4 @@ def load_chain(path: str) -> ChainInstance:
 
 
 def save_chain(chain: ChainInstance, path: str) -> None:
-    atomic_write_text(
-        path, json.dumps(chain_to_dict(chain), sort_keys=True, indent=2) + "\n")
+    write_json(chain_to_dict(chain), path)

@@ -15,25 +15,24 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
 from ._backend import backend_choice
-from ._io import plain
+from ._io import json_text, plain, write_json
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
 from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
 from .chain_models import (load_chain, make_chain, resolve_functional,
                            resolve_point, sample_path)
 from .errors import GuardError
-from .split_regen import (simulate_split, trajectory_summary,
-                          trajectory_to_csv, write_json)
+from .split_regen import simulate_split, trajectory_summary, trajectory_to_csv
 from .variance import (sigma_inf_from_excursions, sigma_mrv_batch,
                        sigma_mrv_cov_series, sigma_mrv_exact,
                        sigma_mrv_regenerative)
 from .exact import exact_tail
-from .verify import (_FORMULA_CHOICES, collect_excursions, curves_csv_text,
-                     report_to_dict, run_verification, tail_curve_to_dict,
-                     write_curves_csv)
+from .verify import (collect_excursions, curves_csv_text, report_to_dict,
+                     run_verification, tail_curve_to_dict, write_curves_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +70,26 @@ def _opt(args, cfg, key, default=None):
     return cfg.get(key, default)
 
 
+def _given(args, cfg, casts) -> dict:
+    """The options named in casts that a flag or the config sets, each
+    read with its flag's type (a None cast keeps the value as given)."""
+    options = {}
+    for key, cast in casts.items():
+        value = _opt(args, cfg, key)
+        if value is not None:
+            options[key] = value if cast is None else cast(value)
+    return options
+
+
+def _listed(spec, what: str, kinds) -> list:
+    """A comma-separated string's items, or a config list of kinds."""
+    if isinstance(spec, str):
+        spec = [x.strip() for x in spec.split(",") if x.strip()]
+    if not isinstance(spec, list) or not all(isinstance(x, kinds) for x in spec):
+        raise ValueError(f"{what} must be a comma-separated string or a list")
+    return spec
+
+
 def _resolve_seed(args, cfg) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -89,6 +108,8 @@ def _build_chain(args, cfg):
     chain_cfg = cfg.get("chain", {})
     if isinstance(chain_cfg, str):
         chain_cfg = {"name": chain_cfg}
+    if not isinstance(chain_cfg, dict):
+        raise ValueError("config chain must be a chain name or an object")
     path = getattr(args, "chain_file", None) or chain_cfg.get("path")
     if path:
         return load_chain(path)
@@ -115,14 +136,9 @@ def _functional_spec(args, cfg):
 
 
 def _build_grid(args, cfg, n: int) -> np.ndarray:
-    spec = getattr(args, "t_grid", None)
-    if spec is None:
-        spec = cfg.get("t_grid")
+    spec = _opt(args, cfg, "t_grid")
     if spec is not None:
-        if isinstance(spec, str):
-            values = [float(x) for x in spec.split(",") if x.strip()]
-        else:
-            values = [float(x) for x in spec]
+        values = [float(x) for x in _listed(spec, "t_grid", (str, int, float))]
         if not values:
             raise ValueError("empty t grid")
         return np.asarray(values, dtype=np.float64)
@@ -144,22 +160,14 @@ def _tail_inputs(args, cfg):
     return chain, f_spec, n, _resolve_seed(args, cfg), _build_grid(args, cfg, n)
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
-
-
 def _base_metadata(command: str, seed: int) -> dict:
-    return {
-        "command": command,
-        "seed": int(seed),
-        "rng": stream_description(seed),
-        "backend": backend_choice(),
-    }
+    return {"command": command, "seed": int(seed),
+            "rng": stream_description(seed), "backend": backend_choice()}
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, CSV text or None, {extra file name:
+# writer}); main writes the files and the stdout
 # ---------------------------------------------------------------------------
 
 
@@ -184,11 +192,7 @@ def cmd_simulate(args, cfg):
         "extend": extend,
         "summary": trajectory_summary(traj, fspec),
     })
-    out = _opt(args, cfg, "out")
-    if out:
-        trajectory_to_csv(traj, _out_path(out, "trajectory.csv"))
-        write_json(payload, _out_path(out, "summary.json"))
-    return payload, None
+    return payload, None, {"trajectory.csv": partial(trajectory_to_csv, traj)}
 
 
 def _bounds_param_bundle(kv: dict) -> BernsteinParams:
@@ -214,8 +218,7 @@ def cmd_bounds(args, cfg):
     shown_args = dict(sorted(kv.items()))
     if formula in ("thm_bi", "thm_bi2"):
         params = _bounds_param_bundle(kv)
-        n = kv.pop("n", None)
-        t = kv.pop("t", None)
+        n, t = kv.pop("n", None), kv.pop("t", None)
         if n is None or t is None:
             raise ValueError(f"{formula} needs n and t")
         if formula == "thm_bi":
@@ -233,27 +236,12 @@ def cmd_bounds(args, cfg):
             result = fn(**kv)
         except TypeError as exc:
             raise ValueError(f"bad arguments for {formula}: {exc}")
-    payload = {
-        "command": "bounds",
-        "formula": formula,
-        "args": shown_args,
-    }
+    payload = {"command": "bounds", "formula": formula, "args": shown_args}
     if isinstance(result, BoundValue):
         payload.update(plain(result))
-    elif isinstance(result, tuple):
-        payload["value"] = [float(v) for v in result]
     else:
         payload["value"] = float(result)
-    out = _opt(args, cfg, "out")
-    if out:
-        write_json(payload, _out_path(out, "bounds.json"))
-    csv_text = None
-    if _opt(args, cfg, "format") == "csv":
-        value = payload["value"]
-        values = value if isinstance(value, list) else [value]
-        csv_text = "formula,value\n" + "\n".join(
-            f"{formula},{v!r}" for v in values) + "\n"
-    return payload, csv_text
+    return payload, f"formula,value\n{formula},{payload['value']!r}\n", {}
 
 
 def cmd_variance(args, cfg):
@@ -294,57 +282,37 @@ def cmd_variance(args, cfg):
     else:
         raise ValueError(f"unknown variance method {method!r}; choose from "
                          "exact, cov-series, regenerative, batch")
-    out = _opt(args, cfg, "out")
-    if out:
-        write_json(payload, _out_path(out, "variance.json"))
-    csv_text = None
-    if _opt(args, cfg, "format") == "csv":
-        if "value" in payload:
-            csv_text = f"method,value\n{method},{payload['value']!r}\n"
-        else:
-            est = payload["estimate"]
-            csv_text = ("method,value,se\n"
-                        f"{method},{est['value']!r},{est['se']!r}\n")
-    return payload, csv_text
+    if "value" in payload:
+        csv_text = f"method,value\n{method},{payload['value']!r}\n"
+    else:
+        est = payload["estimate"]
+        csv_text = ("method,value,se\n"
+                    f"{method},{est['value']!r},{est['se']!r}\n")
+    return payload, csv_text, {}
+
+
+# verify options passed on only when given, so run_verification and
+# fit_bernstein_params keep the one copy of each default
+_VERIFY_CASTS = {
+    "init": None, "x0": None, "replicas": int, "threads": int, "z": float,
+    "p": float, "alpha": float,
+    "formulas": lambda spec: tuple(_listed(spec, "formulas", str))}
+_FIT_CASTS = {"safety": float, "n_excursions": int, "n_first_blocks": int}
 
 
 def cmd_verify(args, cfg):
     chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
-    formulas = _opt(args, cfg, "formulas", None)
-    if formulas is None:
-        formulas = _FORMULA_CHOICES
-    elif isinstance(formulas, str):
-        formulas = tuple(x.strip() for x in formulas.split(",") if x.strip())
-    else:
-        formulas = tuple(formulas)
-    fit_options = {}
-    for key in ("safety", "n_excursions", "n_first_blocks"):
-        value = _opt(args, cfg, key)
-        if value is not None:
-            fit_options[key] = value
     exact = bool(getattr(args, "exact", False) or cfg.get("exact", False))
     structure = bool(getattr(args, "structure", False)
                      or cfg.get("structure", False))
     report = run_verification(
-        chain, f_spec, n=n, t_grid=grid, seed=seed,
-        init=_opt(args, cfg, "init", "pi"),
-        replicas=int(_opt(args, cfg, "replicas", 100000)),
-        formulas=formulas, z=float(_opt(args, cfg, "z", 3.0)),
-        exact=exact, x0=_opt(args, cfg, "x0"),
-        p=float(_opt(args, cfg, "p", 2.0 / 3.0)),
-        alpha=float(_opt(args, cfg, "alpha", 1.0)),
-        threads=int(_opt(args, cfg, "threads", 1)),
-        fit_options=fit_options, structure=structure)
+        chain, f_spec, n=n, t_grid=grid, seed=seed, exact=exact,
+        fit_options=_given(args, cfg, _FIT_CASTS), structure=structure,
+        **_given(args, cfg, _VERIFY_CASTS))
     payload = _base_metadata("verify", seed)
     payload.update(report_to_dict(report))
-    out = _opt(args, cfg, "out")
-    if out:
-        write_json(payload, _out_path(out, "report.json"))
-        write_curves_csv(report, _out_path(out, "curves.csv"))
-    csv_text = None
-    if _opt(args, cfg, "format") == "csv":
-        csv_text = curves_csv_text(report)
-    return payload, csv_text
+    return payload, curves_csv_text(report), {
+        "curves.csv": partial(write_curves_csv, report)}
 
 
 def cmd_oracle(args, cfg):
@@ -363,15 +331,10 @@ def cmd_oracle(args, cfg):
         "seed": int(seed),
         "tail": tail_curve_to_dict(tail),
     }
-    out = _opt(args, cfg, "out")
     csv_text = "t,estimate\n" + "".join(
         f"{float(tj)!r},{float(pj)!r}\n"
         for tj, pj in zip(tail.t, tail.estimate))
-    if out:
-        write_json(payload, _out_path(out, "oracle.json"))
-    if _opt(args, cfg, "format") != "csv":
-        csv_text = None
-    return payload, csv_text
+    return payload, csv_text, {}
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +395,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common, chain_opts, grid_opts],
                               help="tail estimation and bound domination")
     p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--replicas", type=int)
-    p_verify.add_argument("--threads", type=int)
+    # a numeric option's flag type is its config cast
+    for key, cast in {**_VERIFY_CASTS, **_FIT_CASTS}.items():
+        if cast in (int, float):
+            p_verify.add_argument("--" + key.replace("_", "-"), type=cast)
     p_verify.add_argument("--init", type=_parse_value)
     p_verify.add_argument("--exact", action="store_true",
                           help="exact enumeration instead of Monte Carlo")
     p_verify.add_argument("--x0", type=_parse_value)
     p_verify.add_argument("--formulas", help="comma-separated bound names")
-    p_verify.add_argument("--z", type=float)
-    p_verify.add_argument("--p", type=float)
-    p_verify.add_argument("--alpha", type=float)
-    p_verify.add_argument("--safety", type=float)
-    p_verify.add_argument("--n-excursions", type=int)
-    p_verify.add_argument("--n-first-blocks", type=int)
     p_verify.add_argument("--structure", action="store_true",
                           help="attach block-structure test results")
 
@@ -456,12 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (subcommand, name of the JSON file --out writes)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "bounds": cmd_bounds,
-    "variance": cmd_variance,
-    "verify": cmd_verify,
-    "oracle": cmd_oracle,
+    "simulate": (cmd_simulate, "summary.json"),
+    "bounds": (cmd_bounds, "bounds.json"),
+    "variance": (cmd_variance, "variance.json"),
+    "verify": (cmd_verify, "report.json"),
+    "oracle": (cmd_oracle, "oracle.json"),
 }
 
 
@@ -475,19 +435,26 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    command, json_name = _COMMANDS[args.command]
     try:
         cfg = _load_config(args.config)
-        payload, csv_text = _COMMANDS[args.command](args, cfg)
+        payload, csv_text, files = command(args, cfg)
+        out = _opt(args, cfg, "out")
+        if out:
+            os.makedirs(out, exist_ok=True)
+            write_json(payload, os.path.join(out, json_name))
+            for name, write in files.items():
+                write(os.path.join(out, name))
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if csv_text is not None:
+    if csv_text is not None and _opt(args, cfg, "format") == "csv":
         sys.stdout.write(csv_text)
     else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        sys.stdout.write(json_text(payload))
     return 0
 
 

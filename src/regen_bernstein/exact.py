@@ -21,13 +21,13 @@ from .chain_models import (ChainInstance, resolve_functional, resolve_point,
 from .errors import GuardError
 from .orlicz import _psi_root
 
-_ENUM_GUARD = 1e8
 _FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
 _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
-# word operations of the regeneration-count DP, at most
-_COUNT_TAIL_GUARD = 1e7
+# word operations of a rational DP (the exact tail's rational route and
+# the regeneration count), at most
+_RATIONAL_DP_GUARD = 1e7
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,11 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     Each route is guarded on what it costs. The lattice DP makes
     (n - 1) * k^2 * width multiply-adds; above _LATTICE_COST_GUARD (2e9)
     it raises GuardError before allocating anything. The rational
-    route's big integers grow with every step, so it keeps the k^n
-    enumeration guard, and _FRACTION_GUARD bounds its (state, sum) pairs.
+    route keeps at most k * C(n + k - 2, k - 1) (state, sum) pairs, so a
+    step makes k^2 C(n + k - 2, k - 1) operations on integers that grow
+    by the bits of the rows' common denominator; above _RATIONAL_DP_GUARD
+    (1e7) word operations in all it raises GuardError before the first
+    step, and _FRACTION_GUARD bounds its (state, sum) pairs.
     """
     if not chain.is_finite:
         raise ValueError("exact tails need a finite chain")
@@ -145,10 +148,11 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
         probs = _exact_tail_lattice(matrix, f_int, x0, n, base, width,
                                     lcm_den, t)
     else:
-        if k > 1 and n * math.log(k) > math.log(_ENUM_GUARD):
-            raise GuardError(f"path space {k}^{n} exceeds the "
-                             f"{_ENUM_GUARD:.0e} enumeration guard")
-        probs = _exact_tail_fractions(matrix, fracs, x0, n, t)
+        p_frac = _fraction_rows(matrix)
+        _check_integer_growth(
+            "rational tail DP", n - 1, k * k * math.comb(n + k - 2, k - 1), 0,
+            math.log2(_denominator(p_frac.ravel())), _RATIONAL_DP_GUARD)
+        probs = _exact_tail_fractions(p_frac, fracs, x0, n, t)
     return TailCurve(t=t, estimate=probs, se=None, provenance="enumeration",
                      n=n)
 
@@ -182,8 +186,7 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
     return np.clip(suffix[idx], 0.0, 1.0)
 
 
-def _exact_tail_fractions(matrix, fracs, x0, n, t):
-    p_frac = _fraction_rows(matrix)
+def _exact_tail_fractions(p_frac, fracs, x0, n, t):
     dp = {(x0, fracs[x0]): Fraction(1)}
     for _ in range(n - 1):
         new = defaultdict(Fraction)
@@ -277,7 +280,7 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
 
     The masses' denominators divide den(start) * den(B0, u nu)^blocks,
     so a block costs k^2 (threshold + 2) operations on integers of that
-    size; above _COUNT_TAIL_GUARD (1e7) word operations in all it
+    size; above _RATIONAL_DP_GUARD (1e7) word operations in all it
     raises GuardError before the first block.
     """
     if not chain.is_finite:
@@ -300,7 +303,7 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
         "regeneration count DP", blocks, k * k * (cap + 1),
         math.log2(_denominator(start)),
         math.log2(_denominator([*b0.ravel(), *(u[:, None] * nu).ravel()])),
-        _COUNT_TAIL_GUARD)
+        _RATIONAL_DP_GUARD)
     # dp[y, c]: mass at state y after min(count, cap) regenerations
     dp = np.full((k, cap + 1), Fraction(0), dtype=object)
     dp[:, 0] = start

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -486,8 +485,3 @@ def trajectory_summary(traj: SplitTrajectory, f=None) -> dict:
         chi = excursions(traj, f)
         out["excursions"] = [float(c) for c in chi]
     return out
-
-
-def write_json(payload: dict, path: str) -> None:
-    """Deterministic JSON dump (sorted keys, no timestamps), atomic."""
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -216,6 +216,35 @@ def test_bounds_args_from_config(capsys, tmp_path):
     assert override["value"] == 1.0
 
 
+VERIFY_BASE = ("verify", "--chain", "two-state", "--n", "8", "--exact",
+               "--n-excursions", "300", "--seed", "3")
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"chain": 5}, "chain must be a chain name or an object"),
+    ({"formulas": 5}, "formulas must be a comma-separated string or a list"),
+    ({"formulas": ["thm_bi", 5]}, "formulas must be"),
+    ({"t_grid": 5}, "t_grid must be a comma-separated string or a list"),
+    ({"t_grid": [1.0, {"t": 2}]}, "t_grid must be"),
+    # numeric options are read with their flag's type
+    ({"n_first_blocks": "200"}, None),
+    ({"safety": "1.5", "z": "2", "replicas": "500"}, None),
+])
+def test_verify_config_entries(capsys, tmp_path, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, out, err = run_cli(capsys, *VERIFY_BASE, "--config", str(cfg))
+    if message is not None:
+        assert code == 1 and message in err and out == ""
+        return
+    assert code == 0, err
+    flags = [word for key, value in entry.items()
+             for word in ("--" + key.replace("_", "-"), value)]
+    code, want, err = run_cli(capsys, *VERIFY_BASE, *flags)
+    assert code == 0, err
+    assert out == want
+
+
 def test_config_must_be_object(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")
@@ -331,10 +360,21 @@ def test_variance_unknown_method(capsys, tmp_path):
 
 
 def test_variance_csv_format(capsys):
-    code, out, _ = run_cli(capsys, "variance", "--chain", "two-state",
-                           "--method", "exact", "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[0] == "method,value"
+    for method, extra, header in (
+            ("exact", (), "method,value"),
+            ("regenerative", ("--n-regen", "500"), "method,value,se"),
+            ("batch", ("--n", "400"), "method,value,se")):
+        argv = ("variance", "--chain", "two-state", "--method", method,
+                *extra, "--seed", "2")
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0, method
+        lines = out.splitlines()
+        assert lines[0] == header and len(lines) == 2, method
+        payload = run_json(capsys, *argv)
+        est = payload.get("estimate", payload)
+        want = [method, repr(est["value"])] + (
+            [repr(est["se"])] if "se" in est else [])
+        assert lines[1].split(",") == want, method
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +393,12 @@ def test_simulate_writes_files(capsys, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary == payload
     assert summary["summary"]["n_regenerations"] >= 1
+    # simulate has no CSV form: --format csv still prints the JSON
+    code, text, _ = run_cli(capsys, "simulate", "--chain", "two-state",
+                            "--n", "64", "--seed", "4", "--out", str(out),
+                            "--f", "indicator_centered", "--format", "csv")
+    assert code == 0
+    assert json.loads(text) == payload
 
 
 def test_cli_outputs_are_byte_identical_across_reruns(capsys, tmp_path):

@@ -182,9 +182,15 @@ def test_exact_tail_guards():
     # the lattice DP costs (n - 1) * k^2 * width = 8e10 at n = 10^5
     with pytest.raises(GuardError, match="lattice cost guard"):
         exact_tail(chain, "indicator_centered", 0, 100_000, [1.0])
-    # the rational route (non-dyadic f) keeps the k^n guard
-    with pytest.raises(GuardError, match="enumeration guard"):
-        exact_tail(make_two_state(0.3, 0.6), "indicator_centered", 0, 27, [1.0])
+    # the rational route (non-dyadic f) is guarded on its modelled cost:
+    # it runs at n = 27 and refuses n = 200 before the first step
+    rational = make_two_state(0.3, 0.6)
+    curve = exact_tail(rational, "indicator_centered", 0, 27, [0.0, 1.0, 3.0])
+    assert np.all(np.diff(curve.estimate) <= 0.0)
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="rational tail DP cost"):
+        exact_tail(rational, "indicator_centered", 0, 200, [1.0])
+    assert time.perf_counter() - start < 1.0
     for x0 in (-1, 5):
         with pytest.raises(ValueError, match="initial state .* out of range"):
             exact_tail(chain, "indicator_centered", x0, 4, [1.0])
