@@ -66,6 +66,11 @@ run orc1 oracle --chain two-state --n 12 --x0 1 --format csv
 run vexact variance --chain two-state --method exact
 # B < 64: the mod-1 path kernel masks its prefix sums once, modulo 2^B
 run simbig-b40 simulate --chain singular-mod1 --precision 40 --n 2000 --seed 5 --extend
+# B = 53 and 54: the last precision whose states convert to floats
+# unshifted, and the first that drops a bit
+for b in 53 54; do
+  run simbig-b$b simulate --chain singular-mod1 --precision $b --n 2000 --seed 5 --extend
+done
 # non-dyadic rows: the rational exact-tail route normalizes each row
 run orc-float oracle --chain two-state --a 0.3 --b 0.6 --n 12
 # library outputs: the binned mod-1 TV curve, a mod-1 Pitman check and
@@ -93,12 +98,14 @@ lib mc-long-threads "mc_tail(make_two_state(0.3, 0.6), 'identity_centered',
   threads=2).estimate.tolist()"
 # mod-1 tails at n = 2000: 16 replicas per tile of the mod-1 replica
 # sums, so each 1000-replica chunk spans many tiles; every functional,
-# and B = 32 from a point start
+# B = 32 from a point start and B = 54 from pi
 for F in cos2pi identity_centered indicator_centered; do
   lib mc-mod1-$F "mc_tail(make_singular_mod1(), '$F', 'pi', 2000,
   [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
 done
 lib mc-mod1-b32 "mc_tail(make_singular_mod1(32), 'cos2pi', 0.3, 2000,
+  [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
+lib mc-mod1-b54 "mc_tail(make_singular_mod1(54), 'identity_centered', 'pi', 2000,
   [0.5 * i for i in range(161)], 1000, seed=7).estimate.tolist()"
 # two threads on the mod-1 chain: chunks of 1280 and 1220 replicas, the
 # last block of 196 replicas short

@@ -11,25 +11,15 @@ replica-batched split paths (finite_split_first_hits) are numpy, with
 finite_split_path as their scalar reference; split_regen._split_runs
 takes the scalar loop for one replica, which is much faster than
 stepping a single row through numpy, and the batched one for several.
-The mod-1 kernels are numpy, and the replica sums read f off the one
-mod-1 path kernel.
+The mod-1 kernels are numpy, and the replica sums read f, a callable
+on float states, off the one mod-1 path kernel.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._backend import backend_choice
-
-
-# Functional codes understood by the mod-1 kernels.
-F_COS2PI = 0
-F_IDENTITY_CENTERED = 1
-F_INDICATOR_CENTERED = 2
-
-_TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +141,8 @@ def finite_split_first_hits(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
 # masks a fresh 64-bit word down to the odd or even bit positions
 # (picked by eps) and adds it with wraparound; mod1_chain_path is that
 # step, and the replica sums read f off its paths a tile at a time.
-# Converting to a float for f uses at most 53 of the leading bits, which
-# is exact.
+# The caller's shift and scale convert states to floats for f
+# (SingularMod1Chain owns that format).
 # ---------------------------------------------------------------------------
 
 # mod-1 states per tile of the replica sums (256 KB of uint64)
@@ -186,28 +176,15 @@ def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
 _mod1_path = mod1_chain_path
 
 
-def mod1_f(x, f_code):
-    """A coded mod-1 functional on float states x in [0, 1).
-
-    Raises ValueError on a code other than the F_* codes.
-    """
-    if f_code == F_COS2PI:
-        return np.cos(_TWO_PI * x)
-    if f_code == F_IDENTITY_CENTERED:
-        return x - 0.5
-    if f_code == F_INDICATOR_CENTERED:
-        return np.where(x < 0.5, 0.5, -0.5)
-    raise ValueError(f"unknown mod-1 functional code {f_code!r}")
-
-
-def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
+def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f,
                     x0_bits, eps, words):
-    """Per-replica sums of a coded functional over a mod-1 path.
+    """Per-replica sums of f over a mod-1 path.
 
     eps and words have shape (replicas, steps) and x0_bits one initial
     state per replica; each replica visits steps + 1 states and the sum
-    covers all of them, accumulated in visit order. shift and scale
-    define the exact bits-to-float conversion x = (bits >> shift) * scale.
+    covers all of them, accumulated in visit order. f maps an array of
+    float states to an array of values; shift and scale define the
+    exact bits-to-float conversion x = (bits >> shift) * scale.
     """
     eps = np.asarray(eps, dtype=np.uint8)
     nrep, nsteps = eps.shape
@@ -218,44 +195,14 @@ def mod1_chain_sums(odd_mask, even_mask, wrap_mask, shift, scale, f_code,
         rows = slice(lo, lo + tile)
         bits = _mod1_path(odd_mask, even_mask, wrap_mask, x0_bits[rows],
                           eps[rows], words[rows])
-        vals = mod1_f((bits >> np.uint64(shift)) * scale, f_code)
+        vals = f((bits >> np.uint64(shift)) * scale)
         # accumulate adds left to right, as the visits come; sum would
         # add pairwise
         out[rows] = np.add.accumulate(vals, axis=1)[:, -1]
     return out
 
 
-def mod1_bits_to_float(bits, precision):
-    """Exact conversion of fixed-point states to floats in [0, 1)."""
-    shift, scale = mod1_float_params(precision)
-    return (np.asarray(bits, dtype=np.uint64) >> np.uint64(shift)) * scale
-
-
-def mod1_float_params(precision):
-    """(shift, scale) so that (bits >> shift) * scale is float-exact."""
-    shift = max(0, int(precision) - 53)
-    scale = 2.0 ** -(int(precision) - shift)
-    return shift, scale
-
-
 def warm_up():
-    """Run every kernel once on tiny inputs, paying first-call costs
-    before the timed work; returns the backend name."""
-    cum = np.array([[0.5, 1.0], [0.5, 1.0]])
-    f_vals = np.array([0.5, -0.5])
-    in_c = np.array([True, False])
-    r_mat = np.full((2, 2), 1.0)
-    u1 = np.array([0.3, 0.7])
-    u2 = np.array([[0.3, 0.7], [0.6, 0.1]])
-    finite_chain_path(cum, 0, u1)
-    finite_chain_sums(cum, f_vals, np.zeros(2, dtype=np.int64), u2,
-                      np.zeros(2))
-    finite_split_path(cum, in_c, r_mat, 1, 0, u1, u1)
-    eps1 = np.array([0, 1], dtype=np.uint8)
-    w1 = np.array([123456789, 987654321], dtype=np.uint64)
-    odd, even, wrap = 0xAAAAAAAAAAAAAAAA, 0x5555555555555555, 0xFFFFFFFFFFFFFFFF
-    shift, scale = mod1_float_params(64)
-    mod1_chain_path(odd, even, wrap, 0, eps1, w1)
-    mod1_chain_sums(odd, even, wrap, shift, scale, F_COS2PI, 0,
-                    eps1[None, :], w1[None, :])
+    """The backend name, which perfbench reads before its timed work.
+    Every kernel is numpy or plain Python: there is nothing to warm."""
     return backend_choice()

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from ._io import write_json
 from ._rng import TAG_TV, substream
 
 _U64_MAX = np.iinfo(np.uint64).max
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +98,16 @@ class SingularMod1Chain:
 
     A move is one coin and one 64-bit word: draw_moves draws them and
     path applies them. Every mod-1 simulator goes through these two.
+    A state converts to the float (bits >> shift) * scale, which keeps
+    at most 53 leading bits and so is exact.
     """
 
     precision: int = 64
     odd_mask: int = field(init=False)
     even_mask: int = field(init=False)
     wrap_mask: int = field(init=False)
+    shift: int = field(init=False)
+    scale: float = field(init=False)
 
     def __post_init__(self):
         b = int(self.precision)
@@ -120,6 +125,9 @@ class SingularMod1Chain:
         object.__setattr__(self, "odd_mask", odd)
         object.__setattr__(self, "even_mask", even)
         object.__setattr__(self, "wrap_mask", (1 << b) - 1)
+        shift = max(0, b - 53)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "scale", 2.0 ** -(b - shift))
 
     def draw_moves(self, rng: np.random.Generator, size):
         """(coins, words) for size moves: all coins first, then all words."""
@@ -133,11 +141,10 @@ class SingularMod1Chain:
         return _kernels.mod1_chain_path(self.odd_mask, self.even_mask,
                                         self.wrap_mask, x0_bits, eps, words)
 
-    def float_params(self):
-        return _kernels.mod1_float_params(self.precision)
-
     def bits_to_float(self, bits):
-        return _kernels.mod1_bits_to_float(bits, self.precision)
+        """Fixed-point states as floats in [0, 1)."""
+        return (np.asarray(bits, dtype=np.uint64)
+                >> np.uint64(self.shift)) * self.scale
 
     def float_to_bits(self, x) -> int:
         x = float(x)
@@ -237,15 +244,14 @@ class ChainInstance:
 class Functional:
     """A real functional of the chain state, resolved per chain.
 
-    values tabulates f over state indices for finite chains. code names
-    one of the mod-1 kernel functionals and fn evaluates the same
-    functional on float states. sup_bound is an exact bound on |f| when
-    known. apply is the one evaluator of f along a path.
+    values tabulates f over state indices for finite chains; fn
+    evaluates f on an array of float states (the mod-1 chain). sup_bound
+    is an exact bound on |f| when known. apply is the one evaluator of f
+    along a path.
     """
 
     name: str
     values: np.ndarray | None = None
-    code: int | None = None
     fn: Callable | None = None
     sup_bound: float | None = None
 
@@ -255,6 +261,14 @@ class Functional:
         if self.fn is not None:
             return np.asarray(self.fn(np.asarray(states, dtype=np.float64)))
         raise ValueError(f"functional {self.name} has no direct evaluator")
+
+
+# the mod-1 functionals: name -> (f on float states, sup |f|)
+_MOD1_FUNCTIONALS = {
+    "cos2pi": (lambda x: np.cos(_TWO_PI * x), 1.0),
+    "identity_centered": (lambda x: x - 0.5, 0.5),
+    "indicator_centered": (lambda x: np.where(x < 0.5, 0.5, -0.5), 0.5),
+}
 
 
 def resolve_functional(chain: ChainInstance, spec) -> Functional:
@@ -270,17 +284,10 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
     if isinstance(spec, str):
         name = spec
         if chain.mod1 is not None:
-            table = {
-                "cos2pi": (_kernels.F_COS2PI, 1.0),
-                "identity_centered": (_kernels.F_IDENTITY_CENTERED, 0.5),
-                "indicator_centered": (_kernels.F_INDICATOR_CENTERED, 0.5),
-            }
-            if name not in table:
+            if name not in _MOD1_FUNCTIONALS:
                 raise ValueError(f"unknown functional {name!r} for the mod-1 chain")
-            code, sup = table[name]
-            return Functional(name=name, code=code,
-                              fn=partial(_kernels.mod1_f, f_code=code),
-                              sup_bound=sup)
+            fn, sup = _MOD1_FUNCTIONALS[name]
+            return Functional(name=name, fn=fn, sup_bound=sup)
         pi = chain.pi_vector()
         k = chain.kernel.n_states
         if name == "indicator_centered":

@@ -21,7 +21,6 @@ from .chain_models import (ChainInstance, resolve_functional, resolve_point,
 from .errors import GuardError
 from .orlicz import _psi_root
 
-_FRACTION_GUARD = 2_000_000
 _LATTICE_WIDTH_CAP = 5_000_000
 _LATTICE_COST_GUARD = 2e9
 _COUNT_DP_GUARD = 1e9
@@ -119,7 +118,7 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     step makes k^2 C(n + k - 2, k - 1) operations on integers that grow
     by the bits of the rows' common denominator; above _RATIONAL_DP_GUARD
     (1e7) word operations in all it raises GuardError before the first
-    step, and _FRACTION_GUARD bounds its (state, sum) pairs.
+    step.
     """
     if not chain.is_finite:
         raise ValueError("exact tails need a finite chain")
@@ -187,6 +186,12 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
 
 
 def _exact_tail_fractions(p_frac, fracs, x0, n, t):
+    """The rational route. Its (state, sum) pairs need no guard of their
+    own: with ops = k^2 C(n + k - 2, k - 1) there are at most ops / k of
+    them, and exact_tail takes this route only when (n - 1) * ops * words
+    <= 1e7 with words >= 1, so at most 1e7 / ((n - 1) k). That is above
+    2e6 only when (n - 1) k < 5, where there are at most 4 C(4, 3) = 16
+    pairs; so there are never more than 2e6."""
     dp = {(x0, fracs[x0]): Fraction(1)}
     for _ in range(n - 1):
         new = defaultdict(Fraction)
@@ -194,10 +199,6 @@ def _exact_tail_fractions(p_frac, fracs, x0, n, t):
             for y, p_xy in enumerate(p_frac[x]):
                 if p_xy:
                     new[(y, total + fracs[y])] += p * p_xy
-        if len(new) > _FRACTION_GUARD:
-            raise GuardError(
-                f"exact sum enumeration grew past {_FRACTION_GUARD} "
-                "(state, sum) pairs")
         dp = dict(new)
     if sum(dp.values()) != 1:
         raise RuntimeError("fraction DP lost probability mass")
@@ -260,8 +261,9 @@ def _check_integer_growth(what: str, rounds: int, ops: int, bits0: float,
                           bits_per_round: float, guard: float) -> None:
     """GuardError when rounds rounds of ops operations on integers of
     bits0 bits growing by bits_per_round bits a round, rounds * ops
-    * (final size in 64-bit words) word operations, exceed guard."""
-    words = math.ceil((bits0 + rounds * bits_per_round) / 64)
+    * (final size in 64-bit words, at least 1) word operations, exceed
+    guard."""
+    words = max(1, math.ceil((bits0 + rounds * bits_per_round) / 64))
     cost = rounds * ops * words
     if cost > guard:
         raise GuardError(
@@ -386,8 +388,8 @@ class BlockMarkovCheck:
 
 
 def check_block_markov(chain: ChainInstance, n: int = 8,
-                       f="indicator_centered", *, tol: float = 1e-10,
-                       corruption: float = 0.0) -> BlockMarkovCheck:
+                       f="indicator_centered", *,
+                       tol: float = 1e-10) -> BlockMarkovCheck:
     """Exact check that every regeneration history gives the same
     conditional excursion mean.
 
@@ -401,8 +403,7 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
     A residual ratio r that does not split off delta nu makes that law
     differ from nu, and the check fails. h is computed twice, by direct
     solve and by Neumann summation, so the reference value is not a
-    single-route artifact. corruption > 0 tilts the next-state law
-    away from nu; the check must then fail.
+    single-route artifact.
     """
     if not chain.is_finite:
         raise ValueError("the conditional identity check needs a finite chain")
@@ -446,12 +447,6 @@ def check_block_markov(chain: ChainInstance, n: int = 8,
     for x in np.flatnonzero(capable).tolist():
         law = matrix[x] * r_mat[x]
         law /= law.sum()
-        if corruption:
-            tilt = np.zeros(k)
-            tilt[(x + 1) % k] += corruption
-            tilt[x] -= corruption
-            law = np.clip(law + tilt, 0.0, None)
-            law /= law.sum()
         next_laws[x] = law
 
     # exact big-integer count of attainable (states, levels) histories

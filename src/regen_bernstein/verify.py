@@ -211,13 +211,14 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
 
         return _replicated_tail(sums, t, n, replicas, threads)
 
-    _kernels.mod1_f(0.0, fspec.code)  # an unknown code fails before any draw
+    if fspec.fn is None:
+        raise ValueError(
+            f"functional {fspec.name} has no evaluator on mod-1 states")
     moves = 9 * BLOCK * steps
     if moves > _MOD1_MOVE_BYTES:
         raise GuardError(
             f"a block's moves take {moves} bytes (9 * {BLOCK} * (n - 1)), "
             f"above the {_MOD1_MOVE_BYTES} byte mod-1 move guard")
-    shift, scale = mod1.float_params()
 
     def sums(lo, hi):
         out = np.empty(hi - lo)
@@ -227,8 +228,8 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
             x0 = start.draw(rng, count)
             # the moves die with the call, before the next block draws
             out[rows] = _kernels.mod1_chain_sums(
-                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, shift, scale,
-                fspec.code, x0, *mod1.draw_moves(rng, (count, steps)))
+                mod1.odd_mask, mod1.even_mask, mod1.wrap_mask, mod1.shift,
+                mod1.scale, fspec.fn, x0, *mod1.draw_moves(rng, (count, steps)))
         return out
 
     return _replicated_tail(sums, t, n, replicas, threads)

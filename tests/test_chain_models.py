@@ -299,11 +299,18 @@ def test_functional_tabulated_and_errors():
 
 
 def test_mod1_functionals():
+    # each name's callable on float states, and its exact sup |f|; the
+    # indicator is +-0.5 on either side of 1/2
     chain = make_singular_mod1()
-    f = resolve_functional(chain, "cos2pi")
-    assert f.code is not None and f.sup_bound == 1.0
-    x = np.array([0.0, 0.25, 0.5])
-    assert np.allclose(f.apply(x), np.cos(2.0 * np.pi * x))
+    x = np.array([0.0, 0.25, 0.75])
+    want = {"cos2pi": ([1.0, np.cos(0.5 * np.pi), np.cos(1.5 * np.pi)], 1.0),
+            "identity_centered": ([-0.5, -0.25, 0.25], 0.5),
+            "indicator_centered": ([0.5, 0.5, -0.5], 0.5)}
+    for name, (values, sup) in want.items():
+        f = resolve_functional(chain, name)
+        assert f.name == name and f.values is None and f.sup_bound == sup
+        assert np.array_equal(f.fn(x), values)
+        assert np.array_equal(f.apply(x), values)
     with pytest.raises(ValueError):
         resolve_functional(chain, "not-a-functional")
 

@@ -7,16 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from regen_bernstein import make_singular_mod1, make_two_state
+from regen_bernstein import (make_singular_mod1, make_two_state,
+                             resolve_functional)
 from regen_bernstein._backend import numba_available
 from regen_bernstein import _kernels
-from regen_bernstein._kernels import (F_COS2PI, F_IDENTITY_CENTERED,
-                                      F_INDICATOR_CENTERED, finite_chain_path,
-                                      finite_chain_sums,
+from regen_bernstein._kernels import (finite_chain_path, finite_chain_sums,
                                       finite_split_first_hits,
-                                      finite_split_path, mod1_bits_to_float,
-                                      mod1_chain_path, mod1_chain_sums,
-                                      mod1_f, mod1_float_params, warm_up)
+                                      finite_split_path, mod1_chain_path,
+                                      mod1_chain_sums, warm_up)
 from regen_bernstein._rng import substream
 
 U64_MAX = np.iinfo(np.uint64).max
@@ -165,13 +163,13 @@ def test_finite_split_first_hits_matches_scalar_path(m):
             assert any(levels[i, :first].any() for i in range(nrep))
 
 
-def _mod1_sums_loop(mod1, code, x0, eps, words):
+def _mod1_sums_loop(mod1, name, x0, eps, words):
     """Scalar reference for mod1_chain_sums: one state and one f value
     per step, added in visit order."""
-    shift, scale = mod1_float_params(mod1.precision)
-    f = {F_COS2PI: lambda x: np.cos(2.0 * math.pi * x),  # numpy's cos
-         F_IDENTITY_CENTERED: lambda x: x - 0.5,
-         F_INDICATOR_CENTERED: lambda x: 0.5 if x < 0.5 else -0.5}[code]
+    shift, scale = mod1.shift, mod1.scale
+    f = {"cos2pi": lambda x: np.cos(2.0 * math.pi * x),  # numpy's cos
+         "identity_centered": lambda x: x - 0.5,
+         "indicator_centered": lambda x: 0.5 if x < 0.5 else -0.5}[name]
     out = []
     for r in range(eps.shape[0]):
         x = int(x0[r])
@@ -184,13 +182,18 @@ def _mod1_sums_loop(mod1, code, x0, eps, words):
     return np.array(out)
 
 
+MOD1_NAMES = ("cos2pi", "identity_centered", "indicator_centered")
+
+
 @pytest.mark.parametrize("precision", [64, 40, 16])
-@pytest.mark.parametrize("code", [F_COS2PI, F_IDENTITY_CENTERED,
-                                  F_INDICATOR_CENTERED])
-def test_mod1_sums_match_scalar_loop(monkeypatch, code, precision):
-    mod1 = make_singular_mod1(precision).mod1
-    shift, scale = mod1_float_params(precision)
-    rng = substream(4, precision, code)
+# ids 0, 1, 2: the case numbers these runs have always had, so that
+# their results compare across versions
+@pytest.mark.parametrize("name", MOD1_NAMES, ids=["0", "1", "2"])
+def test_mod1_sums_match_scalar_loop(monkeypatch, name, precision):
+    chain = make_singular_mod1(precision)
+    mod1 = chain.mod1
+    f = resolve_functional(chain, name).fn
+    rng = substream(4, precision, MOD1_NAMES.index(name))
     # 0 steps, 1 step and an odd count, each in one tile and then in
     # 8-state tiles (8, 4 and 1 rows), so the 30 rows span many tiles
     for steps, tile in itertools.product((0, 1, 37),
@@ -202,17 +205,9 @@ def test_mod1_sums_match_scalar_loop(monkeypatch, code, precision):
                           endpoint=True) & np.uint64(mod1.wrap_mask)
         monkeypatch.setattr(_kernels, "_MOD1_TILE_STATES", tile)
         got = mod1_chain_sums(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
-                              shift, scale, code, x0, eps, words)
-        want = _mod1_sums_loop(mod1, code, x0, eps, words)
+                              mod1.shift, mod1.scale, f, x0, eps, words)
+        want = _mod1_sums_loop(mod1, name, x0, eps, words)
         assert got.tobytes() == want.tobytes(), (steps, tile)
-
-
-def test_mod1_f_rejects_unknown_codes():
-    x = np.array([0.25, 0.75])
-    assert np.array_equal(mod1_f(x, F_INDICATOR_CENTERED), [0.5, -0.5])
-    for code in (3, 7, -1, None):
-        with pytest.raises(ValueError, match="unknown mod-1 functional"):
-            mod1_f(x, code)
 
 
 @pytest.mark.parametrize("precision", [64, 40, 16])
@@ -243,21 +238,27 @@ def test_mod1_path_matches_scalar_loop(precision):
 
 
 def test_mod1_float_params_precisions():
-    shift, scale = mod1_float_params(64)
-    assert shift == 11
-    assert scale == 2.0 ** -53
-    shift32, scale32 = mod1_float_params(32)
-    assert shift32 == 0
-    assert scale32 == 2.0 ** -32
+    # (shift, scale) of the chain's bits-to-float format: B = 53 is the
+    # last precision converted unshifted, B = 54 the first that drops a bit
+    for precision, shift, scale in ((64, 11, 2.0 ** -53), (54, 1, 2.0 ** -53),
+                                    (53, 0, 2.0 ** -53), (32, 0, 2.0 ** -32)):
+        mod1 = make_singular_mod1(precision).mod1
+        assert (mod1.shift, mod1.scale) == (shift, scale)
 
 
 def test_bits_to_float_range():
-    bits = np.array([0, 1, 2 ** 63, U64_MAX], dtype=np.uint64)
-    vals = mod1_bits_to_float(bits, 64)
-    assert np.all((vals >= 0.0) & (vals < 1.0))
-    assert vals[0] == 0.0
-    # the top bit is worth exactly one half
-    assert vals[2] == 0.5
+    for precision in (64, 54, 53):
+        top = 2 ** precision - 1
+        bits = np.array([0, 1, 2 ** (precision - 1), top], dtype=np.uint64)
+        vals = make_singular_mod1(precision).mod1.bits_to_float(bits)
+        assert np.all((vals >= 0.0) & (vals < 1.0))
+        assert vals[0] == 0.0
+        # the lowest bit survives only when B <= 53
+        assert vals[1] == (2.0 ** -53 if precision == 53 else 0.0)
+        # the top bit is worth exactly one half
+        assert vals[2] == 0.5
+        # the largest state keeps its leading 53 bits
+        assert vals[3] == 1.0 - 2.0 ** -53
 
 
 def test_finite_sums_counts_first_state(chain):
