@@ -210,6 +210,26 @@ def test_mod1_sums_match_scalar_loop(monkeypatch, name, precision):
         assert got.tobytes() == want.tobytes(), (steps, tile)
 
 
+def test_mod1_f_rejects_unknown_codes():
+    # the kernel reads the indicator's +-0.5 off the states 1/4 and 3/4;
+    # a functional given as a bare code, not a name, is no mod-1 functional
+    chain = make_singular_mod1()
+    mod1 = chain.mod1
+    f = resolve_functional(chain, "indicator_centered").fn
+    x0 = np.array([mod1.float_to_bits(0.25), mod1.float_to_bits(0.75)],
+                  dtype=np.uint64)
+    none = np.empty((2, 0), dtype=np.uint8)
+    got = mod1_chain_sums(mod1.odd_mask, mod1.even_mask, mod1.wrap_mask,
+                          mod1.shift, mod1.scale, f, x0, none,
+                          none.astype(np.uint64))
+    assert np.array_equal(got, [0.5, -0.5])
+    for code in (3, 7, -1, None):
+        with pytest.raises(ValueError, match="need a finite chain"):
+            resolve_functional(chain, code)
+    with pytest.raises(ValueError, match="unknown functional"):
+        resolve_functional(chain, "3")
+
+
 @pytest.mark.parametrize("precision", [64, 40, 16])
 def test_mod1_path_matches_scalar_loop(precision):
     mod1 = make_singular_mod1(precision).mod1

@@ -489,6 +489,15 @@ def test_replicated_tail_rejects_threads_below_one(monkeypatch, threads):
                            threads=threads)
 
 
+@pytest.mark.parametrize("code", [7, None])
+def test_mc_tail_mod1_rejects_unknown_codes(monkeypatch, code):
+    # a functional given as a bare code, not a name, is an error before
+    # any replica is drawn, never the indicator's tail
+    monkeypatch.setattr(verify_mod, "substream", _no_draw)
+    with pytest.raises(ValueError, match="need a finite chain"):
+        mc_tail(make_singular_mod1(), code, "pi", 8, [1.0, 3.0], 1000, seed=0)
+
+
 def test_mc_tail_mod1_rejects_a_functional_without_fn(monkeypatch):
     # a functional with no evaluator on float states is an error before
     # any replica is drawn
