@@ -70,6 +70,18 @@ def _opt(args, cfg, key, default=None):
     return cfg.get(key, default)
 
 
+def _switch(args, cfg, key) -> bool:
+    """A store_true flag, or its config entry: JSON true/false or the
+    strings "true"/"false", read as _parse_value reads them."""
+    value = cfg.get(key, False)
+    if isinstance(value, str):
+        value = _parse_value(value)
+    if not isinstance(value, bool):
+        raise ValueError(f"config entry {key} must be true or false, "
+                         f"got {cfg[key]!r}")
+    return getattr(args, key, False) or value
+
+
 def _given(args, cfg, casts) -> dict:
     """The options named in casts that a flag or the config sets, each
     read with its flag's type (a None cast keeps the value as given)."""
@@ -178,7 +190,7 @@ def cmd_simulate(args, cfg):
         raise ValueError("simulate needs a horizon: pass --n")
     seed = _resolve_seed(args, cfg)
     init = _opt(args, cfg, "init", "pi")
-    extend = bool(getattr(args, "extend", False) or cfg.get("extend", False))
+    extend = _switch(args, cfg, "extend")
     f_spec = _opt(args, cfg, "f")
     rng = substream(seed, TAG_SPLIT, 0)
     traj = simulate_split(chain, init, int(n), rng,
@@ -302,9 +314,8 @@ _FIT_CASTS = {"safety": float, "n_excursions": int, "n_first_blocks": int}
 
 def cmd_verify(args, cfg):
     chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
-    exact = bool(getattr(args, "exact", False) or cfg.get("exact", False))
-    structure = bool(getattr(args, "structure", False)
-                     or cfg.get("structure", False))
+    exact = _switch(args, cfg, "exact")
+    structure = _switch(args, cfg, "structure")
     report = run_verification(
         chain, f_spec, n=n, t_grid=grid, seed=seed, exact=exact,
         fit_options=_given(args, cfg, _FIT_CASTS), structure=structure,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +26,11 @@ _COUNT_DP_GUARD = 1e9
 # word operations of a rational DP (the exact tail's rational route and
 # the regeneration count), at most
 _RATIONAL_DP_GUARD = 1e7
+# what one Fraction operation costs besides its integer words, in words:
+# about 4-9 us an operation on 1-word integers (the one-state chain)
+# against about 0.5 us a word at 100-300 words (two-state(0.3, 0.6)),
+# on a 2-core Intel Xeon
+_FRACTION_OP_WORDS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,7 @@ def _validated_grid(t_grid) -> np.ndarray:
 
 def _strict_cutoff(t: float, lcm_den: int) -> int:
     """Smallest integer M with M / lcm_den > t, exactly."""
+    from fractions import Fraction
     thr = Fraction(t) * lcm_den
     return thr.numerator // thr.denominator + 1
 
@@ -116,10 +121,12 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
     it raises GuardError before allocating anything. The rational
     route keeps at most k * C(n + k - 2, k - 1) (state, sum) pairs, so a
     step makes k^2 C(n + k - 2, k - 1) operations on integers that grow
-    by the bits of the rows' common denominator; above _RATIONAL_DP_GUARD
-    (1e7) word operations in all it raises GuardError before the first
-    step.
+    by the bits of the rows' common denominator. Each operation is
+    charged its final size in words plus _FRACTION_OP_WORDS (16) for the
+    Fraction and dict overhead; above _RATIONAL_DP_GUARD (1e7) word
+    operations in all it raises GuardError before the first step.
     """
+    from fractions import Fraction
     if not chain.is_finite:
         raise ValueError("exact tails need a finite chain")
     n = int(n)
@@ -150,7 +157,8 @@ def exact_tail(chain: ChainInstance, f, x0: int, n: int, t_grid) -> TailCurve:
         p_frac = _fraction_rows(matrix)
         _check_integer_growth(
             "rational tail DP", n - 1, k * k * math.comb(n + k - 2, k - 1), 0,
-            math.log2(_denominator(p_frac.ravel())), _RATIONAL_DP_GUARD)
+            math.log2(_denominator(p_frac.ravel())), _RATIONAL_DP_GUARD,
+            _FRACTION_OP_WORDS)
         probs = _exact_tail_fractions(p_frac, fracs, x0, n, t)
     return TailCurve(t=t, estimate=probs, se=None, provenance="enumeration",
                      n=n)
@@ -188,10 +196,11 @@ def _exact_tail_lattice(matrix, f_int, x0, n, base, width, lcm_den, t):
 def _exact_tail_fractions(p_frac, fracs, x0, n, t):
     """The rational route. Its (state, sum) pairs need no guard of their
     own: with ops = k^2 C(n + k - 2, k - 1) there are at most ops / k of
-    them, and exact_tail takes this route only when (n - 1) * ops * words
-    <= 1e7 with words >= 1, so at most 1e7 / ((n - 1) k). That is above
-    2e6 only when (n - 1) k < 5, where there are at most 4 C(4, 3) = 16
-    pairs; so there are never more than 2e6."""
+    them, and exact_tail takes this route only when (n - 1) * ops
+    * (words + 16) <= 1e7 with words >= 1, so at most 1e7 / ((n - 1) k).
+    That is above 2e6 only when (n - 1) k < 5, where there are at most
+    4 C(4, 3) = 16 pairs; so there are never more than 2e6."""
+    from fractions import Fraction
     dp = {(x0, fracs[x0]): Fraction(1)}
     for _ in range(n - 1):
         new = defaultdict(Fraction)
@@ -216,6 +225,7 @@ def _exact_tail_fractions(p_frac, fracs, x0, n, t):
 
 
 def _fraction_vector(weights) -> list:
+    from fractions import Fraction
     vec = [Fraction(float(w)) for w in weights]
     total = sum(vec)
     if total <= 0:
@@ -241,6 +251,7 @@ def _block_kernel(chain: ChainInstance, exact: bool = False):
     Fractions, each divided by its exact sum, and B0 >= 0 is checked;
     the same numpy operations serve both.
     """
+    from fractions import Fraction
     spec = chain.minorization
     rows, nu = chain.kernel.matrix, np.asarray(spec.nu, dtype=np.float64)
     delta = spec.delta
@@ -258,17 +269,19 @@ def _block_kernel(chain: ChainInstance, exact: bool = False):
 
 
 def _check_integer_growth(what: str, rounds: int, ops: int, bits0: float,
-                          bits_per_round: float, guard: float) -> None:
+                          bits_per_round: float, guard: float,
+                          op_words: int = 0) -> None:
     """GuardError when rounds rounds of ops operations on integers of
     bits0 bits growing by bits_per_round bits a round, rounds * ops
-    * (final size in 64-bit words, at least 1) word operations, exceed
-    guard."""
+    * (final size in 64-bit words, at least 1, plus op_words, a fixed
+    charge per operation) word operations, exceed guard."""
     words = max(1, math.ceil((bits0 + rounds * bits_per_round) / 64))
-    cost = rounds * ops * words
+    cost = rounds * ops * (words + op_words)
     if cost > guard:
         raise GuardError(
             f"{what} cost {cost:.1e} ({rounds} rounds of {ops} operations "
-            f"on {words}-word integers) exceeds the {guard:.0e} count guard")
+            f"on {words}-word integers, plus {op_words} words an operation) "
+            f"exceeds the {guard:.0e} count guard")
 
 
 def exact_regeneration_count_tail(chain: ChainInstance, n: int,
@@ -282,9 +295,11 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
 
     The masses' denominators divide den(start) * den(B0, u nu)^blocks,
     so a block costs k^2 (threshold + 2) operations on integers of that
-    size; above _RATIONAL_DP_GUARD (1e7) word operations in all it
-    raises GuardError before the first block.
+    size, each charged its words plus _FRACTION_OP_WORDS (16); above
+    _RATIONAL_DP_GUARD (1e7) word operations in all it raises GuardError
+    before the first block.
     """
+    from fractions import Fraction
     if not chain.is_finite:
         raise ValueError("exact regeneration counts need a finite chain")
     n = int(n)
@@ -305,7 +320,7 @@ def exact_regeneration_count_tail(chain: ChainInstance, n: int,
         "regeneration count DP", blocks, k * k * (cap + 1),
         math.log2(_denominator(start)),
         math.log2(_denominator([*b0.ravel(), *(u[:, None] * nu).ravel()])),
-        _RATIONAL_DP_GUARD)
+        _RATIONAL_DP_GUARD, _FRACTION_OP_WORDS)
     # dp[y, c]: mass at state y after min(count, cap) regenerations
     dp = np.full((k, cap + 1), Fraction(0), dtype=object)
     dp[:, 0] = start

@@ -14,7 +14,6 @@ stationary 1-dependent sequence (independent when m = 1).
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -458,6 +457,7 @@ def block_decompose(traj: SplitTrajectory, f, n: int) -> BlockDecomposition:
 
 def trajectory_to_csv(traj: SplitTrajectory, path: str) -> None:
     """index,state,level,is_regeneration rows, written atomically."""
+    import csv
     sigma = set(int(s) for s in traj.sigma)
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -147,6 +145,7 @@ def _replicated_tail(statistics, t: np.ndarray, n: int, replicas: int,
         return _tail_counts(statistics(*pair), t)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             parts = list(pool.map(counts_of, pairs))
     else:
@@ -324,6 +323,7 @@ def block_structure_tests(gaps, excursions_by_name: dict, *, lags: int = 10,
     sqrt(1 + 2 r1^2). L must lie below the number of gaps and below the
     length of every excursion series.
     """
+    from statistics import NormalDist
     gaps = np.asarray(gaps, dtype=np.float64)
     n_gaps = gaps.size
     if n_gaps < 1000:

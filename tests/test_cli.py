@@ -229,6 +229,14 @@ VERIFY_BASE = ("verify", "--chain", "two-state", "--n", "8", "--exact",
     # numeric options are read with their flag's type
     ({"n_first_blocks": "200"}, None),
     ({"safety": "1.5", "z": "2", "replicas": "500"}, None),
+    # switches read JSON true/false and the strings "true"/"false" only
+    ({"structure": "false"}, None),
+    ({"structure": "true", "exact": False}, None),
+    ({"structure": True, "exact": "false"}, None),
+    ({"exact": "false", "structure": "no"},
+     "config entry structure must be true or false, got 'no'"),
+    ({"exact": 1}, "config entry exact must be true or false, got 1"),
+    ({"exact": None}, "config entry exact must be true or false, got None"),
 ])
 def test_verify_config_entries(capsys, tmp_path, entry, message):
     cfg = tmp_path / "cfg.json"
@@ -238,11 +246,32 @@ def test_verify_config_entries(capsys, tmp_path, entry, message):
         assert code == 1 and message in err and out == ""
         return
     assert code == 0, err
-    flags = [word for key, value in entry.items()
-             for word in ("--" + key.replace("_", "-"), value)]
+    flags = []
+    for key, value in entry.items():
+        flag = "--" + key.replace("_", "-")
+        if key in ("exact", "structure"):
+            flags += [flag] if value in (True, "true") else []
+        else:
+            flags += [flag, value]
     code, want, err = run_cli(capsys, *VERIFY_BASE, *flags)
     assert code == 0, err
     assert out == want
+
+
+@pytest.mark.parametrize("value, flags", [
+    ("false", ()), (True, ("--extend",)), ("no", None)])
+def test_simulate_extend_config_entry(capsys, tmp_path, value, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"extend": value}))
+    base = ("simulate", "--chain", "two-state", "--n", "37", "--seed", "3")
+    code, out, err = run_cli(capsys, *base, "--config", str(cfg))
+    if flags is None:
+        assert code == 1 and out == ""
+        assert "config entry extend must be true or false, got 'no'" in err
+        return
+    assert code == 0, err
+    assert out == run_cli(capsys, *base, *flags)[1]
+    assert json.loads(out)["extend"] is bool(flags)
 
 
 def test_config_must_be_object(capsys, tmp_path):
@@ -561,3 +590,15 @@ def test_package_import_leaves_scipy_unloaded(tmp_path):
                    "print('scipy' in sys.modules)", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_optional_stdlib_unloaded(tmp_path):
+    # threads, structure tests, exact rationals and the trajectory CSV
+    # each load their module on first use
+    optional = ("concurrent.futures", "logging", "statistics", "fractions",
+                "decimal", "csv")
+    proc = _python("import sys, regen_bernstein, regen_bernstein.cli; "
+                   f"print(sorted(set({optional!r}) & set(sys.modules)))",
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -645,6 +645,21 @@ def test_integer_growth_counts_at_least_one_word():
     assert time.perf_counter() - start < 1.0
 
 
+def test_rational_dp_guard_charges_each_operation():
+    # on one state every integer is one word, yet each Fraction operation
+    # costs microseconds: the count tail at n = 3000 (9.0e6 operations)
+    # and the rational tail of f = 0.1 at n = 10^6 (10^6 steps) would run
+    # for tens of seconds, and the per-operation charge refuses both
+    one = chain_from_dict({"matrix": [[1.0]], "small_set": [1], "m": 1,
+                           "delta": 1.0, "nu": [1.0]})
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="rational tail DP cost"):
+        exact_tail(one, np.array([0.1]), 0, 10 ** 6, [1.0])
+    with pytest.raises(GuardError, match="count guard"):
+        exact_regeneration_count_tail(one, 3000, 3000)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_exact_gap_distribution_geometric():
     chain = make_two_state(0.5, 0.5, delta=1.0)
     gaps, probs, remaining = exact_gap_distribution(chain)
