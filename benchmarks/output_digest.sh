@@ -10,6 +10,7 @@
 # listings of two checkouts with diff, or their sha256sum for a short
 # summary. Runs in about a minute and a half on two cores.
 SRC=${1:-src}
+HERE=$(cd "$(dirname "$0")" && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 export PYTHONPATH=$SRC
@@ -174,6 +175,12 @@ run bnd-bi bounds thm_bi a=1 b=1 c=1 d=2 alpha=1 sigma2_mrv=0.5 delta=0.5 \
   pi_C=0.5 m=1 n=100 t=40 D=3 f_sup=0.5
 run bnd-miss bounds thm_bi a=1 b=1 c=1
 run bnd-cb bounds classical_bernstein n=100 sigma2=0.25 M=1 t=10
+# raw values of every bound evaluator and of the two Orlicz tails over
+# an edge grid: t = 0 and subnormal t, zero scales, overflowing
+# denominators (see bound_grid.py)
+for name in $(python3 "$HERE/bound_grid.py"); do
+  record bnd-raw-$name python3 "$HERE/bound_grid.py" $name
+done
 # every --format csv form: four bounds (two of them bundle theorems),
 # the two estimate-and-se variance methods, and simulate, which has no
 # CSV form and prints its JSON

@@ -1,9 +1,17 @@
 """Closed-form tail bounds for regenerative Markov chain sums.
 
-Every evaluator returns a BoundValue holding the raw formula value, the
-value capped at 1 (a tail probability never exceeds 1), and regime
-flags. Flags never change the numbers, they only surface when an
-assumption behind the formula is not met or when the cap engaged.
+Each bound is a short sum of terms c exp(-x) that its evaluator lists
+as (coefficient, exponent argument) pairs. _bound assembles them into a
+BoundValue: the raw fsum, the value capped at 1 (a tail probability
+never exceeds 1) and regime flags, "vacuous" on every raw value of 1 or
+more. Flags never change the numbers. Three helpers give the arguments,
+each with its zero-denominator limit (inf for t > 0, 0 at t = 0):
+_ratio_pow (t / s)^alpha, where s = 0 when a, b or an Orlicz norm is 0,
+_pow_over t^alpha / D, where D = 0 when c, d or an Orlicz norm is 0,
+and _quad t^2 / (a + b t), guarded also against underflow and inf / inf.
+thm_bi and thm_bi2 take their a, b and c terms from _block_terms.
+EVALUATORS is the one registry the `bounds` command reads, the two
+bundle theorems included.
 
 Sample-size logarithms are floored at 1, i.e. log(n) means ln(max(n, e)),
 so the truncation cutoffs stay monotone for small n. Plain constants
@@ -14,7 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 
 _LN2 = math.log(2.0)
 _E1 = math.e
@@ -36,11 +44,11 @@ class BoundValue:
         return self.value
 
 
-def capped(raw: float, flags: tuple = ()) -> BoundValue:
-    raw = float(raw)
-    if raw >= 1.0:
-        flags = tuple(flags) + ("vacuous",)
-    return BoundValue(value=min(raw, 1.0), raw=raw, flags=tuple(flags))
+def _bound(terms, flags: tuple = ()) -> BoundValue:
+    """The BoundValue of the sum of c exp(-x) over the (c, x) terms."""
+    raw = math.fsum(c * math.exp(-x) for c, x in terms)
+    flags = tuple(flags) + (("vacuous",) if raw >= 1.0 else ())
+    return BoundValue(value=min(raw, 1.0), raw=raw, flags=flags)
 
 
 def _check_nonneg(**kwargs):
@@ -77,15 +85,22 @@ def _log_n(n: float) -> float:
     return math.log(max(float(n), _E1))
 
 
-def _exp_ratio_pow(t: float, scale: float, alpha: float) -> float:
-    """exp(-(t / scale)^alpha) with the scale-zero limit."""
+def _ratio_pow(t: float, scale: float, alpha: float) -> float:
+    """(t / scale)^alpha, with the limit inf (0 at t = 0) at scale 0."""
     if scale <= 0.0:
-        return 0.0 if t > 0.0 else 1.0
-    return math.exp(-((t / scale) ** alpha))
+        return math.inf if t > 0.0 else 0.0
+    return (t / scale) ** alpha
 
 
-def _exp_quad(t: float, a: float, bt: float, b: float) -> float:
-    """exp(-t^2 / (a + b t)) for a, b, t >= 0, with the denominator-zero limit.
+def _pow_over(t: float, alpha: float, den: float) -> float:
+    """t^alpha / den, with the limit inf (0 at t = 0) at den 0."""
+    if den <= 0.0:
+        return math.inf if t > 0.0 else 0.0
+    return t ** alpha / den
+
+
+def _quad(t: float, a: float, bt: float, b: float) -> float:
+    """t^2 / (a + b t) for a, b, t >= 0; inf (0 at t = 0) where a + b t = 0.
 
     bt is b t as the formula rounds it, so ordinary values keep every
     bit. Where t^2 or the denominator is zero or subnormal, or the
@@ -95,11 +110,11 @@ def _exp_quad(t: float, a: float, bt: float, b: float) -> float:
     t2 = t * t
     denom = a + bt
     if t2 >= _TINY and _TINY <= denom < math.inf:
-        return math.exp(-t2 / denom)
+        return t2 / denom
     if t == 0.0:
-        return 1.0
+        return 0.0
     scaled = a / t + b
-    return math.exp(-t / scaled) if scaled > 0.0 else 0.0
+    return t / scaled if scaled > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +155,7 @@ def classical_bernstein(n: float, sigma2: float, M: float, t: float,
     _check_nonneg(sigma2=sigma2, M=M, t=t)
     factor = 2.0 if sup_version else 1.0
     b = (2.0 / 3.0) * M
-    return capped(factor * _exp_quad(t, 2.0 * n * sigma2, b * t, b))
+    return _bound([(factor, _quad(t, 2.0 * n * sigma2, b * t, b))])
 
 
 def psi1_bernstein(n: float, tau: float, t: float) -> BoundValue:
@@ -148,7 +163,7 @@ def psi1_bernstein(n: float, tau: float, t: float) -> BoundValue:
     _check_pos(n=n, tau=tau)
     _check_nonneg(t=t)
     b = 2.0 * tau
-    return capped(_exp_quad(t, 4.0 * n * tau * tau, b * t, b))
+    return _bound([(1.0, _quad(t, 4.0 * n * tau * tau, b * t, b))])
 
 
 def iid_unbounded(n: float, c: float, alpha: float, sigma2: float,
@@ -162,10 +177,10 @@ def iid_unbounded(n: float, c: float, alpha: float, sigma2: float,
     _check_pos(n=n, c=c)
     _check_nonneg(sigma2=sigma2, t=t)
     m_trunc = m_cutoff(c, alpha, n, "iid")
-    first = _E8 * math.exp(-(t ** alpha) / (2.0 * (6.0 * c) ** alpha))
-    second = 2.0 * _exp_quad(t, (72.0 / 25.0) * n * sigma2,
-                             (8.0 / 5.0) * t * m_trunc, (8.0 / 5.0) * m_trunc)
-    return capped(math.fsum((first, second)))
+    return _bound([
+        (_E8, _pow_over(t, alpha, 2.0 * (6.0 * c) ** alpha)),
+        (2.0, _quad(t, (72.0 / 25.0) * n * sigma2, (8.0 / 5.0) * t * m_trunc,
+                    (8.0 / 5.0) * m_trunc))])
 
 
 def random_sum_bound(l: float, v: float, alpha: float, sigma2: float,
@@ -184,14 +199,21 @@ def random_sum_bound(l: float, v: float, alpha: float, sigma2: float,
     _check_nonneg(sigma2=sigma2, psi1_excess=psi1_excess, t=t)
     big_b = v * (3.0 * _log_n(l) / alpha ** 2) ** (1.0 / alpha)
     mu = max(8.0 * big_b / 3.0, 2.0 * math.sqrt(sigma2) * math.sqrt(psi1_excess))
-    first = _E8 * math.exp(-(t ** alpha) / (2.0 * ((2.0 + _SQRT2) * v) ** alpha))
     b = 2.0 * _SQRT2 * mu
-    second = 2.0 ** 1.5 * _exp_quad(t, 8.0 * a * sigma2, b * t, b)
-    return capped(math.fsum((first, second)))
+    return _bound([
+        (_E8, _pow_over(t, alpha, 2.0 * ((2.0 + _SQRT2) * v) ** alpha)),
+        (2.0 ** 1.5, _quad(t, 8.0 * a * sigma2, b * t, b))])
 
 
 _ONE_DEP_C = {1: 8.0, 2: 15.0}
 _ONE_DEP_D = {1: 6.0, 2: 10.0}
+
+
+def _check_m_dep(m_dep) -> int:
+    m_dep = int(m_dep)
+    if m_dep not in _ONE_DEP_C:
+        raise ValueError("m_dep must be 1 or 2")
+    return m_dep
 
 
 def one_dep_bounded(n: float, m_dep: int, sigma_inf2: float, M: float,
@@ -202,15 +224,13 @@ def one_dep_bounded(n: float, m_dep: int, sigma_inf2: float, M: float,
     (c_1, d_1) = (8, 6) and (c_2, d_2) = (15, 10). sigma_inf2 = 0 is
     allowed, the variance term just drops out.
     """
-    m_dep = int(m_dep)
-    if m_dep not in _ONE_DEP_C:
-        raise ValueError("m_dep must be 1 or 2")
+    m_dep = _check_m_dep(m_dep)
     _check_pos(n=n)
     _check_nonneg(sigma_inf2=sigma_inf2, M=M, t=t)
     d_m = _ONE_DEP_D[m_dep]
-    return capped(2.0 * (m_dep + 1.0) * _exp_quad(
+    return _bound([(2.0 * (m_dep + 1.0), _quad(
         t, _ONE_DEP_C[m_dep] * (n + 1.0 + m_dep) * sigma_inf2, d_m * t * M,
-        d_m * M))
+        d_m * M))])
 
 
 def one_dep_sup(n: float, m_dep: int, c: float, alpha: float,
@@ -222,9 +242,7 @@ def one_dep_sup(n: float, m_dep: int, c: float, alpha: float,
     2(m+1) e^8 exp(-t^alpha / ((16/alpha) (a_m c)^alpha))
     + 2(m+1) exp(-t^2 / (b_m (n+m+1) sigma_inf2 + c_m t M)).
     """
-    m_dep = int(m_dep)
-    if m_dep not in (1, 2):
-        raise ValueError("m_dep must be 1 or 2")
+    m_dep = _check_m_dep(m_dep)
     alpha = _check_alpha(alpha)
     _check_pos(n=n, c=c)
     _check_nonneg(sigma_inf2=sigma_inf2, t=t)
@@ -232,12 +250,12 @@ def one_dep_sup(n: float, m_dep: int, c: float, alpha: float,
     b_m = 5.0 * (m_dep + 1.0)
     c_m = 2.0 * (m_dep + 1.0)
     m_trunc = m_cutoff(c, alpha, n, "main")
-    first = (2.0 * (m_dep + 1.0) * _E8
-             * math.exp(-(t ** alpha) / ((16.0 / alpha) * (a_m * c) ** alpha)))
-    second = 2.0 * (m_dep + 1.0) * _exp_quad(
-        t, b_m * (n + m_dep + 1.0) * sigma_inf2, c_m * t * m_trunc,
-        c_m * m_trunc)
-    return capped(math.fsum((first, second)))
+    return _bound([
+        (2.0 * (m_dep + 1.0) * _E8,
+         _pow_over(t, alpha, (16.0 / alpha) * (a_m * c) ** alpha)),
+        (2.0 * (m_dep + 1.0),
+         _quad(t, b_m * (n + m_dep + 1.0) * sigma_inf2, c_m * t * m_trunc,
+               c_m * m_trunc))])
 
 
 def stopped_b_factor(psi1_excess: float) -> float:
@@ -263,11 +281,10 @@ def one_dep_stopped(n: float, c: float, alpha: float, sigma_inf2: float,
     if b_factor < 2.0:
         flags.append("b_factor below its floor of 2")
     m_trunc = m_cutoff(c, alpha, n, "main")
-    first = 4.0 * _E8 * math.exp(-(t ** alpha) / ((16.0 / alpha) * (26.0 * c) ** alpha))
-    second = 9.0 * _exp_quad(t, 102.0 * a * sigma_inf2,
-                             14.0 * m_trunc * t * b_factor,
-                             14.0 * m_trunc * b_factor)
-    return capped(math.fsum((first, second)), tuple(flags))
+    return _bound([
+        (4.0 * _E8, _pow_over(t, alpha, (16.0 / alpha) * (26.0 * c) ** alpha)),
+        (9.0, _quad(t, 102.0 * a * sigma_inf2, 14.0 * m_trunc * t * b_factor,
+                    14.0 * m_trunc * b_factor))], flags)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +320,8 @@ def regen_count_tail(n: float, p: float, d: float, mean_gap: float) -> BoundValu
     _check_pos(n=n, p=p, d=d)
     if not float(mean_gap) > 0.0:
         raise ValueError("mean_gap must be positive")
-    flags = []
-    if d < mean_gap:
-        flags.append("d below the mean gap")
-    kp = kp_constant(p)
-    raw = _E1 * math.exp(-(p * n * mean_gap) / (kp * d * d))
-    return capped(raw, tuple(flags))
+    flags = ("d below the mean gap",) if d < mean_gap else ()
+    return _bound([(_E1, (p * n * mean_gap) / (kp_constant(p) * d * d))], flags)
 
 
 def regen_count_psi1(p: float, d: float, mean_gap: float) -> float:
@@ -396,6 +409,17 @@ def _check_horizon(n: float, m: int):
                          f"with m = {m}")
 
 
+def _block_terms(params, t: float, k_ab: float, c_lead: float) -> list:
+    """2 exp(-(t/(k_ab a))^alpha) + 2 (delta pi_C)^-1 exp(-(t/(k_ab b))^alpha)
+    + c_lead e^8 exp(-t^alpha / ((16/alpha)(27c)^alpha)), the head, tail
+    and excursion terms of thm_bi and thm_bi2."""
+    al = params.alpha
+    inv_dpc = 1.0 / (params.delta * params.pi_C)
+    return [(2.0, _ratio_pow(t, k_ab * params.a, al)),
+            (2.0 * inv_dpc, _ratio_pow(t, k_ab * params.b, al)),
+            (c_lead * _E8, _pow_over(t, al, (16.0 / al) * (27.0 * params.c) ** al))]
+
+
 def thm_bi(params: BernsteinParams, n: float, t: float) -> BoundValue:
     """Five-term Bernstein-type bound for the centered path sum.
 
@@ -407,26 +431,16 @@ def thm_bi(params: BernsteinParams, n: float, t: float) -> BoundValue:
     """
     _check_horizon(n, params.m)
     _check_nonneg(t=t)
-    al = params.alpha
-    inv_dpc = 1.0 / (params.delta * params.pi_C)
-    m_trunc = m_cutoff(params.c, al, n, "main")
-    t1 = 2.0 * _exp_ratio_pow(t, 23.0 * params.a, al)
-    t2 = 2.0 * inv_dpc * _exp_ratio_pow(t, 23.0 * params.b, al)
-    if params.c > 0.0:
-        t3 = 6.0 * _E8 * math.exp(-(t ** al) / ((16.0 / al) * (27.0 * params.c) ** al))
-    else:
-        t3 = 0.0 if t > 0.0 else 6.0 * _E8
-    t4 = 6.0 * _exp_quad(t, 30.0 * n * params.sigma2_mrv, 8.0 * t * m_trunc,
-                         8.0 * m_trunc)
-    if params.d > 0.0:
-        t5 = _E1 * math.exp(-(n * params.m)
-                            / (67.0 * params.delta * params.pi_C * params.d ** 2))
-    else:
-        t5 = 0.0
-    flags = list(params.consistency_warnings())
+    m_trunc = m_cutoff(params.c, params.alpha, n, "main")
+    terms = _block_terms(params, t, 23.0, 6.0) + [
+        (6.0, _quad(t, 30.0 * n * params.sigma2_mrv, 8.0 * t * m_trunc,
+                    8.0 * m_trunc)),
+        (_E1, _pow_over(n * params.m, 1.0,
+                        67.0 * params.delta * params.pi_C * params.d ** 2))]
+    flags = params.consistency_warnings()
     if t < 8.0 * math.log(6.0) * m_trunc:
-        flags.append("t below the proof threshold 8 ln(6) M")
-    return capped(math.fsum((t1, t2, t3, t4, t5)), tuple(flags))
+        flags += ("t below the proof threshold 8 ln(6) M",)
+    return _bound(terms, flags)
 
 
 def thm_bi2(params: BernsteinParams, n: float, p: float, t: float) -> BoundValue:
@@ -439,21 +453,13 @@ def thm_bi2(params: BernsteinParams, n: float, p: float, t: float) -> BoundValue
     _check_horizon(n, params.m)
     _check_nonneg(t=t)
     _check_pos(p=p)
-    al = params.alpha
-    inv_dpc = 1.0 / (params.delta * params.pi_C)
-    m_trunc = m_cutoff(params.c, al, n, "main")
-    kp = kp_constant(p)
-    t1 = 2.0 * _exp_ratio_pow(t, 54.0 * params.a, al)
-    t2 = 2.0 * inv_dpc * _exp_ratio_pow(t, 54.0 * params.b, al)
-    if params.c > 0.0:
-        t3 = 4.0 * _E8 * math.exp(-(t ** al) / ((16.0 / al) * (27.0 * params.c) ** al))
-    else:
-        t3 = 0.0 if t > 0.0 else 4.0 * _E8
+    m_trunc = m_cutoff(params.c, params.alpha, n, "main")
+    root_kp = math.sqrt(kp_constant(p))
     lin = 18.0 * m_trunc * params.d
-    t4 = 6.0 * _exp_quad(t, 37.0 * (1.0 + p) * n * params.sigma2_mrv,
-                         lin * t * math.sqrt(kp), lin * math.sqrt(kp))
-    flags = list(params.consistency_warnings())
-    return capped(math.fsum((t1, t2, t3, t4)), tuple(flags))
+    terms = _block_terms(params, t, 54.0, 4.0) + [
+        (6.0, _quad(t, 37.0 * (1.0 + p) * n * params.sigma2_mrv,
+                    lin * t * root_kp, lin * root_kp))]
+    return _bound(terms, params.consistency_warnings())
 
 
 def thm_sbi(n: float, t: float, sigma2_mrv: float, f_sup: float, D: float,
@@ -468,10 +474,10 @@ def thm_sbi(n: float, t: float, sigma2_mrv: float, f_sup: float, D: float,
     _check_nonneg(t=t, sigma2_mrv=sigma2_mrv, f_sup=f_sup, D=D)
     _check_split_mass(delta, pi_C)
     lead = _E10 + 2.0 / (delta * pi_C)
-    return capped(lead * _exp_quad(
+    return _bound([(lead, _quad(
         t, 32.0 * n * sigma2_mrv,
         433.0 * t * delta * pi_C * f_sup * D * D * _log_n(n),
-        433.0 * delta * pi_C * f_sup * D * D * _log_n(n)))
+        433.0 * delta * pi_C * f_sup * D * D * _log_n(n)))])
 
 
 def bbi_constants(delta: float, pi_C: float, D: float) -> tuple:
@@ -484,6 +490,13 @@ def bbi_constants(delta: float, pi_C: float, D: float) -> tuple:
     return _E10 + 2.0 / (delta * pi_C), 433.0 * delta * pi_C * D * D
 
 
+_DRIFT_FIELDS = {
+    "i": ("delta", "alpha", "l", "k", "K", "V_x", "pi_exp_half"),
+    "ii": ("delta", "alpha", "l", "k", "K", "V_x", "beta", "pi_V",
+           "sup_tau_norm", "pi_tau_norm"),
+    "iii": ("D", "f_sup")}
+
+
 def param_bounds_from_drift(drift_data: dict) -> dict:
     """Norm bounds a, b, c from drift-condition summaries.
 
@@ -494,23 +507,23 @@ def param_bounds_from_drift(drift_data: dict) -> dict:
     """
     data = dict(drift_data)
     scenario = str(data.pop("scenario", "")).lower()
+    if scenario not in _DRIFT_FIELDS:
+        raise ValueError("scenario must be one of i, ii, iii")
+    for key in _DRIFT_FIELDS[scenario]:
+        if key not in data:
+            raise ValueError(f"drift scenario {scenario} misses required "
+                             f"field {key!r}")
     if scenario == "iii":
-        d_cap = float(data["D"])
-        f_sup = float(data["f_sup"])
+        d_cap, f_sup = float(data["D"]), float(data["f_sup"])
         _check_nonneg(D=d_cap, f_sup=f_sup)
         return {"scenario": "iii", "a": 2.0 * d_cap * f_sup,
                 "b": 2.0 * d_cap * f_sup, "c": d_cap * f_sup}
-    if scenario not in ("i", "ii"):
-        raise ValueError("scenario must be one of i, ii, iii")
     delta = float(data["delta"])
     if not (0.0 < delta <= 1.0):
         raise ValueError("delta must lie in (0, 1]")
     alpha = _check_alpha(data["alpha"])
     lead = math.log(6.0 / (2.0 - delta)) / math.log(2.0 / (2.0 - delta))
-    l_val = float(data["l"])
-    k_val = float(data["k"])
-    big_k = float(data["K"])
-    v_x = float(data["V_x"])
+    l_val, k_val, big_k, v_x = (float(data[key]) for key in ("l", "k", "K", "V_x"))
     _check_pos(l=l_val)
     if scenario == "i":
         pi_exp_half = float(data["pi_exp_half"])
@@ -523,9 +536,8 @@ def param_bounds_from_drift(drift_data: dict) -> dict:
     if beta <= alpha:
         raise ValueError("beta must exceed alpha")
     gamma = alpha * beta / (beta - alpha)
-    pi_v = float(data["pi_V"])
-    sup_tau = float(data["sup_tau_norm"])
-    pi_tau = float(data["pi_tau_norm"])
+    pi_v, sup_tau, pi_tau = (float(data[key]) for key in
+                             ("pi_V", "sup_tau_norm", "pi_tau_norm"))
     _check_nonneg(sup_tau_norm=sup_tau, pi_tau_norm=pi_tau)
     inner = max(k_val + v_x + big_k + math.log(pi_v + k_val), _LN2) / _LN2
     bound = ((2.0 * lead) ** (1.0 / alpha) * l_val * (sup_tau + pi_tau)
@@ -533,19 +545,34 @@ def param_bounds_from_drift(drift_data: dict) -> dict:
     return {"scenario": "ii", "a": bound, "b": bound, "c": bound}
 
 
-# Named registry for the command line; thm_bi and thm_bi2 get adapters
-# there because they take a parameter bundle.
-EVALUATORS = {
-    "m_cutoff": m_cutoff,
-    "classical_bernstein": classical_bernstein,
-    "psi1_bernstein": psi1_bernstein,
-    "iid_unbounded": iid_unbounded,
-    "random_sum_bound": random_sum_bound,
-    "one_dep_bounded": one_dep_bounded,
-    "one_dep_sup": one_dep_sup,
-    "one_dep_stopped": one_dep_stopped,
-    "kp_constant": kp_constant,
-    "regen_count_tail": regen_count_tail,
-    "regen_count_psi1": regen_count_psi1,
-    "thm_sbi": thm_sbi,
-}
+def _keyword_bundle(theorem, **defaults):
+    """theorem(params, n, t, ...) on keyword arguments: the BernsteinParams
+    fields, n, t and the theorem's other arguments, else their defaults."""
+    name, bundle = theorem.__name__, fields(BernsteinParams)
+
+    def evaluate(**kv):
+        missing = [f.name for f in bundle
+                   if f.default is MISSING and f.name not in kv]
+        if missing:
+            raise ValueError(f"missing parameters {missing} for the bundle bound")
+        params = BernsteinParams(**{f.name: kv.pop(f.name) for f in bundle
+                                    if f.name in kv})
+        n, t = kv.pop("n", None), kv.pop("t", None)
+        if n is None or t is None:
+            raise ValueError(f"{name} needs n and t")
+        extra = {key: kv.pop(key, value) for key, value in defaults.items()}
+        result = theorem(params, n, t=t, **extra)
+        if kv:
+            raise ValueError(f"unknown arguments {sorted(kv)} for {name}")
+        return result
+
+    evaluate.__name__ = name
+    return evaluate
+
+
+# The keyword-argument evaluators by name, the registry the command line reads
+EVALUATORS = {fn.__name__: fn for fn in (
+    m_cutoff, classical_bernstein, psi1_bernstein, iid_unbounded,
+    random_sum_bound, one_dep_bounded, one_dep_sup, one_dep_stopped,
+    kp_constant, regen_count_tail, regen_count_psi1, _keyword_bundle(thm_bi),
+    _keyword_bundle(thm_bi2, p=2.0 / 3.0), thm_sbi)}

@@ -10,7 +10,6 @@ error, 2 guard violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import numpy as np
 from ._backend import backend_choice
 from ._io import json_text, plain, write_json
 from ._rng import TAG_PATH, TAG_SPLIT, stream_description, substream
-from .bounds import EVALUATORS, BernsteinParams, BoundValue, thm_bi, thm_bi2
+from .bounds import EVALUATORS, BoundValue
 from .chain_models import (load_chain, make_chain, resolve_functional,
                            resolve_point, sample_path)
 from .errors import GuardError
@@ -207,16 +206,6 @@ def cmd_simulate(args, cfg):
     return payload, None, {"trajectory.csv": partial(trajectory_to_csv, traj)}
 
 
-def _bounds_param_bundle(kv: dict) -> BernsteinParams:
-    fields = dataclasses.fields(BernsteinParams)
-    missing = [f.name for f in fields
-               if f.default is dataclasses.MISSING and f.name not in kv]
-    if missing:
-        raise ValueError(f"missing parameters {missing} for the bundle bound")
-    return BernsteinParams(**{f.name: kv.pop(f.name) for f in fields
-                              if f.name in kv})
-
-
 def cmd_bounds(args, cfg):
     formula = args.formula or cfg.get("formula")
     if not formula:
@@ -228,26 +217,14 @@ def cmd_bounds(args, cfg):
         key, _, raw = item.partition("=")
         kv[key.strip()] = _parse_value(raw)
     shown_args = dict(sorted(kv.items()))
-    if formula in ("thm_bi", "thm_bi2"):
-        params = _bounds_param_bundle(kv)
-        n, t = kv.pop("n", None), kv.pop("t", None)
-        if n is None or t is None:
-            raise ValueError(f"{formula} needs n and t")
-        if formula == "thm_bi":
-            result = thm_bi(params, n, t)
-        else:
-            result = thm_bi2(params, n, kv.pop("p", 2.0 / 3.0), t)
-        if kv:
-            raise ValueError(f"unknown arguments {sorted(kv)} for {formula}")
-    else:
-        fn = EVALUATORS.get(formula)
-        if fn is None:
-            choices = sorted(set(EVALUATORS) | {"thm_bi", "thm_bi2"})
-            raise ValueError(f"unknown formula {formula!r}; choose from {choices}")
-        try:
-            result = fn(**kv)
-        except TypeError as exc:
-            raise ValueError(f"bad arguments for {formula}: {exc}")
+    fn = EVALUATORS.get(formula)
+    if fn is None:
+        raise ValueError(f"unknown formula {formula!r}; choose from "
+                         f"{sorted(EVALUATORS)}")
+    try:
+        result = fn(**kv)
+    except TypeError as exc:
+        raise ValueError(f"bad arguments for {formula}: {exc}")
     payload = {"command": "bounds", "formula": formula, "args": shown_args}
     if isinstance(result, BoundValue):
         payload.update(plain(result))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundValue, _check_alpha, capped
+from .bounds import BoundValue, _bound, _check_alpha, _pow_over, _ratio_pow
 
 _LN2 = math.log(2.0)
 
@@ -173,29 +173,20 @@ def tail_from_norm(norm: float, alpha: float, t: float) -> BoundValue:
         raise ValueError("t must be nonnegative")
     if norm < 0.0:
         raise ValueError("norms are nonnegative")
-    if norm == 0.0:
-        raw = 0.0 if t > 0.0 else 2.0
-        return capped(raw)
-    raw = 2.0 * math.exp(-((t / norm) ** alpha))
-    return capped(raw)
+    return _bound([(2.0, _ratio_pow(t, norm, alpha))])
 
 
 def tail_conditional(norm: float, alpha: float, t: float) -> BoundValue:
     """Tail bound surviving conditioning, min(1, 6 exp(-t^alpha / (2 norm^alpha))).
 
     Valid for t >= (2 / alpha)^(1/alpha) * norm. Below that threshold
-    the bound is reported as 1 with an explanatory flag.
+    the bound is the trivial 1, flagged as such and as vacuous.
     """
     alpha = _check_alpha(alpha)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     if norm < 0.0:
         raise ValueError("norms are nonnegative")
-    threshold = (2.0 / alpha) ** (1.0 / alpha) * norm
-    if t < threshold:
-        return BoundValue(value=1.0, raw=1.0,
-                          flags=("t below validity threshold",))
-    if norm == 0.0:
-        return capped(0.0 if t > 0.0 else 6.0)
-    raw = 6.0 * math.exp(-(t ** alpha) / (2.0 * norm ** alpha))
-    return capped(raw)
+    if t < (2.0 / alpha) ** (1.0 / alpha) * norm:
+        return _bound([(1.0, 0.0)], ("t below validity threshold",))
+    return _bound([(6.0, _pow_over(t, alpha, 2.0 * norm ** alpha))])

@@ -288,6 +288,35 @@ def test_thm_bi2_vanishes_at_infinity(unit_params):
     assert thm_bi(unit_params, E, 1e8).raw > 0.0
 
 
+def _zero_scale_params(**kw):
+    return BernsteinParams(**{**dict(a=1.0, b=1.0, c=0.0, d=0.0, alpha=1.0,
+                                     sigma2_mrv=0.0, delta=1.0, pi_C=0.5,
+                                     m=1), **kw})
+
+
+@pytest.mark.parametrize("theorem, k_ab, c_lead", [
+    (lambda p, t: thm_bi(p, E, t), 23.0, 6.0),
+    (lambda p, t: thm_bi2(p, E, 2.0 / 3.0, t), 54.0, 4.0)])
+def test_bundle_theorems_at_c_zero(theorem, k_ab, c_lead):
+    # c = 0: the excursion term is its whole coefficient c_lead e^8 at
+    # t = 0 and nothing above. With sigma2 = d = 0 and M = 0 the other
+    # terms are the head 2, the tail 2 (delta pi_C)^-1 = 4 and, at t = 0,
+    # the Gaussian 6.
+    params = _zero_scale_params()
+    at_zero = theorem(params, 0.0).raw
+    assert at_zero == math.fsum((2.0, 4.0, c_lead * math.exp(8.0), 6.0))
+    for t in (5e-324, 1.0, 1e300):
+        head = math.exp(-(t / k_ab))
+        assert theorem(params, t).raw == math.fsum((2.0 * head, 4.0 * head))
+
+
+def test_thm_bi_count_term_at_d_zero(unit_params):
+    # far out every t-dependent term underflows, so what is left is the
+    # count term e exp(-n m / (67 delta pi_C d^2)), and nothing at d = 0
+    assert thm_bi(unit_params, E, 1e6).raw == E * math.exp(-(E / 134.0))
+    assert thm_bi(_zero_scale_params(c=1.0, sigma2_mrv=0.25), E, 1e6).raw == 0.0
+
+
 def test_thm_sbi_any_horizon():
     v = thm_sbi(7, 0.0, 0.25, 1.0, 2.0, 1.0, 0.5)
     assert v.value == 1.0
@@ -330,6 +359,11 @@ def test_drift_scenario_iii():
     out = param_bounds_from_drift({"scenario": "iii", "D": 2.0, "f_sup": 1.0})
     assert out["c"] == 2.0
     assert out["a"] == 4.0 and out["b"] == 4.0
+    # a missing field is a ValueError that names it
+    with pytest.raises(ValueError, match="misses required field 'D'"):
+        param_bounds_from_drift({"scenario": "iii"})
+    with pytest.raises(ValueError, match="misses required field 'f_sup'"):
+        param_bounds_from_drift({"scenario": "III", "D": 2.0})
 
 
 def test_drift_scenario_i_floor():
@@ -348,6 +382,8 @@ def test_drift_scenario_ii_requires_beta_above_alpha():
             "sup_tau_norm": 1.0, "pi_tau_norm": 1.0}
     with pytest.raises(ValueError, match="beta"):
         param_bounds_from_drift({**base, "beta": 0.5})
+    with pytest.raises(ValueError, match="misses required field 'beta'"):
+        param_bounds_from_drift(base)
     out = param_bounds_from_drift({**base, "beta": 1.0})
     assert out["a"] > 0.0
 

@@ -317,6 +317,12 @@ def test_bounds_bundle_missing_params(capsys):
     assert "missing parameters" in err
 
 
+def test_bounds_bundle_needs_n_and_t(capsys):
+    code, _, err = run_cli(capsys, "bounds", "thm_bi2", *BUNDLE, "t=8")
+    assert code == 1
+    assert "thm_bi2 needs n and t" in err
+
+
 def test_bounds_bundle_rejects_stray_keys(capsys):
     code, _, err = run_cli(capsys, "bounds", "thm_bi", *BUNDLE, "n=64",
                            "t=8", "zz=1")

@@ -170,10 +170,21 @@ def test_tail_from_norm():
         assert math.exp(-t) <= float(tail_from_norm(2.0, 1.0, t)) + 1e-15
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_tails_at_norm_zero(alpha):
+    # the norm-zero limits: the whole coefficient at t = 0, 0 above
+    assert tail_from_norm(0.0, alpha, 0.0).raw == 2.0
+    assert tail_conditional(0.0, alpha, 0.0).raw == 6.0
+    for t in (5e-324, 1.0, 1e300):
+        assert tail_from_norm(0.0, alpha, t).raw == 0.0
+        assert tail_conditional(0.0, alpha, t).raw == 0.0
+
+
 def test_tail_conditional_regimes():
     below = tail_conditional(1.0, 1.0, 1.0)
-    assert below.value == 1.0
-    assert "t below validity threshold" in below.flags
+    assert below.value == 1.0 and below.raw == 1.0
+    # the trivial bound 1 is vacuous like every other raw value >= 1
+    assert below.flags == ("t below validity threshold", "vacuous")
     at_two = tail_conditional(1.0, 1.0, 2.0)
     assert at_two.value == 1.0
     assert at_two.raw == pytest.approx(6.0 * math.exp(-1.0))
