@@ -193,9 +193,29 @@ run varr-csv variance --chain two-state --method regenerative --n-regen 2000 \
   --seed 2 --format csv
 run varb-csv variance --chain two-state --method batch --n 500 --seed 2 --format csv
 run sim-csv simulate --chain two-state --n 37 --seed 3 --format csv
-# verify with its numeric fit and tail options read from a config file
-CFG=$WORK/verify-config.json
-echo '{"chain": "two-state", "f": "indicator_centered", "n": 40, "replicas": 1000,
-  "threads": 2, "z": 2, "p": 0.5, "alpha": 1, "safety": 2, "n_excursions": 400,
-  "n_first_blocks": 200, "seed": 4}' > "$CFG"
-run ver-cfg verify --config "$CFG"
+# config files: each entry is read as the flag of the same name reads it
+cfgrun() { # label, JSON config, cli args...: run with the config in a file
+  local label=$1 json=$2; shift 2
+  echo "$json" > "$WORK/$label.json"
+  run "$label" "$@" --config "$WORK/$label.json"
+}
+# verify with its numeric fit and tail options from the config
+cfgrun ver-cfg '{"chain": "two-state", "f": "indicator_centered", "n": 40,
+  "replicas": 1000, "threads": 2, "z": 2, "p": 0.5, "alpha": 1, "safety": 2,
+  "n_excursions": 400, "n_first_blocks": 200, "seed": 4}' verify
+# twins of flag rows above, with JSON-typed entries: simx-two-state-1,
+# varb-x0 (batch_length 11 is the default at n = 500), bnd-cb, ver-ex
+# (x0 0 and the three formulas are the defaults) and orc-grid
+cfgrun simx-cfg '{"chain": "two-state", "n": 37, "init": 1, "seed": 3,
+  "extend": true, "f": "indicator_centered"}' simulate
+cfgrun varb-x0-cfg '{"chain": "two-state", "method": "batch", "n": 500,
+  "seed": 2, "x0": 1, "batch_length": 11}' variance
+cfgrun bnd-cb-cfg '{"formula": "classical_bernstein",
+  "args": {"n": 100, "sigma2": 0.25, "M": 1, "t": 10}}' bounds
+cfgrun ver-ex-cfg '{"chain": "two-state", "n": 12, "exact": true, "seed": 4,
+  "n_excursions": 400, "n_first_blocks": 200, "x0": 0,
+  "formulas": ["thm_bi", "thm_bi2", "thm_sbi"], "structure": false}' verify
+run orc-grid oracle --chain two-state --n 12 --x0 1 --t-grid 0,0.5,1.5,2.5,4 \
+  --format csv
+cfgrun orc-grid-cfg '{"chain": "two-state", "n": 12, "x0": 1,
+  "t_grid": [0, 0.5, 1.5, 2.5, 4], "format": "csv"}' oracle

@@ -126,16 +126,20 @@ def m_cutoff(c: float, alpha: float, n: float, variant: str = "main") -> float:
     """Truncation level for a psi_alpha-bounded summand.
 
     main: c * (24 alpha^-3 log n)^(1/alpha); iid: c * (3 alpha^-2 log n)^(1/alpha),
-    with log n = ln(max(n, e)).
+    with log n = ln(max(n, e)). Where the power leaves float range the
+    cutoff is inf (0 at c = 0).
     """
     alpha = _check_alpha(alpha)
     _check_nonneg(c=c)
     _check_pos(n=n)
     logn = _log_n(n)
-    if variant == "main":
-        return c * (24.0 * logn / alpha ** 3) ** (1.0 / alpha)
-    if variant == "iid":
-        return c * (3.0 * logn / alpha ** 2) ** (1.0 / alpha)
+    try:
+        if variant == "main":
+            return c * (24.0 * logn / alpha ** 3) ** (1.0 / alpha)
+        if variant == "iid":
+            return c * (3.0 * logn / alpha ** 2) ** (1.0 / alpha)
+    except OverflowError:
+        return math.inf if c else 0.0
     raise ValueError(f"unknown variant {variant!r}, expected main or iid")
 
 
@@ -321,7 +325,8 @@ def regen_count_tail(n: float, p: float, d: float, mean_gap: float) -> BoundValu
     if not float(mean_gap) > 0.0:
         raise ValueError("mean_gap must be positive")
     flags = ("d below the mean gap",) if d < mean_gap else ()
-    return _bound([(_E1, (p * n * mean_gap) / (kp_constant(p) * d * d))], flags)
+    return _bound([(_E1, _pow_over(p * n * mean_gap, 1.0, kp_constant(p) * d * d))],
+                  flags)
 
 
 def regen_count_psi1(p: float, d: float, mean_gap: float) -> float:
@@ -432,11 +437,14 @@ def thm_bi(params: BernsteinParams, n: float, t: float) -> BoundValue:
     _check_horizon(n, params.m)
     _check_nonneg(t=t)
     m_trunc = m_cutoff(params.c, params.alpha, n, "main")
+    try:
+        d2 = params.d ** 2
+    except OverflowError:  # an infinite denominator: the count term is e
+        d2 = math.inf
     terms = _block_terms(params, t, 23.0, 6.0) + [
         (6.0, _quad(t, 30.0 * n * params.sigma2_mrv, 8.0 * t * m_trunc,
                     8.0 * m_trunc)),
-        (_E1, _pow_over(n * params.m, 1.0,
-                        67.0 * params.delta * params.pi_C * params.d ** 2))]
+        (_E1, _pow_over(n * params.m, 1.0, 67.0 * params.delta * params.pi_C * d2))]
     flags = params.consistency_warnings()
     if t < 8.0 * math.log(6.0) * m_trunc:
         flags += ("t below the proof threshold 8 ln(6) M",)

@@ -1,10 +1,17 @@
 """Command-line entry point: simulate | bounds | variance | verify | oracle.
 
-Runs are config-driven and reproducible: JSON config plus flag
-overrides (flags win), a master seed from --seed, the config, or
-REGEN_BERNSTEIN_SEED (in that order, default 0), and deterministic
-atomic outputs with no timestamps. Exit codes: 0 success, 1 validation
-error, 2 guard violation.
+Runs are config-driven and reproducible: a JSON config plus flag
+overrides (flags win), a master seed from --seed, then
+REGEN_BERNSTEIN_SEED, then 0, and deterministic atomic outputs with no
+timestamps. A config entry named as an option of the subcommand (- as _)
+is read by that option's flag from its text: a string as it is, a number
+or boolean as its JSON text, a t_grid or formulas list as its
+comma-separated form; so are the chain object's name, path, a, b, delta
+and precision, and bounds reads the values of its "args" object as it
+reads key=value pairs. Other entries are ignored and null ones absent;
+switches take true or false, and {"f": {"values": [...]}} is the one
+config-only form. Exit codes: 0 success, 1 validation error, 2 guard
+violation.
 """
 
 from __future__ import annotations
@@ -51,128 +58,124 @@ def _parse_value(text: str):
     return text.strip()
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    return data
+def _listed(item, kinds):
+    """A flag type: comma-separated items read by item (or a config list of kinds)."""
+    def read(text):
+        return tuple(item(x.strip()) for x in text.split(",") if x.strip())
+    read.__name__, read.kinds = f"{item.__name__} list", kinds
+    return read
 
 
-def _opt(args, cfg, key, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return cfg.get(key, default)
+_METHODS = ("exact", "cov-series", "regenerative", "batch")
 
 
-def _switch(args, cfg, key) -> bool:
-    """A store_true flag, or its config entry: JSON true/false or the
-    strings "true"/"false", read as _parse_value reads them."""
-    value = cfg.get(key, False)
-    if isinstance(value, str):
-        value = _parse_value(value)
-    if not isinstance(value, bool):
-        raise ValueError(f"config entry {key} must be true or false, "
-                         f"got {cfg[key]!r}")
-    return getattr(args, key, False) or value
+def _method(text: str) -> str:
+    if text not in _METHODS:
+        raise argparse.ArgumentTypeError(
+            f"unknown variance method {text!r}; choose from {', '.join(_METHODS)}")
+    return text
 
 
-def _given(args, cfg, casts) -> dict:
-    """The options named in casts that a flag or the config sets, each
-    read with its flag's type (a None cast keeps the value as given)."""
-    options = {}
-    for key, cast in casts.items():
-        value = _opt(args, cfg, key)
-        if value is not None:
-            options[key] = value if cast is None else cast(value)
-    return options
+def _text(value) -> str:
+    """A config value as flag text: a string as it is, else its JSON text."""
+    return value if isinstance(value, str) else json.dumps(value)
 
 
-def _listed(spec, what: str, kinds) -> list:
-    """A comma-separated string's items, or a config list of kinds."""
-    if isinstance(spec, str):
-        spec = [x.strip() for x in spec.split(",") if x.strip()]
-    if not isinstance(spec, list) or not all(isinstance(x, kinds) for x in spec):
-        raise ValueError(f"{what} must be a comma-separated string or a list")
-    return spec
+# the chain object's entries and the options that read them
+_CHAIN_ENTRIES = {"name": "chain", "path": "chain_file", "a": "a", "b": "b",
+                  "delta": "delta", "precision": "precision"}
 
 
-def _resolve_seed(args, cfg) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("REGEN_BERNSTEIN_SEED")
-    if env is not None and env.strip():
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"REGEN_BERNSTEIN_SEED must be an integer, got {env!r}")
-    return 0
+def _config_tokens(parser, cfg) -> list:
+    """The --flag=text tokens through which parser's options read cfg."""
+    options = {action.dest: action for action in parser._actions
+               if action.option_strings and action.dest != "help"}
+    entries = dict(cfg)
+    if "chain" in options:
+        chain = entries.pop("chain", {})
+        chain = {"name": chain} if isinstance(chain, str) else chain
+        if not (isinstance(chain, dict) and set(chain) <= set(_CHAIN_ENTRIES)):
+            raise ValueError("config chain must be a chain name or an object "
+                             "of " + ", ".join(_CHAIN_ENTRIES))
+        entries.update((_CHAIN_ENTRIES[key], value) for key, value in chain.items())
+    tokens = []
+    for key, value in entries.items():
+        action = options.get(key)
+        if action is None:
+            continue
+        flag, kinds = action.option_strings[0], getattr(action.type, "kinds", None)
+        if action.nargs == 0:  # a switch
+            on = _parse_value(_text(value))
+            if not isinstance(on, bool):
+                raise ValueError(f"config entry {key} must be true or false, "
+                                 f"got {value!r}")
+            tokens += [flag] * on
+        elif value is None or (key == "f" and isinstance(value, dict)
+                               and "values" in value):
+            continue  # absent, or the tabulated f that _functional_spec reads
+        elif kinds is None or isinstance(value, str):
+            tokens.append(f"{flag}={_text(value)}")
+        elif isinstance(value, list) and all(isinstance(x, kinds) for x in value):
+            tokens.append(f"{flag}={','.join(map(_text, value))}")
+        else:
+            raise ValueError(f"{key} must be a comma-separated string or a list")
+    return tokens
 
 
-def _build_chain(args, cfg):
-    chain_cfg = cfg.get("chain", {})
-    if isinstance(chain_cfg, str):
-        chain_cfg = {"name": chain_cfg}
-    if not isinstance(chain_cfg, dict):
-        raise ValueError("config chain must be a chain name or an object")
-    path = getattr(args, "chain_file", None) or chain_cfg.get("path")
-    if path:
-        return load_chain(path)
-    name = getattr(args, "chain", None) or chain_cfg.get("name")
-    if not name:
+def _resolve_seed(args) -> int:
+    env = os.environ.get("REGEN_BERNSTEIN_SEED", "")
+    if args.seed is not None or not env.strip():
+        return args.seed or 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"REGEN_BERNSTEIN_SEED must be an integer, got {env!r}")
+
+
+def _build_chain(args):
+    if args.chain_file:
+        return load_chain(args.chain_file)
+    if not args.chain:
         raise ValueError("no chain given: pass --chain NAME, --chain-file "
                          "PATH, or a chain entry in the config")
-    params = {k: v for k, v in chain_cfg.items() if k not in ("name", "path")}
-    for key in ("a", "b", "delta", "precision"):
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in ("a", "b", "delta", "precision")
+              if getattr(args, key) is not None}
     try:
-        return make_chain(name, **params)
+        return make_chain(args.chain, **params)
     except TypeError as exc:
-        raise ValueError(f"bad parameters for chain {name!r}: {exc}")
+        raise ValueError(f"bad parameters for chain {args.chain!r}: {exc}")
 
 
-def _functional_spec(args, cfg):
-    spec = _opt(args, cfg, "f", "indicator_centered")
-    if isinstance(spec, dict) and "values" in spec:
+def _functional_spec(args, cfg, default="indicator_centered"):
+    """--f, else the config's tabulated {"values": [...]}, else default."""
+    spec = cfg.get("f")
+    if args.f is None and isinstance(spec, dict):
         return np.asarray(spec["values"], dtype=np.float64)
-    return spec
+    return default if args.f is None else args.f
 
 
-def _build_grid(args, cfg, n: int) -> np.ndarray:
-    spec = _opt(args, cfg, "t_grid")
-    if spec is not None:
-        values = [float(x) for x in _listed(spec, "t_grid", (str, int, float))]
-        if not values:
+def _build_grid(args, n: int) -> np.ndarray:
+    if args.t_grid is not None:
+        if not args.t_grid:
             raise ValueError("empty t grid")
-        return np.asarray(values, dtype=np.float64)
-    t_max = float(_opt(args, cfg, "t_max", 3.0 * math.sqrt(max(n, 1))))
-    points = int(_opt(args, cfg, "t_points", 50))
-    if t_max <= 0.0 or points < 1:
+        return np.asarray(args.t_grid, dtype=np.float64)
+    t_max = 3.0 * math.sqrt(max(n, 1)) if args.t_max is None else args.t_max
+    if t_max <= 0.0 or args.t_points < 1:
         raise ValueError("t grid needs t_max > 0 and at least one point")
-    return np.linspace(0.0, t_max, points)
+    return np.linspace(0.0, t_max, args.t_points)
 
 
 def _tail_inputs(args, cfg):
     """(chain, f, n, seed, t grid) of a tail command, verify or oracle."""
-    chain = _build_chain(args, cfg)
+    chain = _build_chain(args)
     f_spec = _functional_spec(args, cfg)
-    n = _opt(args, cfg, "n")
-    if n is None:
+    if args.n is None:
         raise ValueError(f"{args.command} needs a horizon: pass --n")
-    n = int(n)
-    return chain, f_spec, n, _resolve_seed(args, cfg), _build_grid(args, cfg, n)
+    return chain, f_spec, args.n, _resolve_seed(args), _build_grid(args, args.n)
 
 
 def _base_metadata(command: str, seed: int) -> dict:
-    return {"command": command, "seed": int(seed),
+    return {"command": command, "seed": seed,
             "rng": stream_description(seed), "backend": backend_choice()}
 
 
@@ -183,26 +186,19 @@ def _base_metadata(command: str, seed: int) -> dict:
 
 
 def cmd_simulate(args, cfg):
-    chain = _build_chain(args, cfg)
-    n = _opt(args, cfg, "n")
-    if n is None:
+    chain = _build_chain(args)
+    if args.n is None:
         raise ValueError("simulate needs a horizon: pass --n")
-    seed = _resolve_seed(args, cfg)
-    init = _opt(args, cfg, "init", "pi")
-    extend = _switch(args, cfg, "extend")
-    f_spec = _opt(args, cfg, "f")
+    seed = _resolve_seed(args)
+    f_spec = _functional_spec(args, cfg, None)
     rng = substream(seed, TAG_SPLIT, 0)
-    traj = simulate_split(chain, init, int(n), rng,
-                          extend_to_regeneration=extend)
+    traj = simulate_split(chain, args.init, args.n, rng,
+                          extend_to_regeneration=args.extend)
     fspec = None if f_spec is None else resolve_functional(chain, f_spec)
     payload = _base_metadata("simulate", seed)
-    payload.update({
-        "chain": chain.label(),
-        "n": int(n),
-        "init": str(init),
-        "extend": extend,
-        "summary": trajectory_summary(traj, fspec),
-    })
+    payload.update({"chain": chain.label(), "n": args.n, "init": str(args.init),
+                    "extend": args.extend,
+                    "summary": trajectory_summary(traj, fspec)})
     return payload, None, {"trajectory.csv": partial(trajectory_to_csv, traj)}
 
 
@@ -210,14 +206,18 @@ def cmd_bounds(args, cfg):
     formula = args.formula or cfg.get("formula")
     if not formula:
         raise ValueError("bounds needs a formula name")
-    kv = dict(cfg.get("args", {}))
+    entries = cfg.get("args") or {}
+    if not isinstance(entries, dict):
+        raise ValueError("config args must be an object of key: value entries")
+    # config values are read as the key=value pairs are, and the pairs win
+    kv = {key: _parse_value(_text(value)) for key, value in entries.items()}
     for item in args.pairs:
         if "=" not in item:
             raise ValueError(f"expected key=value, got {item!r}")
         key, _, raw = item.partition("=")
         kv[key.strip()] = _parse_value(raw)
     shown_args = dict(sorted(kv.items()))
-    fn = EVALUATORS.get(formula)
+    fn = EVALUATORS.get(_text(formula))
     if fn is None:
         raise ValueError(f"unknown formula {formula!r}; choose from "
                          f"{sorted(EVALUATORS)}")
@@ -234,10 +234,10 @@ def cmd_bounds(args, cfg):
 
 
 def cmd_variance(args, cfg):
-    chain = _build_chain(args, cfg)
+    chain = _build_chain(args)
     f_spec = _functional_spec(args, cfg)
-    method = _opt(args, cfg, "method", "exact")
-    seed = _resolve_seed(args, cfg)
+    method = args.method
+    seed = _resolve_seed(args)
     payload = _base_metadata("variance", seed)
     payload.update({"chain": chain.label(), "method": method})
     fspec = resolve_functional(chain, f_spec)
@@ -247,30 +247,21 @@ def cmd_variance(args, cfg):
     elif method == "cov-series":
         payload["value"] = sigma_mrv_cov_series(chain, fspec)
     elif method == "regenerative":
-        n_regen = int(_opt(args, cfg, "n_regen", 20000))
-        chi, gaps = collect_excursions(chain, fspec, n_regen, seed)
+        chi, gaps = collect_excursions(chain, fspec, args.n_regen, seed)
         payload["estimate"] = plain(sigma_mrv_regenerative(chi, gaps))
         payload["excursion_variance"] = plain(
             sigma_inf_from_excursions(chi))
-        payload["n_regen"] = n_regen
-    elif method == "batch":
-        n = _opt(args, cfg, "n")
-        if n is None:
-            raise ValueError("batch variance needs a series length: pass --n")
-        n = int(n)
-        x0 = _opt(args, cfg, "x0")
-        if x0 is None:
-            x0 = chain.first_small_set_state()
-        batch_length = _opt(args, cfg, "batch_length")
-        if batch_length is None:
-            batch_length = max(1, int(round(math.sqrt(n) / 2.0)))
-        states = sample_path(chain, x0, n, substream(seed, TAG_PATH, 0))
-        payload["estimate"] = plain(
-            sigma_mrv_batch(fspec.apply(states), int(batch_length)))
-        payload.update({"n": n, "batch_length": int(batch_length)})
+        payload["n_regen"] = args.n_regen
     else:
-        raise ValueError(f"unknown variance method {method!r}; choose from "
-                         "exact, cov-series, regenerative, batch")
+        if args.n is None:
+            raise ValueError("batch variance needs a series length: pass --n")
+        x0 = chain.first_small_set_state() if args.x0 is None else args.x0
+        batch_length = (max(1, int(round(math.sqrt(args.n) / 2.0)))
+                        if args.batch_length is None else args.batch_length)
+        states = sample_path(chain, x0, args.n, substream(seed, TAG_PATH, 0))
+        payload["estimate"] = plain(
+            sigma_mrv_batch(fspec.apply(states), batch_length))
+        payload.update({"n": args.n, "batch_length": batch_length})
     if "value" in payload:
         csv_text = f"method,value\n{method},{payload['value']!r}\n"
     else:
@@ -282,21 +273,21 @@ def cmd_variance(args, cfg):
 
 # verify options passed on only when given, so run_verification and
 # fit_bernstein_params keep the one copy of each default
-_VERIFY_CASTS = {
-    "init": None, "x0": None, "replicas": int, "threads": int, "z": float,
-    "p": float, "alpha": float,
-    "formulas": lambda spec: tuple(_listed(spec, "formulas", str))}
-_FIT_CASTS = {"safety": float, "n_excursions": int, "n_first_blocks": int}
+_RUN_OPTIONS = ("init", "x0", "replicas", "threads", "z", "p", "alpha", "formulas")
+_FIT_OPTIONS = ("safety", "n_excursions", "n_first_blocks")
+
+
+def _given(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def cmd_verify(args, cfg):
     chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
-    exact = _switch(args, cfg, "exact")
-    structure = _switch(args, cfg, "structure")
     report = run_verification(
-        chain, f_spec, n=n, t_grid=grid, seed=seed, exact=exact,
-        fit_options=_given(args, cfg, _FIT_CASTS), structure=structure,
-        **_given(args, cfg, _VERIFY_CASTS))
+        chain, f_spec, n=n, t_grid=grid, seed=seed, exact=args.exact,
+        fit_options=_given(args, _FIT_OPTIONS), structure=args.structure,
+        **_given(args, _RUN_OPTIONS))
     payload = _base_metadata("verify", seed)
     payload.update(report_to_dict(report))
     return payload, curves_csv_text(report), {
@@ -305,20 +296,12 @@ def cmd_verify(args, cfg):
 
 def cmd_oracle(args, cfg):
     chain, f_spec, n, seed, grid = _tail_inputs(args, cfg)
-    x0 = _opt(args, cfg, "x0")
-    if x0 is None:
-        x0 = chain.first_small_set_state()
-    x0 = resolve_point(chain, x0)
+    x0 = resolve_point(chain, chain.first_small_set_state()
+                       if args.x0 is None else args.x0)
     tail = exact_tail(chain, f_spec, x0, n, grid)
-    payload = {
-        "command": "oracle",
-        "chain": chain.label(),
-        "functional": resolve_functional(chain, f_spec).name,
-        "x0": x0,
-        "n": n,
-        "seed": int(seed),
-        "tail": tail_curve_to_dict(tail),
-    }
+    payload = {"command": "oracle", "chain": chain.label(),
+               "functional": resolve_functional(chain, f_spec).name,
+               "x0": x0, "n": n, "seed": seed, "tail": tail_curve_to_dict(tail)}
     csv_text = "t,estimate\n" + "".join(
         f"{float(tj)!r},{float(pj)!r}\n"
         for tj, pj in zip(tail.t, tail.estimate))
@@ -330,7 +313,8 @@ def cmd_oracle(args, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The parser and the parsers of its subcommands by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override it")
     common.add_argument("--seed", type=int,
@@ -342,27 +326,27 @@ def _build_parser() -> argparse.ArgumentParser:
     chain_opts = argparse.ArgumentParser(add_help=False)
     chain_opts.add_argument("--chain", help="built-in chain name")
     chain_opts.add_argument("--chain-file", help="chain JSON file")
-    chain_opts.add_argument("--a", type=float)
-    chain_opts.add_argument("--b", type=float)
-    chain_opts.add_argument("--delta", type=float)
-    chain_opts.add_argument("--precision", type=int)
+    for flag, cast in (("--a", float), ("--b", float), ("--delta", float),
+                       ("--precision", int)):
+        chain_opts.add_argument(flag, type=cast)
     chain_opts.add_argument("--f", help="functional name")
 
     grid_opts = argparse.ArgumentParser(add_help=False)
-    grid_opts.add_argument("--t-grid", help="comma-separated t values")
+    grid_opts.add_argument("--t-grid", type=_listed(float, (str, int, float)),
+                           help="comma-separated t values")
     grid_opts.add_argument("--t-max", type=float)
-    grid_opts.add_argument("--t-points", type=int)
+    grid_opts.add_argument("--t-points", type=int, default=50)
 
     parser = argparse.ArgumentParser(
         prog="regen-bernstein",
         description="Regenerative simulation and concentration-bound "
                     "verification for Markov chains")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", parents=[common, chain_opts],
                            help="simulate the split chain")
     p_sim.add_argument("--n", type=int)
-    p_sim.add_argument("--init", type=_parse_value)
+    p_sim.add_argument("--init", type=_parse_value, default="pi")
     p_sim.add_argument("--extend", action="store_true",
                        help="extend to the first regeneration covering n")
 
@@ -373,25 +357,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_var = sub.add_parser("variance", parents=[common, chain_opts],
                            help="asymptotic variance estimates")
-    p_var.add_argument("--method",
-                       choices=("exact", "cov-series", "regenerative", "batch"))
+    p_var.add_argument("--method", type=_method, default="exact")
     p_var.add_argument("--n", type=int)
-    p_var.add_argument("--n-regen", type=int)
+    p_var.add_argument("--n-regen", type=int, default=20000)
     p_var.add_argument("--batch-length", type=int)
     p_var.add_argument("--x0", type=_parse_value)
 
     p_verify = sub.add_parser("verify", parents=[common, chain_opts, grid_opts],
                               help="tail estimation and bound domination")
     p_verify.add_argument("--n", type=int)
-    # a numeric option's flag type is its config cast
-    for key, cast in {**_VERIFY_CASTS, **_FIT_CASTS}.items():
-        if cast in (int, float):
-            p_verify.add_argument("--" + key.replace("_", "-"), type=cast)
+    for flag, cast in (("--replicas", int), ("--threads", int), ("--z", float),
+                       ("--p", float), ("--alpha", float), ("--safety", float),
+                       ("--n-excursions", int), ("--n-first-blocks", int)):
+        p_verify.add_argument(flag, type=cast)
     p_verify.add_argument("--init", type=_parse_value)
     p_verify.add_argument("--exact", action="store_true",
                           help="exact enumeration instead of Monte Carlo")
     p_verify.add_argument("--x0", type=_parse_value)
-    p_verify.add_argument("--formulas", help="comma-separated bound names")
+    p_verify.add_argument("--formulas", type=_listed(str, (str,)),
+                          help="comma-separated bound names")
     p_verify.add_argument("--structure", action="store_true",
                           help="attach block-structure test results")
 
@@ -400,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--n", type=int)
     p_oracle.add_argument("--x0", type=_parse_value)
 
-    return parser
+    return parser, sub.choices
 
 
 # command -> (subcommand, name of the JSON file --out writes)
@@ -413,33 +397,45 @@ _COMMANDS = {
 }
 
 
+def _parse(argv):
+    """(options, config) of a command line: the config's entries as their
+    flags read them, then the command line's own flags, which win."""
+    parser, subcommands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    cfg = {}
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as handle:
+            cfg = json.load(handle)
+        if not isinstance(cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+    tokens = _config_tokens(subcommands[args.command], cfg)
+    if tokens:
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + tokens + argv[at:])
+    return args, cfg
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, cfg = _parse(argv)
+        command, json_name = _COMMANDS[args.command]
+        payload, csv_text, files = command(args, cfg)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            write_json(payload, os.path.join(args.out, json_name))
+            for name, write in files.items():
+                write(os.path.join(args.out, name))
     except SystemExit as exc:
         # argparse exits 2 on usage problems; that is a validation error here
         return 0 if (exc.code or 0) == 0 else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    command, json_name = _COMMANDS[args.command]
-    try:
-        cfg = _load_config(args.config)
-        payload, csv_text, files = command(args, cfg)
-        out = _opt(args, cfg, "out")
-        if out:
-            os.makedirs(out, exist_ok=True)
-            write_json(payload, os.path.join(out, json_name))
-            for name, write in files.items():
-                write(os.path.join(out, name))
     except GuardError as exc:
         print(f"guard violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if csv_text is not None and _opt(args, cfg, "format") == "csv":
+    if csv_text is not None and args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         sys.stdout.write(json_text(payload))

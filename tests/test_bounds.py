@@ -317,6 +317,36 @@ def test_thm_bi_count_term_at_d_zero(unit_params):
     assert thm_bi(_zero_scale_params(c=1.0, sigma2_mrv=0.25), E, 1e6).raw == 0.0
 
 
+def test_m_cutoff_past_float_range():
+    # (24 ln 100 / 0.02^3)^50 overflows: the cutoff is inf, 0 at c = 0
+    assert m_cutoff(1, 0.02, 100) == math.inf
+    assert m_cutoff(1, 0.01, 100, "iid") == math.inf
+    assert m_cutoff(0, 0.02, 100) == 0.0
+
+
+def test_thm_bi_at_infinite_cutoff():
+    # M = inf: the quadratic term takes its overflow limit 6, and t lies
+    # below the proof threshold
+    params = BernsteinParams(a=1.0, b=1.0, c=1.0, d=1.0, alpha=0.02,
+                             sigma2_mrv=0.5, delta=0.5, pi_C=0.5, m=1)
+    got = thm_bi(params, 100, 50.0)
+    assert "t below the proof threshold 8 ln(6) M" in got.flags
+    assert got.raw > 6.0
+
+
+def test_thm_bi_count_term_at_huge_d():
+    # d^2 overflows: an infinite count-term denominator leaves e, and
+    # every other term underflows at t = 1e300
+    params = BernsteinParams(a=1, b=1, c=1, d=1e300, alpha=1, sigma2_mrv=0.5,
+                             delta=0.5, pi_C=0.5, m=1)
+    assert thm_bi(params, 100, 1e300).raw == math.e
+
+
+def test_regen_count_tail_at_tiny_d():
+    # d * d underflows to 0: the exponent argument is inf, the term 0
+    assert regen_count_tail(100, 0.5, 1e-200, 1e-300).raw == 0.0
+
+
 def test_thm_sbi_any_horizon():
     v = thm_sbi(7, 0.0, 0.25, 1.0, 2.0, 1.0, 0.5)
     assert v.value == 1.0

@@ -6,11 +6,13 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import regen_bernstein
-from regen_bernstein import make_two_state, save_chain
-from regen_bernstein.cli import main
+from regen_bernstein import (exact_tail, make_two_state, save_chain,
+                             sigma_mrv_exact, tail_curve_to_dict)
+from regen_bernstein.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +274,238 @@ def test_simulate_extend_config_entry(capsys, tmp_path, value, flags):
     assert code == 0, err
     assert out == run_cli(capsys, *base, *flags)[1]
     assert json.loads(out)["extend"] is bool(flags)
+
+
+# ---------------------------------------------------------------------------
+# config entries, each read by the flag of the same name
+# ---------------------------------------------------------------------------
+
+
+def run_with_config(capsys, tmp_path, argv, entry):
+    cfg = tmp_path / "entry.json"
+    cfg.write_text(json.dumps(entry))
+    return run_cli(capsys, *argv, "--config", str(cfg))
+
+
+# the option strings of each subcommand
+OPTION_STRINGS = {
+    "simulate": ["--a", "--b", "--chain", "--chain-file", "--config", "--delta",
+                 "--extend", "--f", "--format", "--help", "--init", "--n",
+                 "--out", "--precision", "--seed", "-h"],
+    "bounds": ["--config", "--format", "--help", "--out", "--seed", "-h"],
+    "variance": ["--a", "--b", "--batch-length", "--chain", "--chain-file",
+                 "--config", "--delta", "--f", "--format", "--help",
+                 "--method", "--n", "--n-regen", "--out", "--precision",
+                 "--seed", "--x0", "-h"],
+    "verify": ["--a", "--alpha", "--b", "--chain", "--chain-file", "--config",
+               "--delta", "--exact", "--f", "--format", "--formulas", "--help",
+               "--init", "--n", "--n-excursions", "--n-first-blocks", "--out",
+               "--p", "--precision", "--replicas", "--safety", "--seed",
+               "--structure", "--t-grid", "--t-max", "--t-points", "--threads",
+               "--x0", "--z", "-h"],
+    "oracle": ["--a", "--b", "--chain", "--chain-file", "--config", "--delta",
+               "--f", "--format", "--help", "--n", "--out", "--precision",
+               "--seed", "--t-grid", "--t-max", "--t-points", "--x0", "-h"],
+}
+
+
+def test_subcommand_option_strings():
+    _, subcommands = _build_parser()
+    assert {name: sorted(s for action in parser._actions
+                         for s in action.option_strings)
+            for name, parser in subcommands.items()} == OPTION_STRINGS
+
+
+# a cheap run of each subcommand; a case drops its own flag from it
+BASE = {
+    "simulate": ("--chain", "two-state", "--n", "37", "--seed", "3"),
+    "bounds": ("classical_bernstein", "n=100", "sigma2=0.25", "M=1", "t=10"),
+    "variance": ("--chain", "two-state", "--seed", "2"),
+    "verify": ("--chain", "two-state", "--n", "8", "--replicas", "1000",
+               "--seed", "3", "--n-excursions", "300",
+               "--n-first-blocks", "150"),
+    "oracle": ("--chain", "two-state", "--n", "6"),
+}
+BATCH = ("--method", "batch", "--n", "400")
+# (flag, its text, the config entry's JSON value, flags both forms add);
+# a switch has no text and the value true
+COMMON = [("--seed", "5", 5, ()), ("--out", "OUT", "OUT", ()),
+          ("--format", "csv", "csv", ())]
+CHAIN = [("--chain", "two-state", "two-state", ()),
+         ("--chain-file", "CHAIN_FILE", "CHAIN_FILE", ()),
+         ("--a", "0.3", 0.3, ()), ("--b", "0.6", 0.6, ()),
+         ("--delta", "0.5", 0.5, ()),
+         ("--f", "identity_centered", "identity_centered", ())]
+MOD1 = ("--chain", "singular-mod1", "--f", "cos2pi")
+PRECISION = ("--precision", "40", 40, MOD1)
+GRID = [("--t-grid", "0.5,1.5,2.5", [0.5, 1.5, 2.5], ()),
+        ("--t-max", "3.5", 3.5, ()), ("--t-points", "7", 7, ())]
+OPTIONS = {
+    "simulate": COMMON + CHAIN + [
+        PRECISION, ("--n", "37", 37, ()), ("--init", "1", 1, ()),
+        ("--extend", None, True, ())],
+    "bounds": COMMON,
+    "variance": COMMON + CHAIN + [
+        ("--precision", "40", 40, MOD1 + BATCH), ("--method", "batch", "batch", ("--n", "400")),
+        ("--n", "400", 400, ("--method", "batch")),
+        ("--n-regen", "500", 500, ("--method", "regenerative")),
+        ("--batch-length", "8", 8, BATCH), ("--x0", "1", 1, BATCH)],
+    "verify": COMMON + CHAIN + GRID + [
+        PRECISION, ("--n", "8", 8, ()), ("--replicas", "1000", 1000, ()),
+        ("--threads", "2", 2, ()), ("--z", "2.5", 2.5, ()),
+        ("--p", "0.5", 0.5, ()), ("--alpha", "0.5", 0.5, ()),
+        ("--safety", "1.5", 1.5, ()), ("--n-excursions", "300", 300, ()),
+        ("--n-first-blocks", "150", 150, ()), ("--init", "1", 1, ()),
+        ("--exact", None, True, ()), ("--x0", "1", 1, ("--exact",)),
+        ("--formulas", "thm_bi,thm_sbi", ["thm_bi", "thm_sbi"], ()),
+        ("--structure", None, True, ())],
+    "oracle": COMMON + CHAIN + GRID + [
+        PRECISION, ("--n", "6", 6, ()), ("--x0", "1", 1, ())],
+}
+# exact tails take finite chains only: both forms fail alike
+FAILING = {("oracle", "--precision")}
+PARITY = [(command, *case) for command, cases in OPTIONS.items()
+          for case in cases]
+# the chain object's entries and the flags that read them
+CHAIN_ENTRIES = {"--chain": "name", "--chain-file": "path", "--a": "a",
+                 "--b": "b", "--delta": "delta", "--precision": "precision"}
+
+
+def test_parity_cases_cover_every_option():
+    for command, strings in OPTION_STRINGS.items():
+        covered = {case[0] for case in OPTIONS[command]}
+        assert covered == set(strings) - {"-h", "--help", "--config"}, command
+
+
+@pytest.mark.parametrize("command, flag, text, value, extra", PARITY,
+                         ids=[f"{c}{f}" for c, f, *_ in PARITY])
+def test_config_entry_reads_as_its_flag(capsys, tmp_path, command, flag,
+                                        text, value, extra):
+    chain_file = str(tmp_path / "chain.json")
+    save_chain(make_two_state(0.3, 0.6), chain_file)
+    stand_in = {"OUT": str(tmp_path / "out"), "CHAIN_FILE": chain_file}
+    if text in stand_in:
+        text = value = stand_in[text]
+    base, i = list(BASE[command]), 0
+    while i < len(base):  # drop the flag under test and its value
+        if base[i] == flag:
+            del base[i:i + 2]
+        else:
+            i += 1
+    argv = (command, *base, *extra)
+    want = run_cli(capsys, *argv, flag, *(() if text is None else (text,)))
+    assert (want[0] == 0) is ((command, flag) not in FAILING), want[2]
+    dest = flag[2:].replace("-", "_")
+    for entry_value in (value, "true" if text is None else text):
+        if flag == "--chain":
+            entry = {"chain": entry_value}
+        elif flag in CHAIN_ENTRIES:
+            entry = {"chain": {CHAIN_ENTRIES[flag]: entry_value}}
+        else:
+            entry = {dest: entry_value}
+        assert run_with_config(capsys, tmp_path, argv, entry) == want, entry
+
+
+def test_bounds_formula_and_args_from_config(capsys, tmp_path):
+    pairs = {"n": 100, "sigma2": 0.25, "M": 1, "t": 10}
+    want = run_cli(capsys, "bounds", "classical_bernstein",
+                   *(f"{k}={v}" for k, v in pairs.items()))[1]
+    for args in (pairs, {k: str(v) for k, v in pairs.items()}):
+        code, out, err = run_with_config(
+            capsys, tmp_path, ("bounds",),
+            {"formula": "classical_bernstein", "args": args})
+        assert code == 0, err
+        assert out == want, args
+
+
+@pytest.mark.parametrize("argv, entry, flags", [
+    # a number as a string is read as the flag reads it: state 1
+    (("oracle", "--chain", "two-state", "--n", "4"), {"x0": "1"},
+     ("--x0", "1")),
+    (("verify", "--chain", "two-state", "--n", "4", "--exact",
+      "--n-excursions", "300", "--n-first-blocks", "150"), {"x0": "1"},
+     ("--x0", "1")),
+    (("variance", "--chain", "two-state", "--method", "batch", "--n", "400"),
+     {"x0": "1"}, ("--x0", "1")),
+    (("simulate", "--chain", "two-state", "--n", "4"), {"init": "1"},
+     ("--init", "1")),
+    (("verify", "--chain", "two-state", "--n", "4", "--replicas", "1000",
+      "--n-excursions", "300", "--n-first-blocks", "150"), {"init": "1"},
+     ("--init", "1")),
+    # the bounds args are read as key=value pairs
+    (("bounds", "classical_bernstein"),
+     {"args": {"n": "100", "sigma2": 1, "M": 1, "t": 10}},
+     ("n=100", "sigma2=1", "M=1", "t=10")),
+    # a number where the flag takes a path
+    (("simulate", "--chain", "two-state", "--n", "4"), {"out": 5},
+     ("--out", "5")),
+])
+def test_config_entry_runs_as_flag_does(capsys, tmp_path, monkeypatch, argv,
+                                        entry, flags):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_with_config(capsys, tmp_path, argv, entry)
+    assert code == 0, err
+    code, want, err = run_cli(capsys, *argv, *flags)
+    assert code == 0, err
+    assert out == want
+
+
+SIMULATE = ("simulate", "--chain", "two-state")
+
+
+@pytest.mark.parametrize("argv, entry, message", [
+    # usage errors, as the same text given to the flag
+    (SIMULATE, {"n": 37.9}, "argument --n: invalid int value: '37.9'"),
+    (SIMULATE, {"n": 1000.0}, "argument --n: invalid int value: '1000.0'"),
+    (SIMULATE, {"n": [3]}, "argument --n: invalid int value: '[3]'"),
+    (SIMULATE + ("--n", "4"), {"seed": 3.7},
+     "argument --seed: invalid int value: '3.7'"),
+    (SIMULATE + ("--n", "4"), {"format": "xml"},
+     "argument --format: invalid choice: 'xml'"),
+    (("bounds", "classical_bernstein"), {"args": 5},
+     "config args must be an object"),
+    (("bounds", "classical_bernstein"), {"args": [1, 2]},
+     "config args must be an object"),
+    (SIMULATE + ("--n", "4"), {"chain": {"name": "two-state", "c": 1}},
+     "config chain must be a chain name or an object of name, path"),
+])
+def test_malformed_config_entry_exits_1(capsys, tmp_path, argv, entry,
+                                        message):
+    code, out, err = run_with_config(capsys, tmp_path, argv, entry)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_tabulated_functional_from_config(capsys, tmp_path):
+    values = np.array([0.5, -0.5])
+    entry = {"chain": "two-state", "f": {"values": values.tolist()}}
+    code, out, err = run_with_config(capsys, tmp_path, ("variance",), entry)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["functional"] == "tabulated"
+    want = sigma_mrv_exact(make_two_state(), values)
+    assert payload["value"] == want == pytest.approx(0.25, rel=1e-12)
+    grid = [0.0, 0.5, 1.5, 2.5, 4.0]
+    code, out, err = run_with_config(
+        capsys, tmp_path, ("oracle", "--n", "12", "--t-grid", "0,0.5,1.5,2.5,4"),
+        entry)
+    assert code == 0, err
+    tail = exact_tail(make_two_state(), values, 0, 12, grid)
+    assert json.loads(out)["tail"] == tail_curve_to_dict(tail)
+    code, out, err = run_with_config(
+        capsys, tmp_path, ("variance",),
+        {"chain": "two-state", "f": {"values": [0.5]}})
+    assert code == 1 and out == ""
+    assert "one value per state" in err
+
+
+def test_verify_at_an_infinite_cutoff(capsys):
+    # alpha = 0.02 takes the main cutoff past float range
+    payload = run_json(capsys, "verify", "--chain", "two-state", "--n", "100",
+                       "--replicas", "1000", "--alpha", "0.02",
+                       "--n-excursions", "200", "--n-first-blocks", "200")
+    assert ("t below the proof threshold 8 ln(6) M"
+            in payload["bounds"]["thm_bi"]["flags"])
 
 
 def test_config_must_be_object(capsys, tmp_path):
