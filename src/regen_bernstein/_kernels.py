@@ -17,6 +17,8 @@ on float states, off the one mod-1 path kernel.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from ._backend import backend_choice
@@ -35,19 +37,33 @@ from ._backend import backend_choice
 # ---------------------------------------------------------------------------
 
 
+def _walk(cum, x, uniforms, out):
+    """Append to out (an array("q")) the states that uniforms move x
+    through, one per uniform; return the last. cum is cumulative rows
+    as lists and uniforms yields floats: Python scalars compare several
+    times faster than numpy ones."""
+    last = len(cum[0]) - 1
+    for u in uniforms:
+        row = cum[x]
+        j = 0
+        while j < last and u >= row[j]:
+            j += 1
+        x = j
+        out.append(x)
+    return x
+
+
+def _floats(uniforms):
+    """uniforms as a memoryview, which yields Python floats one at a
+    time (a list of them would take 32 bytes per uniform)."""
+    return memoryview(np.ascontiguousarray(uniforms, dtype=np.float64))
+
+
 def finite_chain_path(cum_rows, x0, uniforms):
     """One finite-chain path; returns len(uniforms) + 1 state indices."""
-    uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
-    out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
-    ns = cum_rows.shape[1]
-    x = out[0] = int(x0)
-    for i in range(uniforms.shape[0]):
-        u = uniforms[i]
-        j = 0
-        while j < ns - 1 and u >= cum_rows[x, j]:
-            j += 1
-        x = out[i + 1] = j
-    return out
+    out = array("q", [int(x0)])
+    _walk(cum_rows.tolist(), out[0], _floats(uniforms), out)
+    return np.frombuffer(out, dtype=np.int64)
 
 
 def _finite_step(cols, states, u, nxt):
@@ -82,7 +98,8 @@ def finite_chain_sums(cum_rows, f_vals, states, uniforms, sums):
         states[:] = cur
 
 
-def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
+def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u,
+                      first=None):
     """One split-chain path over complete m-blocks.
 
     state_u has length blocks * m and level_u length blocks. Returns
@@ -90,14 +107,28 @@ def finite_split_path(cum_rows, in_c, r_mat, m, x0, state_u, level_u):
     the extra final state is the endpoint that the last level draw
     conditions on. The path is finite_chain_path's, and the levels are
     read off it: level k is 1 when the block start lies in the small
-    set and level_u[k] < r(start, endpoint).
+    set and level_u[k] < r(start, endpoint). With first given, the walk
+    stops after the first level-1 block at or after block first: states
+    and levels then run through that block, states through its
+    endpoint.
     """
     level_u = np.asarray(level_u, dtype=np.float64)
-    if np.shape(state_u)[0] != level_u.shape[0] * m:
+    blocks = level_u.shape[0]
+    if np.shape(state_u)[0] != blocks * m:
         raise ValueError("state_u must hold m uniforms per block")
-    states = finite_chain_path(cum_rows, x0, state_u)
+    cum, moves = cum_rows.tolist(), _floats(state_u)
+    walked = blocks if first is None else min(first + 1, blocks)
+    out = array("q", [int(x0)])
+    x = _walk(cum, out[0], moves[:walked * m], out)
+    # past block first, one block at a time until one regenerates
+    while walked < blocks and not (
+            in_c[out[-1 - m]] and level_u[walked - 1] < r_mat[out[-1 - m], x]):
+        x = _walk(cum, x, moves[walked * m:(walked + 1) * m], out)
+        walked += 1
+    states = np.frombuffer(out, dtype=np.int64)
     starts, ends = states[:-1:m], states[m::m]
-    levels = (in_c[starts] & (level_u < r_mat[starts, ends])).astype(np.uint8)
+    levels = (in_c[starts] & (level_u[:walked] < r_mat[starts, ends])
+              ).astype(np.uint8)
     return states, levels
 
 
@@ -163,7 +194,8 @@ def mod1_chain_path(odd_mask, even_mask, wrap_mask, x0_bits, eps, words):
     out[..., 0] = x0_bits
     # step masks built in place: even, flipped to odd where eps == 1
     steps = out[..., 1:]
-    np.multiply(eps == 1, np.uint64(odd_mask ^ even_mask), out=steps)
+    np.equal(eps, 1, out=steps)
+    steps *= np.uint64(odd_mask ^ even_mask)
     steps ^= np.uint64(even_mask)
     steps &= words
     np.cumsum(out, axis=-1, out=out)

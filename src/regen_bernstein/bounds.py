@@ -126,21 +126,25 @@ def m_cutoff(c: float, alpha: float, n: float, variant: str = "main") -> float:
     """Truncation level for a psi_alpha-bounded summand.
 
     main: c * (24 alpha^-3 log n)^(1/alpha); iid: c * (3 alpha^-2 log n)^(1/alpha),
-    with log n = ln(max(n, e)). Where the power leaves float range the
-    cutoff is inf (0 at c = 0).
+    with log n = ln(max(n, e)). Where the power leaves float range,
+    alpha^-3 or alpha^-2 included, the cutoff is inf (0 at c = 0).
     """
     alpha = _check_alpha(alpha)
     _check_nonneg(c=c)
     _check_pos(n=n)
+    if variant not in ("main", "iid"):
+        raise ValueError(f"unknown variant {variant!r}, expected main or iid")
     logn = _log_n(n)
     try:
         if variant == "main":
-            return c * (24.0 * logn / alpha ** 3) ** (1.0 / alpha)
-        if variant == "iid":
-            return c * (3.0 * logn / alpha ** 2) ** (1.0 / alpha)
-    except OverflowError:
+            power = (24.0 * logn / alpha ** 3) ** (1.0 / alpha)
+        else:
+            power = (3.0 * logn / alpha ** 2) ** (1.0 / alpha)
+    except (OverflowError, ZeroDivisionError):
+        power = math.inf
+    if power == math.inf:
         return math.inf if c else 0.0
-    raise ValueError(f"unknown variant {variant!r}, expected main or iid")
+    return c * power
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +291,10 @@ def one_dep_stopped(n: float, c: float, alpha: float, sigma_inf2: float,
     m_trunc = m_cutoff(c, alpha, n, "main")
     return _bound([
         (4.0 * _E8, _pow_over(t, alpha, (16.0 / alpha) * (26.0 * c) ** alpha)),
-        (9.0, _quad(t, 102.0 * a * sigma_inf2, 14.0 * m_trunc * t * b_factor,
-                    14.0 * m_trunc * b_factor))], flags)
+        # at b_factor = 0 the M terms are 0 whatever M, inf included
+        (9.0, _quad(t, 102.0 * a * sigma_inf2,
+                    14.0 * m_trunc * t * b_factor if b_factor else 0.0,
+                    14.0 * m_trunc * b_factor if b_factor else 0.0))], flags)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +469,8 @@ def thm_bi2(params: BernsteinParams, n: float, p: float, t: float) -> BoundValue
     _check_pos(p=p)
     m_trunc = m_cutoff(params.c, params.alpha, n, "main")
     root_kp = math.sqrt(kp_constant(p))
-    lin = 18.0 * m_trunc * params.d
+    # at d = 0 the M term is 0 whatever M, inf included
+    lin = 18.0 * m_trunc * params.d if params.d else 0.0
     terms = _block_terms(params, t, 54.0, 4.0) + [
         (6.0, _quad(t, 37.0 * (1.0 + p) * n * params.sigma2_mrv,
                     lin * t * root_kp, lin * root_kp))]

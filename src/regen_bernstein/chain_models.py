@@ -131,10 +131,20 @@ class SingularMod1Chain:
 
     def draw_moves(self, rng: np.random.Generator, size):
         """(coins, words) for size moves: all coins first, then all words."""
-        coins = rng.integers(0, 2, size=size, dtype=np.uint8)
-        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
-                             endpoint=True)
-        return coins, words
+        coins = self.draw_coins(rng, size)
+        return coins, self.draw_words(rng, size)
+
+    @staticmethod
+    def draw_coins(rng: np.random.Generator, size):
+        """size fair coins, each 0 or 1."""
+        return rng.integers(0, 2, size=size, dtype=np.uint8)
+
+    @staticmethod
+    def draw_words(rng: np.random.Generator, size):
+        """size words of 64 random bits. Each takes one generator output,
+        so words drawn in pieces equal those of one call."""
+        return rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
+                            endpoint=True)
 
     def path(self, x0_bits, eps, words) -> np.ndarray:
         """Fixed-point states from x0_bits under the moves, along the last axis."""
@@ -145,6 +155,12 @@ class SingularMod1Chain:
         """Fixed-point states as floats in [0, 1)."""
         return (np.asarray(bits, dtype=np.uint64)
                 >> np.uint64(self.shift)) * self.scale
+
+    def bits_to_float_owned(self, bits: np.ndarray) -> np.ndarray:
+        """bits_to_float of a uint64 array that the caller gives up: the
+        shift is made in place, so the floats are the one new array."""
+        bits >>= np.uint64(self.shift)
+        return bits * self.scale
 
     def float_to_bits(self, x) -> int:
         x = float(x)
@@ -245,7 +261,8 @@ class Functional:
     """A real functional of the chain state, resolved per chain.
 
     values tabulates f over state indices for finite chains; fn
-    evaluates f on an array of float states (the mod-1 chain). sup_bound
+    evaluates f on an array of float states (the mod-1 chain) into a
+    new array, which its callers may overwrite. sup_bound
     is an exact bound on |f| when known. apply is the one evaluator of f
     along a path.
     """
@@ -263,9 +280,15 @@ class Functional:
         raise ValueError(f"functional {self.name} has no direct evaluator")
 
 
+def _cos2pi(x):
+    """cos(2 pi x), taken in the array that holds 2 pi x."""
+    out = _TWO_PI * x
+    return np.cos(out, out=out if np.ndim(out) else None)
+
+
 # the mod-1 functionals: name -> (f on float states, sup |f|)
 _MOD1_FUNCTIONALS = {
-    "cos2pi": (lambda x: np.cos(_TWO_PI * x), 1.0),
+    "cos2pi": (_cos2pi, 1.0),
     "identity_centered": (lambda x: x - 0.5, 0.5),
     "indicator_centered": (lambda x: np.where(x < 0.5, 0.5, -0.5), 0.5),
 }
@@ -669,7 +692,8 @@ def sample_path(chain: ChainInstance, x0, n: int,
         return _kernels.finite_chain_path(chain.kernel.cumulative_rows(),
                                           start, uniforms)
     mod1 = chain.mod1
-    return mod1.bits_to_float(mod1.path(start, *mod1.draw_moves(rng, n - 1)))
+    return mod1.bits_to_float_owned(
+        mod1.path(start, *mod1.draw_moves(rng, n - 1)))
 
 
 # ---------------------------------------------------------------------------

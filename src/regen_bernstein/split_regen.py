@@ -69,7 +69,7 @@ class SplitTrajectory:
         levels = np.asarray(self.levels, dtype=np.uint8)
         if states.shape != levels.shape or states.ndim != 1:
             raise ValueError("states and levels must be 1-d arrays of equal length")
-        if np.any((levels != 0) & (levels != 1)):
+        if levels.max(initial=0) > 1:
             raise ValueError("levels must be 0/1")
         m = int(self.m)
         if m < 1:
@@ -78,16 +78,16 @@ class SplitTrajectory:
         full = (n // m) * m
         if full:
             blocks = levels[:full].reshape(-1, m)
-            if np.any(blocks != blocks[:, :1]):
+            if np.any(blocks[:, 1:] != blocks[:, :1]):
                 raise ValueError("levels must be constant within each m-block")
         if n > full and np.any(levels[full:] != levels[full]):
             raise ValueError("levels must be constant within the trailing block")
-        starts = np.arange(0, n, m)
-        sigma = starts[levels[starts] == 1]
+        sigma = np.flatnonzero(levels[::m]).astype(np.int64, copy=False)
+        sigma *= m
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "sigma", sigma.astype(np.int64))
+        object.__setattr__(self, "sigma", sigma)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -109,30 +109,68 @@ def _split_request(chain, x0, blocks, rng, first):
 
     Row i starts from x0[i]. The rows draw from rng together: all their
     blocks * m state uniforms (row by row), then all their level
-    uniforms; on the mod-1 chain, the moves of all their steps. paths
-    holds blocks * m + 1 states per row, the start first, and levels one
-    uint8 level per block. On a finite chain one row takes the scalar
-    path loop, and several rows step in lockstep up to the block in
-    which every row has a level-1 block at or after block first; a row
-    is set through its first such block.
+    uniforms; on the mod-1 chain, the moves of all their steps. A row
+    is set through its first level-1 block at or after block first, and
+    through its end state (blocks * m + 1 states) when it has none:
+    paths holds its start and then its states, levels one uint8 level
+    per block. Several rows share arrays of blocks * m + 1 and blocks
+    columns; a finite chain's rows step in lockstep up to the block in
+    which every row has its level-1 block. One row's path ends where
+    the row is set: on a finite chain the scalar path loop stops after
+    that block (its endpoint and levels included), and on the mod-1
+    chain _mod1_row builds no state past it.
     """
     rows = len(x0)
     steps = blocks * chain.m
     mod1 = chain.mod1
     if mod1 is not None:
+        if rows == 1:
+            return _mod1_row(mod1, x0[0], blocks, rng, first)
         eps, words = mod1.draw_moves(rng, (rows, steps))
-        # a two-step block regenerates exactly when its two coins differ
-        levels = (eps[:, 0::2] != eps[:, 1::2]).astype(np.uint8)
-        return mod1.path(x0, eps, words), levels
+        return mod1.path(x0, eps, words), _mod1_levels(eps)
     state_u = rng.random((rows, steps))
     level_u = rng.random((rows, blocks))
     inputs = _finite_split_inputs(chain)
     if rows == 1:
-        states, levels = _kernels.finite_split_path(*inputs, int(x0[0]),
-                                                    state_u[0], level_u[0])
+        states, levels = _kernels.finite_split_path(
+            *inputs, int(x0[0]), state_u[0], level_u[0], first)
         return states[None], levels[None]
     return _kernels.finite_split_first_hits(*inputs, x0, state_u, level_u,
                                             first)
+
+
+def _mod1_levels(eps):
+    # a two-step block regenerates exactly when its two coins differ
+    return (eps[..., 0::2] != eps[..., 1::2]).astype(np.uint8)
+
+
+def _mod1_row(mod1, x0, blocks, rng, first):
+    """_split_request's one mod-1 row, drawn as draw_moves draws it.
+
+    The coins alone set the levels, so the row's first level-1 block at
+    or after block first is known before any word is drawn. The words
+    then come in tiles of _kernels._MOD1_TILE_STATES, which draw the
+    values one call would, and the path is built tile by tile only
+    through that block (without its endpoint), or through the end state
+    when there is none.
+    """
+    steps = 2 * blocks
+    eps = mod1.draw_coins(rng, steps)
+    levels = _mod1_levels(eps)
+    counted = levels[first:]
+    size = (2 * (first + int(counted.argmax()) + 1) if counted.any()
+            else steps + 1)
+    path = np.empty(size, dtype=np.uint64)
+    path[0] = x0
+    tile = _kernels._MOD1_TILE_STATES
+    for lo in range(0, steps, tile):
+        words = mod1.draw_words(rng, min(tile, steps - lo))
+        hi = min(lo + tile, size - 1)
+        if lo < hi:
+            path[lo + 1:hi + 1] = mod1.path(path[lo], eps[lo:hi],
+                                            words[:hi - lo])[1:]
+        del words  # before the next tile is drawn
+    return path[None], levels[None]
 
 
 def _prefixes(array: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -159,7 +197,10 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
 
     Returns (states, levels, lengths): the runs' states (indices, or
     floats on the mod-1 chain) and per-state levels, concatenated in
-    replica order, and each run's length.
+    replica order, and each run's length. A run that one request holds
+    is that request's path, not a copy; the pieces of several are
+    released before the mod-1 states become floats, which are then the
+    one array of states.
     """
     m = chain.m
     mod1 = chain.mod1
@@ -186,8 +227,9 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
             else:
                 kept = np.full(ids.size, n)
             # a row keeps its start and then its path's first states
-            pieces.append((ids, kept, _prefixes(paths[:, :-1], kept),
-                           _prefixes(np.repeat(levels, m, axis=1), kept)))
+            levels = np.repeat(levels[:, :-(-kept.max() // m)], m, axis=1)
+            pieces.append((ids, kept, _prefixes(paths, kept),
+                           _prefixes(levels, kept)))
             lengths[ids] += kept
             alive = hit < 0
             x[ids[alive]] = paths[alive, -1]
@@ -198,7 +240,10 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
         active = np.concatenate(running)
         blocks = _extension_chunk(blocks)
         first = 0
-    if rows == 1 or len(pieces) == 1:
+    del paths, levels
+    if len(pieces) == 1:
+        states, levels = pieces.pop()[2:]
+    elif rows == 1:
         states = np.concatenate([piece[2] for piece in pieces])
         levels = np.concatenate([piece[3] for piece in pieces])
     else:
@@ -211,8 +256,9 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
                   + np.arange(kept.sum()))
             states[at], levels[at] = piece_states, piece_levels
             filled[ids] += kept
+    del pieces
     if mod1 is not None:
-        states = mod1.bits_to_float(states)
+        states = mod1.bits_to_float_owned(states)
     return states, levels, lengths
 
 
@@ -228,7 +274,10 @@ def simulate_split(chain: ChainInstance, init, n: int, rng: np.random.Generator,
     of that block, which is exactly the coverage the block decomposition
     needs. GuardError is raised before drawing a request that would take
     the run past _MAX_BLOCKS blocks. The run is _split_runs' with one
-    row.
+    row: an extension builds only the blocks it keeps, and at its peak
+    the run holds its path once (twice while mod-1 states become
+    floats) next to the request's random draws (on the mod-1 chain its
+    coins and one tile of words).
     """
     n = int(n)
     m = chain.m
@@ -331,29 +380,42 @@ def excursions(traj: SplitTrajectory, f) -> np.ndarray:
     chi_i sums f(state) for indices sigma_i + m .. sigma_{i+1} + m - 1,
     for every i whose range the trajectory covers. The sequence is
     stationary and 1-dependent; adjacent entries share nothing when
-    m = 1.
+    m = 1. chi_i is the difference of the running sums of f at the
+    block's last state and at the state before its first (which exists:
+    blocks after the first start at m or later). The running sums
+    overwrite f's values when those are excursions' own, and take a
+    new array when f is a callable, whose result may be its input or an
+    array it keeps.
     """
-    values = _functional_values(traj, f)
+    values, own = _functional_values(traj, f)
     sigma = traj.sigma
     m = traj.m
     if sigma.size < 2:
         return np.empty(0, dtype=np.float64)
-    ends = sigma[1:] + m
-    keep = ends <= len(traj)
-    starts = (sigma[:-1] + m)[keep]
-    ends = ends[keep]
-    cs = np.concatenate([[0.0], np.cumsum(values)])
-    return cs[ends] - cs[starts]
+    # the count blocks that end by len(traj) lie between the first
+    # count + 1 regeneration times
+    count = max(int(np.searchsorted(sigma, len(traj) - m, side="right")) - 1, 0)
+    sums = np.cumsum(values, out=values if own else None)
+    cut = sums[m - 1:][sigma[:count + 1]]
+    del values, sums  # released before the differences are taken
+    return np.subtract(cut[1:], cut[:-1], dtype=np.float64)
 
 
-def _functional_values(traj: SplitTrajectory, f) -> np.ndarray:
+def _functional_values(traj: SplitTrajectory, f):
+    """(f along traj, whether excursions may overwrite that array): it
+    may when it holds floats and is new, which a callable's result need
+    not be."""
     if isinstance(f, Functional):
-        return f.apply(traj.states)
-    if isinstance(f, np.ndarray):
-        return f[np.asarray(traj.states, dtype=np.int64)]
-    if callable(f):
-        return np.asarray(f(traj.states), dtype=np.float64)
-    raise ValueError("f must be a Functional, a per-state value array or a callable")
+        values = f.apply(traj.states)
+        new = not np.may_share_memory(values, traj.states)
+    elif isinstance(f, np.ndarray):
+        values, new = f[np.asarray(traj.states, dtype=np.int64)], True
+    elif callable(f):
+        values, new = np.asarray(f(traj.states), dtype=np.float64), False
+    else:
+        raise ValueError(
+            "f must be a Functional, a per-state value array or a callable")
+    return values, new and values.dtype == np.float64
 
 
 def functional_values(chain: ChainInstance, traj: SplitTrajectory, fspec) -> np.ndarray:
@@ -423,7 +485,7 @@ def block_decompose(traj: SplitTrajectory, f, n: int) -> BlockDecomposition:
         raise ValueError(f"m | n required, got n = {n} with m = {m}")
     if n > len(traj):
         raise ValueError("horizon n exceeds the trajectory length")
-    values = _functional_values(traj, f)
+    values, _ = _functional_values(traj, f)
     sigma = traj.sigma
     count = int(np.sum(sigma < n - m))
     direct = float(math.fsum(values[:n]))

@@ -421,11 +421,12 @@ def check_block_structure(chain: ChainInstance, *, n_blocks: int = 20000,
     rng = substream(seed, TAG_STRUCTURE, 0)
     traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_blocks),
                           rng, extend_to_regeneration=True)
-    gaps = gap_lengths(traj)
     by_name = {}
     for name in functionals:
         fspec = resolve_functional(chain, name)
         by_name[fspec.name] = excursions(traj, fspec)
+    gaps = gap_lengths(traj)
+    del traj  # the tests read only gaps and excursions
     return block_structure_tests(gaps, by_name, lags=lags, level=level,
                                  expected_mean_gap=chain.mean_gap())
 
@@ -689,6 +690,7 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
                           rng, extend_to_regeneration=True)
     chi = excursions(traj, fspec)
     gaps = gap_lengths(traj)
+    del traj  # the fit reads only chi and gaps
     if chi.size < 100:
         raise ValueError(f"long run produced only {chi.size} excursions")
     c_est = psi_norm_empirical(chi, alpha).value

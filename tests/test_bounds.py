@@ -324,6 +324,42 @@ def test_m_cutoff_past_float_range():
     assert m_cutoff(0, 0.02, 100) == 0.0
 
 
+def test_m_cutoff_past_alpha_range():
+    # alpha^3 (and alpha^2) underflow to 0, or are subnormal and the
+    # quotient overflows: the cutoff is inf, 0 at c = 0
+    for alpha in (1e-110, 1e-107):
+        assert m_cutoff(1, alpha, 100) == math.inf
+        assert m_cutoff(0, alpha, 100) == 0.0
+    assert m_cutoff(1, 1e-170, 100, "iid") == math.inf
+    assert m_cutoff(0, 1e-170, 100, "iid") == 0.0
+
+
+def test_thm_bi2_at_zero_d_and_infinite_cutoff():
+    # M = inf and d = 0: the M d term is 0, so the quadratic term keeps
+    # 6 exp(-t^2 / (37 (1 + p) n sigma2)); a = b = 0 drop their terms
+    params = BernsteinParams(a=0.0, b=0.0, c=1.0, d=0.0, alpha=0.02,
+                             sigma2_mrv=0.5, delta=0.5, pi_C=0.5, m=1)
+    assert m_cutoff(1.0, 0.02, 100) == math.inf
+    t, p, n = 5.0, 0.5, 100
+    want = (4.0 * math.exp(8.0)
+            * math.exp(-t ** 0.02 / ((16.0 / 0.02) * 27.0 ** 0.02))
+            + 6.0 * math.exp(-t * t / (37.0 * (1.0 + p) * n * 0.5)))
+    got = thm_bi2(params, n, p, t).raw
+    assert close(got, want)
+    assert round(got, 2) == 11915.38
+
+
+def test_one_dep_stopped_at_zero_b_factor_and_infinite_cutoff():
+    # the same limit for the 14 M t b_factor term
+    t = 5.0
+    got = one_dep_stopped(100, 1.0, 0.02, 0.5, 1.0, 0.0, t)
+    want = (4.0 * math.exp(8.0)
+            * math.exp(-t ** 0.02 / ((16.0 / 0.02) * 26.0 ** 0.02))
+            + 9.0 * math.exp(-t * t / (102.0 * 0.5)))
+    assert close(got.raw, want)
+    assert "b_factor below its floor of 2" in got.flags
+
+
 def test_thm_bi_at_infinite_cutoff():
     # M = inf: the quadratic term takes its overflow limit 6, and t lies
     # below the proof threshold

@@ -1,22 +1,26 @@
 """Split-chain simulation, regeneration blocks, excursions, decomposition."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regen_bernstein import (GuardError, block_decompose, count_regenerations,
+from regen_bernstein import (Functional, GuardError, block_decompose,
+                             count_regenerations,
                              excursions, extract_blocks, functional_values,
                              gap_lengths, make_singular_mod1, make_two_state,
                              regeneration_times, resolve_functional,
                              sample_path, simulate_split, split_measure,
                              trajectory_summary, trajectory_to_csv,
                              write_json)
-from regen_bernstein import split_regen
+from regen_bernstein import _kernels, split_regen, verify
 from regen_bernstein.split_regen import SplitTrajectory
-from regen_bernstein._rng import TAG_SPLIT, substream
+from regen_bernstein._rng import TAG_PITMAN, TAG_SPLIT, substream
+
+from _split_reference import reference_split
 
 
 def _rng(seed, idx=0):
@@ -299,3 +303,105 @@ def test_write_json_deterministic(tmp_path):
     assert t1 == open(p2).read()
     assert t1.endswith("\n")
     assert t1.index('"a"') < t1.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# lean runs: what a run holds and what it draws
+# ---------------------------------------------------------------------------
+
+LEAN_CHAINS = {"mod1": make_singular_mod1,
+               "two-state": lambda: make_two_state(0.3, 0.6)}
+LEAN_STATES = 40_000
+# (chain, seed of _rng, whether the run extends past the horizon, bytes
+# per returned state allowed at the peak)
+LEAN_RUNS = [("mod1", 0, False, 24), ("mod1", 2, True, 24),
+             ("two-state", 0, False, 48), ("two-state", 5, True, 48)]
+
+
+@pytest.mark.parametrize("name, seed, extends, budget", LEAN_RUNS)
+def test_split_run_peak_memory(name, seed, extends, budget):
+    # a mod-1 run holds one path of uint64 states at a time, a finite
+    # one its path and the request's uniforms; an extension builds only
+    # the blocks it keeps
+    chain = LEAN_CHAINS[name]()
+
+    def run():
+        return simulate_split(chain, "pi", LEAN_STATES, _rng(seed),
+                              extend_to_regeneration=True)
+
+    run()  # lazy imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        traj = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(traj) > LEAN_STATES) is extends
+    assert peak <= budget * len(traj), peak / len(traj)
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("name, seed", [run[:2] for run in LEAN_RUNS])
+def test_split_run_draws_as_one_call_per_request(name, seed, extend):
+    # 40,000 mod-1 states span two word tiles and an extension three
+    # more: the run, and the generator's next draws, equal those of the
+    # reference, which draws each request in one call
+    chain = LEAN_CHAINS[name]()
+    rng, ref_rng = _rng(seed), _rng(seed)
+    got = simulate_split(chain, "pi", LEAN_STATES, rng,
+                         extend_to_regeneration=extend)
+    want = reference_split(chain, "pi", LEAN_STATES, ref_rng, extend)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.levels, want.levels)
+    assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+@pytest.mark.parametrize("name", ["mod1", "two-state-slow"])
+def test_first_blocks_draw_as_one_call_per_request(monkeypatch, name):
+    # one-row groups (64 states a group) and 8-word tiles: first blocks
+    # take the one-row paths and cross tiles, and each block's generator
+    # ends where the reference leaves it
+    monkeypatch.setattr(split_regen, "_GROUP_STATES", 64)
+    monkeypatch.setattr(_kernels, "_MOD1_TILE_STATES", 8)
+    made = []
+
+    def recording(*path):
+        made.append((path, substream(*path)))
+        return made[-1][1]
+
+    monkeypatch.setattr(verify, "substream", recording)
+    chain = (make_singular_mod1() if name == "mod1"
+             else make_two_state(0.1, 0.1, delta=0.05))
+    blocks = list(verify._first_blocks(chain, "nu", 300, 3, TAG_PITMAN))
+    assert len(made) == len(blocks) == 2
+    for (path, rng), (states, levels, _), rows in zip(made, blocks, (256, 44)):
+        ref_rng = substream(*path)
+        want = reference_split(chain, "nu", chain.m, ref_rng, True, rows)
+        assert np.array_equal(states,
+                              np.concatenate([run.states for run in want]))
+        assert np.array_equal(levels,
+                              np.concatenate([run.levels for run in want]))
+        assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+def test_excursions_leave_what_a_callable_returned():
+    # a callable may return its input or an array it keeps, and a
+    # Functional's fn its input: excursions then sums into a new array
+    chain = make_singular_mod1()
+    traj = simulate_split(chain, "pi", 400, _rng(3))
+    states = traj.states.copy()
+    kept = np.cos(2.0 * math.pi * traj.states)
+    held = kept.copy()
+    want = excursions(traj, resolve_functional(chain, "cos2pi"))
+    assert want.size > 10
+    assert np.array_equal(excursions(traj, lambda s: kept), want)
+    assert np.array_equal(kept, held)
+    by_identity = excursions(traj, lambda s: s)
+    assert np.array_equal(traj.states, states)
+    same = Functional(name="same", fn=lambda x: x)
+    assert np.array_equal(excursions(traj, same), by_identity)
+    assert np.array_equal(traj.states, states)
+    sums = np.concatenate([[0.0], np.cumsum(states)])
+    cut = traj.sigma + traj.m
+    cut = cut[cut <= len(traj)]
+    assert np.array_equal(by_identity, sums[cut[1:]] - sums[cut[:-1]])

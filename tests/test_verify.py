@@ -23,7 +23,6 @@ from regen_bernstein import (
     Functional,
     GuardError,
     MinorizationSpec,
-    SplitTrajectory,
     TailCurve,
     TransitionKernel,
     block_structure_tests,
@@ -54,10 +53,11 @@ from regen_bernstein import (
     write_curves_csv,
 )
 from regen_bernstein import split_regen
-from regen_bernstein._kernels import finite_split_path
 from regen_bernstein._rng import (TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_TAIL,
                                   TAG_TWO_BLOCK, substream)
 from regen_bernstein.chain_models import resolve_start
+
+from _split_reference import reference_split
 
 
 def close(got, want, rel=1e-12):
@@ -372,7 +372,7 @@ def test_one_block_reproduced_from_its_substream(monkeypatch):
     for chain in (two, mod1):
         blocks = list(verify_mod._first_blocks(chain, "nu", 1000, seed, 4, 1))
         states, levels, sigma0 = blocks[3]
-        runs = _reference_split(chain, "nu", chain.m, substream(seed, 4, 1, 3),
+        runs = reference_split(chain, "nu", chain.m, substream(seed, 4, 1, 3),
                                 True, rows)
         assert np.array_equal(states, np.concatenate([r.states for r in runs]))
         assert np.array_equal(levels, np.concatenate([r.levels for r in runs]))
@@ -904,69 +904,10 @@ _LOCKSTEP_CHAINS = {
 }
 
 
-def _reference_split(chain, init, n, rng, extend, rows=None):
-    # the split chain in plain Python, one request at a time for the rows
-    # still running, all drawing from rng: every row's start, then
-    # ceil(n / m) blocks, then requests of max(128, 2 * previous) blocks
-    # (at most 65536) until a level-1 block starts at or after n - m. A
-    # request takes the running rows in groups of split_regen's
-    # _GROUP_STATES // (blocks * m) rows (at least one); a group draws
-    # each of its rows' state uniforms, then each one's level uniforms
-    # (on the mod-1 chain all their coins, then all their words).
-    # rows=None is one run, returned as a trajectory; otherwise a list
-    # of rows runs
-    m = chain.m
-    mod1 = chain.mod1
-    spec = chain.minorization
-    start = resolve_start(chain, init)
-    states = [[start.draw(rng)] for _ in range(rows or 1)]
-    levels = [[] for _ in states]
-    running = list(range(len(states)))
-    blocks = -(-n // m)
-    while running:
-        size = max(1, split_regen._GROUP_STATES // (blocks * m))
-        for group in (running[lo:lo + size]
-                      for lo in range(0, len(running), size)):
-            if mod1 is None:
-                state_u = [rng.random(blocks * m) for _ in group]
-                level_u = [rng.random(blocks) for _ in group]
-                paths = [finite_split_path(
-                    chain.kernel.cumulative_rows(),
-                    np.asarray(spec.small_set, dtype=bool),
-                    np.asarray(spec.r, dtype=np.float64), m, states[i][-1],
-                    su, lu)
-                    for i, su, lu in zip(group, state_u, level_u)]
-            else:
-                eps, words = mod1.draw_moves(rng, (len(group), blocks * m))
-                paths = [(mod1.path(states[i][-1], e, w),
-                          [e[2 * k] != e[2 * k + 1] for k in range(blocks)])
-                         for i, e, w in zip(group, eps, words)]
-            for i, (path, block_levels) in zip(group, paths):
-                states[i] += path[1:].tolist()
-                levels[i] += [int(v) for v in block_levels]
-        if not extend:
-            break
-        running = [i for i in running
-                   if not any(v and k * m >= n - m for k, v in enumerate(levels[i]))]
-        blocks = min(max(128, 2 * blocks), 65536)
-    runs = []
-    for run_states, run_levels in zip(states, levels):
-        hits = [k * m for k, v in enumerate(run_levels) if v and k * m >= n - m]
-        stop = hits[0] + m if extend else n
-        per_state = [v for v in run_levels for _ in range(m)]
-        run_states = (np.array(run_states[:stop], dtype=np.int64) if mod1 is None
-                      else mod1.bits_to_float(np.array(run_states[:stop],
-                                                       dtype=np.uint64)))
-        runs.append(SplitTrajectory(
-            states=run_states, levels=np.array(per_state[:stop], dtype=np.uint8),
-            m=m))
-    return runs if rows is not None else runs[0]
-
-
 def _block_runs(chain, init, replicas, seed, *path):
     # first-regeneration runs, one shared generator per block of 256
     return [run for block, lo in enumerate(range(0, replicas, 256))
-            for run in _reference_split(chain, init, chain.m,
+            for run in reference_split(chain, init, chain.m,
                                         substream(seed, *path, block), True,
                                         min(256, replicas - lo))]
 
@@ -983,7 +924,7 @@ def test_simulate_split_matches_reference(name, extend):
     for n, init in itertools.product([chain.m, 37, 1000], ["pi", point]):
         rng, ref_rng = substream(8, n, 0), substream(8, n, 0)
         got = simulate_split(chain, init, n, rng, extend_to_regeneration=extend)
-        want = _reference_split(chain, init, n, ref_rng, extend)
+        want = reference_split(chain, init, n, ref_rng, extend)
         assert got.states.dtype == want.states.dtype
         assert np.array_equal(got.states, want.states), (n, init)
         assert np.array_equal(got.levels, want.levels), (n, init)
@@ -1004,7 +945,7 @@ def test_first_regenerations_match_simulate_split(monkeypatch, name, init,
         init = ("point", 0.3 if chain.mod1 is not None else 1)
     rows = 256 if name == "two-state-slow" else 150
     rng, ref_rng = substream(21, 5, 0), substream(21, 5, 0)
-    want = _reference_split(chain, init, chain.m, ref_rng, True, rows)
+    want = reference_split(chain, init, chain.m, ref_rng, True, rows)
     states, levels, lengths = split_regen._split_runs(
         chain, resolve_start(chain, init), rng, rows, chain.m)
     want_states = np.concatenate([run.states for run in want])
@@ -1025,7 +966,7 @@ def test_lockstep_runs_at_a_horizon_match_reference(name):
     # request a level-1 block counts only from the one starting at n - m
     chain = _LOCKSTEP_CHAINS[name]()
     n, rows = 37, 60
-    want = _reference_split(chain, "pi", n, substream(6, 0), True, rows)
+    want = reference_split(chain, "pi", n, substream(6, 0), True, rows)
     states, levels, lengths = split_regen._split_runs(
         chain, resolve_start(chain, "pi"), substream(6, 0), rows, n)
     assert np.array_equal(states, np.concatenate([run.states for run in want]))
