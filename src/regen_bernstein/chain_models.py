@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -114,17 +114,12 @@ class SingularMod1Chain:
         if not (16 <= b <= 64):
             raise ValueError("precision must lie in [16, 64]")
         object.__setattr__(self, "precision", b)
-        odd = 0
-        even = 0
-        for j in range(1, b + 1):
-            bit = 1 << (b - j)
-            if j % 2 == 1:
-                odd |= bit
-            else:
-                even |= bit
-        object.__setattr__(self, "odd_mask", odd)
-        object.__setattr__(self, "even_mask", even)
-        object.__setattr__(self, "wrap_mask", (1 << b) - 1)
+        wrap = (1 << b) - 1
+        # place j is bit b - j: the even places b - 2, b - 4, ... are the
+        # bits of wrap // 3 (binary ...010101), the odd places the rest
+        object.__setattr__(self, "even_mask", wrap // 3)
+        object.__setattr__(self, "odd_mask", wrap ^ wrap // 3)
+        object.__setattr__(self, "wrap_mask", wrap)
         shift = max(0, b - 53)
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "scale", 2.0 ** -(b - shift))
@@ -153,8 +148,7 @@ class SingularMod1Chain:
 
     def bits_to_float(self, bits):
         """Fixed-point states as floats in [0, 1)."""
-        return (np.asarray(bits, dtype=np.uint64)
-                >> np.uint64(self.shift)) * self.scale
+        return self.bits_to_float_owned(np.array(bits, dtype=np.uint64))
 
     def bits_to_float_owned(self, bits: np.ndarray) -> np.ndarray:
         """bits_to_float of a uint64 array that the caller gives up: the
@@ -264,7 +258,7 @@ class Functional:
     evaluates f on an array of float states (the mod-1 chain) into a
     new array, which its callers may overwrite. sup_bound
     is an exact bound on |f| when known. apply is the one evaluator of f
-    along a path.
+    along a path; resolve_functional checks that it fits the chain.
     """
 
     name: str
@@ -299,11 +293,23 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
 
     spec is one of the names "indicator_centered", "identity_centered",
     "cos2pi", a tabulated array of per-state values (finite chains), or
-    an already resolved Functional. The named ones are exactly centered
-    under the stationary law.
+    a Functional. The named ones are exactly centered under the
+    stationary law. This is the one check of a functional's form: on
+    the mod-1 chain a Functional needs fn (its values are dropped), on
+    a finite chain a finite table with one value per state, and one
+    with fn only is tabulated at the state indices (the values its
+    apply gives there).
     """
     if isinstance(spec, Functional):
-        return spec
+        if chain.mod1 is not None:
+            if spec.fn is None:
+                raise ValueError(
+                    f"functional {spec.name} has no evaluator on mod-1 states")
+            return replace(spec, values=None)
+        values = spec.values
+        if values is None:
+            values = spec.apply(np.arange(chain.kernel.n_states))
+        return replace(spec, values=_table(chain, values))
     if isinstance(spec, str):
         name = spec
         if chain.mod1 is not None:
@@ -324,15 +330,21 @@ def resolve_functional(chain: ChainInstance, spec) -> Functional:
         else:
             raise ValueError(f"unknown functional {name!r} for a finite chain")
         return Functional(name=name, values=vals, sup_bound=float(np.abs(vals).max()))
-    vals = np.asarray(spec, dtype=np.float64)
+    vals = _table(chain, spec)
+    return Functional(name="tabulated", values=vals,
+                      sup_bound=float(np.abs(vals).max()))
+
+
+def _table(chain: ChainInstance, values) -> np.ndarray:
+    """values as a float table of f over the chain's states, checked."""
+    vals = np.asarray(values, dtype=np.float64)
     if not chain.is_finite:
         raise ValueError("tabulated functionals need a finite chain")
     if vals.shape != (chain.kernel.n_states,):
         raise ValueError("tabulated functional must give one value per state")
     if not np.all(np.isfinite(vals)):
         raise ValueError("tabulated functional must be finite")
-    return Functional(name="tabulated", values=vals,
-                      sup_bound=float(np.abs(vals).max()))
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +635,8 @@ class Start:
         if self.weights is not None:
             idx = np.searchsorted(self._cum, rng.random(size), side="right")
             return np.minimum(idx, len(self._cum) - 1)
-        words = rng.integers(0, _U64_MAX, size=size, dtype=np.uint64,
-                             endpoint=True)
-        return words & np.uint64(self.wrap_mask)
+        return (SingularMod1Chain.draw_words(rng, size)
+                & np.uint64(self.wrap_mask))
 
 
 def resolve_start(chain: ChainInstance, init) -> Start:

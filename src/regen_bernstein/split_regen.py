@@ -157,9 +157,8 @@ def _mod1_row(mod1, x0, blocks, rng, first):
     steps = 2 * blocks
     eps = mod1.draw_coins(rng, steps)
     levels = _mod1_levels(eps)
-    counted = levels[first:]
-    size = (2 * (first + int(counted.argmax()) + 1) if counted.any()
-            else steps + 1)
+    hit = int(_first_hit(levels, first))
+    size = 2 * (hit + 1) if hit >= 0 else steps + 1
     path = np.empty(size, dtype=np.uint64)
     path[0] = x0
     tile = _kernels._MOD1_TILE_STATES
@@ -171,6 +170,13 @@ def _mod1_row(mod1, x0, blocks, rng, first):
                                             words[:hi - lo])[1:]
         del words  # before the next tile is drawn
     return path[None], levels[None]
+
+
+def _first_hit(levels: np.ndarray, first: int) -> np.ndarray:
+    """Index of the first level-1 block at or after block first along
+    the last axis of levels, -1 where there is none."""
+    counted = levels[..., first:]
+    return np.where(counted.any(axis=-1), first + counted.argmax(axis=-1), -1)
 
 
 def _prefixes(array: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -219,9 +225,7 @@ def _split_runs(chain: ChainInstance, start, rng, rows: int, n: int,
         for lo in range(0, active.size, group):
             ids = active[lo:lo + group]
             paths, levels = _split_request(chain, x[ids], blocks, rng, first)
-            counted = levels[:, first:]
-            hit = np.where(counted.any(axis=1),
-                           first + counted.argmax(axis=1), -1)
+            hit = _first_hit(levels, first)
             if extend:
                 kept = np.where(hit >= 0, (hit + 1) * m, blocks * m)
             else:

@@ -185,7 +185,7 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
 
     if mod1 is None:
         cum_rows = chain.kernel.cumulative_rows()
-        f_vals = np.asarray(fspec.values, dtype=np.float64)
+        f_vals = fspec.values
 
         def sums(lo, hi):
             # each block's generator and rows, once it has drawn its starts
@@ -210,9 +210,6 @@ def mc_tail(chain: ChainInstance, f, init, n: int, t_grid, replicas: int,
 
         return _replicated_tail(sums, t, n, replicas, threads)
 
-    if fspec.fn is None:
-        raise ValueError(
-            f"functional {fspec.name} has no evaluator on mod-1 states")
     moves = 9 * BLOCK * steps
     if moves > _MOD1_MOVE_BYTES:
         raise GuardError(
@@ -386,8 +383,16 @@ def _buffered_horizon(chain: ChainInstance, n_regen: int) -> int:
     return int(math.ceil(buffer * chain.mean_gap())) + chain.m
 
 
-def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
-                       init="nu"):
+def _regenerative_run(chain: ChainInstance, fspecs, horizon: int, rng):
+    """([excursions of each resolved functional], gaps) of one long
+    split run from nu drawn from rng, extended to the first regeneration
+    at or after horizon - m. The run itself is dropped on return."""
+    traj = simulate_split(chain, "nu", horizon, rng,
+                          extend_to_regeneration=True)
+    return [excursions(traj, fspec) for fspec in fspecs], gap_lengths(traj)
+
+
+def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int):
     """(chi, gaps) arrays of exactly n_regen excursions from one long run.
 
     The horizon is buffered five standard deviations above the expected
@@ -400,12 +405,10 @@ def collect_excursions(chain: ChainInstance, f, n_regen: int, seed: int, *,
     fspec = resolve_functional(chain, f)
     horizon = _buffered_horizon(chain, n_regen)
     for attempt in range(6):
-        rng = substream(seed, TAG_COLLECT, attempt)
-        traj = simulate_split(chain, init, horizon, rng,
-                              extend_to_regeneration=True)
-        chi = excursions(traj, fspec)
+        (chi,), gaps = _regenerative_run(chain, [fspec], horizon,
+                                         substream(seed, TAG_COLLECT, attempt))
         if chi.size >= n_regen:
-            return chi[:n_regen], gap_lengths(traj)[:n_regen]
+            return chi[:n_regen], gaps[:n_regen]
         horizon *= 2
     raise GuardError(f"could not collect {n_regen} excursions in 6 attempts")
 
@@ -418,15 +421,11 @@ def check_block_structure(chain: ChainInstance, *, n_blocks: int = 20000,
     if functionals is None:
         functionals = (("cos2pi", "identity_centered") if chain.mod1 is not None
                        else ("indicator_centered", "identity_centered"))
-    rng = substream(seed, TAG_STRUCTURE, 0)
-    traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_blocks),
-                          rng, extend_to_regeneration=True)
-    by_name = {}
-    for name in functionals:
-        fspec = resolve_functional(chain, name)
-        by_name[fspec.name] = excursions(traj, fspec)
-    gaps = gap_lengths(traj)
-    del traj  # the tests read only gaps and excursions
+    fspecs = [resolve_functional(chain, name) for name in functionals]
+    chis, gaps = _regenerative_run(chain, fspecs,
+                                   _buffered_horizon(chain, n_blocks),
+                                   substream(seed, TAG_STRUCTURE, 0))
+    by_name = {fspec.name: chi for fspec, chi in zip(fspecs, chis)}
     return block_structure_tests(gaps, by_name, lags=lags, level=level,
                                  expected_mean_gap=chain.mean_gap())
 
@@ -448,21 +447,22 @@ class PitmanCheck:
     passed: bool
 
 
+_PITMAN_G = {
+    "one": lambda s, lev: np.ones(np.asarray(lev).shape, dtype=np.float64),
+    "level": lambda s, lev: np.asarray(lev, dtype=np.float64),
+}
+
+
 def _pitman_g(chain: ChainInstance, g_spec):
-    if callable(g_spec):
-        return g_spec, "callable"
+    """(G, name): a state indicator ("state", x), or as _resolve_named
+    reads g_spec against _PITMAN_G."""
     if isinstance(g_spec, tuple) and len(g_spec) == 2 and g_spec[0] == "state":
         if not chain.is_finite:
             raise ValueError("state-indicator G needs a finite chain")
         target = resolve_point(chain, g_spec[1])
         return (lambda s, lev: (np.asarray(s) == target).astype(np.float64),
                 f"state:{target}")
-    if g_spec == "one":
-        return (lambda s, lev: np.ones(np.asarray(lev).shape, dtype=np.float64),
-                "one")
-    if g_spec == "level":
-        return (lambda s, lev: np.asarray(lev, dtype=np.float64), "level")
-    raise ValueError(f"unknown G {g_spec!r}")
+    return _resolve_named(g_spec, _PITMAN_G, "G")
 
 
 def _pitman_rhs(chain: ChainInstance, g_fn, g_name: str) -> float:
@@ -565,10 +565,11 @@ _XI_LAWS = {
 
 
 def _resolve_named(spec, table: dict, what: str):
-    """(callable, name): spec itself if callable, else its table entry."""
+    """(callable, name): spec itself if callable, else the entry of the
+    name spec in table."""
     if callable(spec):
         return spec, "callable"
-    if spec in table:
+    if isinstance(spec, str) and spec in table:
         return table[spec], spec
     raise ValueError(f"unknown {what} {spec!r}")
 
@@ -685,12 +686,9 @@ def fit_bernstein_params(chain: ChainInstance, f, alpha: float = 1.0, *,
     if x_star is None:
         x_star = chain.first_small_set_state()
 
-    rng = substream(seed, TAG_FIT_EXCURSION, 0)
-    traj = simulate_split(chain, "nu", _buffered_horizon(chain, n_excursions),
-                          rng, extend_to_regeneration=True)
-    chi = excursions(traj, fspec)
-    gaps = gap_lengths(traj)
-    del traj  # the fit reads only chi and gaps
+    (chi,), gaps = _regenerative_run(chain, [fspec],
+                                     _buffered_horizon(chain, n_excursions),
+                                     substream(seed, TAG_FIT_EXCURSION, 0))
     if chi.size < 100:
         raise ValueError(f"long run produced only {chi.size} excursions")
     c_est = psi_norm_empirical(chi, alpha).value

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regen_bernstein import (TransitionKernel, chain_from_dict, load_chain,
-                             make_chain, make_singular_mod1, make_two_state,
-                             resolve_functional, sample_path, save_chain,
-                             stationary_distribution, tv_decay_curve,
-                             validate_minorization)
+from regen_bernstein import (Functional, TransitionKernel, chain_from_dict,
+                             load_chain, make_chain, make_singular_mod1,
+                             make_two_state, resolve_functional, sample_path,
+                             save_chain, stationary_distribution,
+                             tv_decay_curve, validate_minorization)
 from regen_bernstein._rng import TAG_TV, substream
 from regen_bernstein.chain_models import resolve_point, resolve_start
 
@@ -296,6 +296,18 @@ def test_functional_tabulated_and_errors():
         resolve_functional(chain, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="unknown functional"):
         resolve_functional(chain, "cos2pi")
+    # a given Functional is checked as a table is: one finite value per
+    # state, and one with fn only is tabulated at the state indices
+    by_fn = resolve_functional(chain, Functional(name="f", fn=lambda x: x - 0.5))
+    assert by_fn.name == "f" and np.array_equal(by_fn.values, [-0.5, 0.5])
+    for values in ([0.5, -0.5, 99.0], [0.5]):
+        with pytest.raises(ValueError, match="one value per state"):
+            resolve_functional(chain, Functional(name="g", values=np.array(values)))
+    with pytest.raises(ValueError, match="must be finite"):
+        resolve_functional(chain, Functional(
+            name="g", fn=lambda x: np.where(x > 0, np.inf, 0.0)))
+    with pytest.raises(ValueError, match="no direct evaluator"):
+        resolve_functional(chain, Functional(name="g"))
 
 
 def test_mod1_functionals():
@@ -313,6 +325,14 @@ def test_mod1_functionals():
         assert np.array_equal(f.apply(x), values)
     with pytest.raises(ValueError):
         resolve_functional(chain, "not-a-functional")
+    # on float states a Functional is its fn, never its table read at
+    # index 0, and a table alone has no evaluator there
+    both = Functional(name="both", values=np.array([1.0, -1.0]),
+                      fn=lambda x: x - 0.5)
+    assert np.array_equal(resolve_functional(chain, both).apply(x),
+                          [-0.5, -0.25, 0.25])
+    with pytest.raises(ValueError, match="no evaluator on mod-1 states"):
+        resolve_functional(chain, Functional(name="tab", values=np.array([1.0])))
 
 
 def test_chain_file_roundtrip(tmp_path):

@@ -230,9 +230,29 @@ def test_mod1_f_rejects_unknown_codes():
         resolve_functional(chain, "3")
 
 
+def _place_masks(precision):
+    """(odd, even) masks by definition: place j = 1..B is bit B - j and
+    belongs to the odd or the even family as j does."""
+    odd = even = 0
+    for j in range(1, precision + 1):
+        if j % 2:
+            odd |= 1 << (precision - j)
+        else:
+            even |= 1 << (precision - j)
+    return odd, even
+
+
+def test_mod1_masks_match_place_definition():
+    for precision in range(16, 65):
+        mod1 = make_singular_mod1(precision).mod1
+        assert (mod1.odd_mask, mod1.even_mask) == _place_masks(precision)
+        assert mod1.wrap_mask == (1 << precision) - 1
+
+
 @pytest.mark.parametrize("precision", [64, 40, 16])
 def test_mod1_path_matches_scalar_loop(precision):
     mod1 = make_singular_mod1(precision).mod1
+    odd, even = _place_masks(precision)
     rng = substream(5, 1, precision)
     eps = rng.integers(0, 2, size=256, dtype=np.uint8)
     words = rng.integers(0, U64_MAX, size=256, dtype=np.uint64, endpoint=True)
@@ -242,8 +262,8 @@ def test_mod1_path_matches_scalar_loop(precision):
     assert path.dtype == np.uint64
     assert int(path[0]) == x
     for i in range(256):
-        mask = mod1.odd_mask if eps[i] == 1 else mod1.even_mask
-        x = (x + (int(words[i]) & mask)) & mod1.wrap_mask
+        mask = odd if eps[i] == 1 else even
+        x = (x + (int(words[i]) & mask)) & ((1 << precision) - 1)
         assert int(path[i + 1]) == x
     # a 2-d batch runs along its last axis, one row per path
     x0 = words[:4] & np.uint64(mod1.wrap_mask)

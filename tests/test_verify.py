@@ -53,8 +53,9 @@ from regen_bernstein import (
     write_curves_csv,
 )
 from regen_bernstein import split_regen
-from regen_bernstein._rng import (TAG_FIT_FIRST_BLOCK, TAG_PITMAN, TAG_TAIL,
-                                  TAG_TWO_BLOCK, substream)
+from regen_bernstein._rng import (TAG_COLLECT, TAG_FIT_FIRST_BLOCK,
+                                  TAG_PITMAN, TAG_TAIL, TAG_TWO_BLOCK,
+                                  substream)
 from regen_bernstein.chain_models import resolve_start
 
 from _split_reference import reference_split
@@ -463,6 +464,25 @@ def test_mc_tail_mod1_curve():
     assert np.all(curve.estimate <= 1.0)
 
 
+def test_tails_read_a_finite_functional_as_its_table():
+    # a Functional with fn only is tabulated at the state indices, and a
+    # table that does not give one value per state is rejected, not cut
+    chain = make_two_state(0.5, 0.5)
+    by_fn = Functional(name="f", fn=lambda x: x - 0.5)
+    table = np.array([-0.5, 0.5])
+    grid = [0.5, 1.5, 2.5]
+    for got, want in (
+            (exact_tail(chain, by_fn, 0, 8, grid),
+             exact_tail(chain, table, 0, 8, grid)),
+            (mc_tail(chain, by_fn, "pi", 8, grid, 1000, seed=5),
+             mc_tail(chain, table, "pi", 8, grid, 1000, seed=5))):
+        assert np.array_equal(got.estimate, want.estimate)
+        assert np.array_equal(got.se, want.se)
+    wide = Functional(name="wide", values=np.array([0.5, -0.5, 99.0]))
+    with pytest.raises(ValueError, match="one value per state"):
+        mc_tail(chain, wide, "pi", 8, grid, 1000, seed=5)
+
+
 def test_mc_tail_guards():
     chain = make_two_state(0.5, 0.5)
     with pytest.raises(ValueError, match="1000 replicas"):
@@ -505,6 +525,10 @@ def test_mc_tail_mod1_rejects_a_functional_without_fn(monkeypatch):
     f = Functional(name="custom", values=np.array([0.5, -0.5]))
     with pytest.raises(ValueError, match="no evaluator on mod-1 states"):
         mc_tail(make_singular_mod1(), f, "pi", 8, [1.0, 3.0], 1000, seed=0)
+    # the fit takes its functional through the same check
+    with pytest.raises(ValueError, match="no evaluator on mod-1 states"):
+        fit_bernstein_params(make_singular_mod1(), f, n_excursions=400,
+                             n_first_blocks=200, seed=1)
 
 
 def test_mc_tail_mod1_guards_a_blocks_moves(monkeypatch):
@@ -682,6 +706,35 @@ def test_exact_gap_psi1_geometric_anchor():
     assert close(exact_gap_psi1(chain), 1.0 / math.log(4.0 / 3.0), rel=1e-10)
 
 
+def test_collect_excursions_retries_with_doubled_horizons(monkeypatch):
+    # a light run is redrawn from the next attempt's substream at twice
+    # the horizon; six light runs raise GuardError
+    chain = make_two_state(0.5, 0.5)
+    attempts = []
+
+    def recording(seed, *path):
+        attempts.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(verify_mod, "_buffered_horizon", lambda c, n: 2)
+    monkeypatch.setattr(verify_mod, "substream", recording)
+    chi, gaps = collect_excursions(chain, "indicator_centered", 6, 4)
+    last = len(attempts) - 1
+    assert last >= 1
+    assert attempts == [(TAG_COLLECT, k) for k in range(last + 1)]
+    traj = simulate_split(chain, "nu", 2 << last,
+                          substream(4, TAG_COLLECT, last),
+                          extend_to_regeneration=True)
+    want = split_regen.excursions(traj, resolve_functional(
+        chain, "indicator_centered"))
+    assert np.array_equal(chi, want[:6])
+    assert np.array_equal(gaps, split_regen.gap_lengths(traj)[:6])
+    attempts.clear()
+    with pytest.raises(GuardError, match="in 6 attempts"):
+        collect_excursions(chain, "indicator_centered", 10 ** 6, 4)
+    assert attempts == [(TAG_COLLECT, k) for k in range(6)]
+
+
 def test_exact_gap_psi1_matches_empirical_norm():
     chain = make_two_state(0.5, 0.5, delta=0.5)
     want = exact_gap_psi1(chain)
@@ -815,6 +868,10 @@ def test_pitman_mod1_level():
     assert res.passed and res.rhs == 1.0
     with pytest.raises(ValueError, match="finite chain"):
         check_pitman(chain, ("state", 0), replicas=300)
+    # the closed form on the mod-1 chain is known for "one" and "level"
+    with pytest.raises(ValueError, match="'one' and 'level' only"):
+        check_pitman(chain, lambda s, lev: np.ones(np.shape(lev)),
+                     replicas=300)
 
 
 def test_pitman_guards():
@@ -830,6 +887,13 @@ def test_pitman_guards():
         check_pitman(chain, ("state", 2), replicas=200)
     assert check_pitman(chain, ("state", 1.0), replicas=200, seed=3) == \
         check_pitman(chain, ("state", 1), replicas=200, seed=3)
+    # a callable G is summed as the named one it equals
+    by_callable = check_pitman(chain, lambda s, lev: np.ones(np.shape(lev)),
+                               replicas=200, seed=3)
+    by_name = check_pitman(chain, "one", replicas=200, seed=3)
+    assert by_callable.name == "callable"
+    assert (by_callable.lhs, by_callable.se, by_callable.rhs) == \
+        (by_name.lhs, by_name.se, by_name.rhs)
 
 
 def test_block_markov_identity_holds():
@@ -1082,6 +1146,11 @@ def test_two_block_guards():
         two_block_factor("ratio", "normal", 16, seed=0)
     with pytest.raises(ValueError, match="unknown noise law"):
         two_block_factor("product", "cauchy", 16, seed=0)
+    # an unhashable spec is an unknown name too
+    with pytest.raises(ValueError, match=r"unknown two-block map \['product'\]"):
+        two_block_factor(["product"], "normal", 16, seed=0)
+    with pytest.raises(ValueError, match=r"unknown noise law \['uniform'\]"):
+        two_block_sup_tail("product", ["uniform"], 16, [1.0], 1000, seed=0)
     with pytest.raises(ValueError, match="positive"):
         two_block_factor("product", "normal", 0, seed=0)
     with pytest.raises(ValueError, match="1000 replicas"):
